@@ -12,9 +12,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from . import attacks, mcsim, protocol, strategy
 from .attacks import DistanceScenario, MultiPhotonMode
@@ -194,6 +197,10 @@ def cmd_binding_failure(args: argparse.Namespace) -> Artifact:
     return Artifact(("r", "probability"), rows)
 
 
+def _log10(log_value: float) -> float:
+    return log_value / math.log(10.0)
+
+
 def cmd_cheat_surface(args: argparse.Namespace) -> Artifact:
     variant = _variant(args.variant)
     _check_r([args.r])
@@ -201,16 +208,10 @@ def cmd_cheat_surface(args: argparse.Namespace) -> Artifact:
     step = args.grid_step
     if not 0.0 < step <= 0.5:
         raise CliError(f"--grid-step must lie in (0, 0.5], got {step!r}")
-    points = round(1.0 / step)
-    rows = []
-    for i in range(points + 1):
-        for j in range(points + 1):
-            p01 = min(1.0, i * step)
-            p10 = min(1.0, j * step)
-            value = strategy.cheat_success(
-                variant, args.commit, args.r, n, args.sigma_factor, FlipParams(p01, p10)
-            )
-            rows.append([p01, p10, value])
+    p01, p10 = strategy.flip_grid(step)
+    kernel = strategy.LogObjective(variant, args.commit, args.r, n, args.sigma_factor)
+    success = np.exp(kernel(p01, p10))
+    rows = [list(row) for row in zip(p01.tolist(), p10.tolist(), success.tolist())]
     return Artifact(("p01", "p10", "success"), rows)
 
 
@@ -225,8 +226,10 @@ def cmd_cheat_max(args: argparse.Namespace) -> Artifact:
             res = strategy.optimize(
                 variant, args.commit, r, n, args.sigma_factor, grid_step=args.grid_step
             )
-            rows.append([m, r, res.best.p01, res.best.p10, res.value])
-    return Artifact(("m", "r", "p01", "p10", "p_max"), rows)
+            rows.append(
+                [m, r, res.best.p01, res.best.p10, res.value, _log10(res.log_value)]
+            )
+    return Artifact(("m", "r", "p01", "p10", "p_max", "log10_p_max"), rows)
 
 
 def cmd_tables(args: argparse.Namespace) -> Artifact:
@@ -237,7 +240,7 @@ def cmd_tables(args: argparse.Namespace) -> Artifact:
     """
     variant = _variant(args.variant)
     _check_r([args.r])
-    if args.mu <= 0.0:
+    if not args.mu > 0.0:
         raise CliError(f"--mu must be positive, got {args.mu!r}")
     rows = []
     for m in sorted(parse_m_list(args.m)):
@@ -256,11 +259,14 @@ def cmd_tables(args: argparse.Namespace) -> Artifact:
             objective=MultiPhotonIdeal(args.mu),
             grid_step=args.grid_step,
         )
-        rows.append(
-            [m, sp.best.p01, sp.best.p10, sp.value, mp.best.p01, mp.best.p10, mp.value]
-        )
+        rows.append([
+            m, sp.best.p01, sp.best.p10, sp.value, mp.best.p01, mp.best.p10, mp.value,
+            _log10(sp.log_value), _log10(mp.log_value),
+        ])
     return Artifact(
-        ("m", "sp_p01", "sp_p10", "sp_success", "mp_p01", "mp_p10", "mp_success"), rows
+        ("m", "sp_p01", "sp_p10", "sp_success", "mp_p01", "mp_p10", "mp_success",
+         "sp_log10", "mp_log10"),
+        rows,
     )
 
 
@@ -291,7 +297,7 @@ def cmd_multiphoton(args: argparse.Namespace) -> Artifact:
         mus = [args.mu]
     else:
         mus = parse_range(args.mu_range or "0.1:1:0.1", "--mu-range")
-    if any(mu <= 0.0 for mu in mus):
+    if not all(mu > 0.0 for mu in mus):
         raise CliError("--mu values must be positive")
     fixed = _optional_flips(args)
     rows = []

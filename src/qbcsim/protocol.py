@@ -163,8 +163,8 @@ class AcceptanceTest:
     def __post_init__(self) -> None:
         if self.n_per_state < 1:
             raise ValueError("n_per_state must be at least 1")
-        if self.sigma_factor <= 0.0:
-            raise ValueError("sigma_factor must be positive")
+        if not self.sigma_factor > 0.0:
+            raise ValueError(f"sigma_factor must be positive, got {self.sigma_factor!r}")
         for s, (lo, hi) in self.windows.items():
             if not 0 <= lo <= hi <= self.n_per_state:
                 raise ValueError(f"invalid window for state {s!r}: [{lo}, {hi}]")
@@ -188,8 +188,8 @@ def build_test(
     """
     if n_per_state < 1:
         raise ValueError("n_per_state must be at least 1")
-    if sigma_factor <= 0.0:
-        raise ValueError("sigma_factor must be positive")
+    if not sigma_factor > 0.0:
+        raise ValueError(f"sigma_factor must be positive, got {sigma_factor!r}")
     honest = honest_table(variant, claimed, r)
     counted = counted_outcomes(variant, claimed)
     windows: dict[str, tuple[int, int]] = {}
@@ -203,12 +203,20 @@ def build_test(
     return AcceptanceTest(n_per_state, windows, counted, sigma_factor)
 
 
-@lru_cache(maxsize=64)
-def _log_binomial_coefficients(n: int) -> np.ndarray:
-    """``log C(n, k)`` for ``k = 0..n``."""
+#: Elements of the (points x terms) block that one step of
+#: :func:`log_binomial_window` works on, so its scratch memory stays fixed
+#: whatever the window width.
+_BLOCK = 1 << 14
+
+
+@lru_cache(maxsize=256)
+def _log_binomial_coefficients(n: int, lo: int, hi: int) -> np.ndarray:
+    """``log C(n, k)`` for ``k = lo..hi``; read-only, as callers share it."""
     lg = math.lgamma
     lg_n1 = lg(n + 1)
-    return np.array([lg_n1 - lg(k + 1) - lg(n - k + 1) for k in range(n + 1)])
+    out = np.array([lg_n1 - lg(k + 1) - lg(n - k + 1) for k in range(lo, hi + 1)])
+    out.flags.writeable = False
+    return out
 
 
 def binomial_window_probability(n: int, p: float, lo: int, hi: int) -> float:
@@ -229,11 +237,59 @@ def binomial_window_probability(n: int, p: float, lo: int, hi: int) -> float:
         return 1.0 if hi == n else 0.0
     k = np.arange(lo, hi + 1, dtype=np.float64)
     logs = (
-        _log_binomial_coefficients(n)[lo : hi + 1]
+        _log_binomial_coefficients(n, lo, hi)
         + k * math.log(p)
         + (n - k) * math.log1p(-p)
     )
     return min(1.0, math.fsum(np.exp(logs).tolist()))
+
+
+def log_binomial_window(n: int, p: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``log P(lo <= X <= hi)`` for ``X ~ Binomial(n, p)``, elementwise over
+    the array ``p``.
+
+    The log terms are those of :func:`binomial_window_probability`; they
+    are combined by a log-sum-exp shifted by the largest term in the
+    window (the binomial mode ``floor((n + 1) p)`` clipped into it), so
+    the result stays finite where the probability itself underflows.
+    ``p`` of exactly 0 or 1 puts all mass on ``k = 0`` or ``k = n`` and
+    is handled without forming ``0 * log(0)``.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("probabilities must lie in [0, 1]")
+    lo, hi = max(lo, 0), min(hi, n)
+    if lo > hi:
+        return np.full(p.shape, -np.inf)
+    out = np.where(p == 0.0, 0.0 if lo == 0 else -np.inf, 0.0 if hi == n else -np.inf)
+    inner = (p > 0.0) & (p < 1.0)
+    out[inner] = _log_window_interior(n, p[inner], lo, hi)
+    return out
+
+
+def _log_window_interior(n: int, q: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """:func:`log_binomial_window` for a 1-d ``q`` inside ``(0, 1)`` and a
+    non-empty window, in blocks of at most ``_BLOCK`` terms."""
+    logc = _log_binomial_coefficients(n, lo, hi)
+    k = np.arange(lo, hi + 1, dtype=np.float64)
+    chunk = min(k.size, _BLOCK)
+    rows = _BLOCK // chunk
+    out = np.empty(q.size)
+    for a in range(0, q.size, rows):
+        qb = q[a : a + rows, None]
+        log_q, log_1mq = np.log(qb), np.log1p(-qb)
+        mode = np.clip(np.floor((n + 1) * qb), lo, hi).astype(np.intp)
+        shift = logc[mode - lo] + mode * log_q + (n - mode) * log_1mq
+        total = 0.0
+        for c in range(0, k.size, chunk):
+            t = slice(c, c + chunk)
+            terms = logc[t] + k[t] * log_q
+            terms += (n - k[t]) * log_1mq
+            terms -= shift
+            np.exp(terms, out=terms)
+            total = total + terms.sum(axis=1)
+        out[a : a + rows] = shift[:, 0] + np.log(total)
+    return np.minimum(0.0, out)
 
 
 def pass_factors(test: AcceptanceTest, actual: ConditionalTable) -> dict[str, float]:

@@ -8,9 +8,10 @@ to maximise the probability of passing the verifier's acceptance test
 for the claimed bit.
 
 The optimiser is a deterministic coarse grid scan followed by a
-shrinking-step local pattern search; evaluations are pure, the scan
-order is fixed, and near-ties resolve to the lexicographically smallest
-parameter pair, so results are reproducible bit for bit.
+shrinking-step local pattern search, both evaluated in batches by one
+log-domain kernel; evaluations are pure, the scan order is fixed, and
+near-ties resolve to the lexicographically smallest parameter pair, so
+results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -18,19 +19,33 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .protocol import (
     STATE_VECTORS,
     ConditionalTable,
     Variant,
-    binomial_window_probability,
     build_test,
     honest_table,
+    log_binomial_window,
     pass_probability,
 )
 from .qcore import born, breidbart
 
-#: Relative tolerance under which two objective values count as tied.
-_TIE_REL = 1e-12
+#: Absolute tolerance under which two log objective values count as
+#: tied: the log form of a relative tolerance of 1e-12.
+_TIE_LOG = 1e-12
+
+#: Flip pairs per step of :class:`LogObjective`, so its scratch memory
+#: stays fixed whatever the number of pairs.
+_POINTS = 2048
+
+#: Offsets of the 24-point 5x5 neighbour ring, in the pattern search's
+#: consideration order.
+_RING_DX, _RING_DY = np.array(
+    [(dx, dy) for dx in range(-2, 3) for dy in range(-2, 3) if (dx, dy) != (0, 0)],
+    dtype=np.float64,
+).T
 
 
 @dataclass(frozen=True)
@@ -59,7 +74,7 @@ class MultiPhotonIdeal:
     mu: float
 
     def __post_init__(self) -> None:
-        if self.mu <= 0.0:
+        if not self.mu > 0.0:
             raise ValueError(f"mu must be positive, got {self.mu!r}")
 
 
@@ -68,8 +83,13 @@ Objective = SinglePhoton | MultiPhotonIdeal
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """``value`` is the pass probability at ``best`` and ``log_value`` its
+    natural log from :class:`LogObjective`, finite where ``value``
+    underflows to 0."""
+
     best: FlipParams
     value: float
+    log_value: float
     evaluations: int
     grid_step: float
 
@@ -113,14 +133,18 @@ def cheat_success(
     return pass_probability(test, apply_flips(breidbart_table(variant, r), flips))
 
 
-class _FastObjective:
-    """Pre-baked objective evaluator.
+class LogObjective:
+    """Log pass probability of the flipped mid-basis strategy, batched
+    over arrays of flip pairs.
 
-    Caches windows and per-state base rows once so the grid scan does not
-    rebuild tables; the arithmetic mirrors the public table functions
-    exactly, so the returned value is bit-identical to
-    :func:`cheat_success` (or the multi-photon counterpart) at the same
-    parameters.
+    The acceptance test, the raw mid-basis rows and the honest rows are
+    built once.  For each sent state the tallied-outcome probability is
+    affine in ``(p01, p10)`` (the flip kernel, mixed with the honest row
+    for :class:`MultiPhotonIdeal`, with the arithmetic of the public table
+    functions); its log window probability comes from
+    :func:`~qbcsim.protocol.log_binomial_window`, and the states' logs
+    add.  Nothing underflows: the four-state optimum at ``n = 5000`` per
+    state has a log value near -2490.
     """
 
     def __init__(
@@ -130,7 +154,7 @@ class _FastObjective:
         r: float,
         n_per_state: int,
         sigma_factor: float,
-        objective: Objective,
+        objective: Objective = SinglePhoton(),
     ) -> None:
         test = build_test(variant, claimed, r, n_per_state, sigma_factor)
         raw = breidbart_table(variant, r)
@@ -155,16 +179,58 @@ class _FastObjective:
                 )
             )
 
-    def __call__(self, p01: float, p10: float) -> float:
-        value = 1.0
+    def __call__(self, p01, p10) -> np.ndarray:
+        """Log pass probability at each pair of the broadcast arrays."""
+        p01, p10 = np.broadcast_arrays(
+            np.asarray(p01, dtype=np.float64), np.asarray(p10, dtype=np.float64)
+        )
+        for name, p in (("p01", p01), ("p10", p10)):
+            if not np.all((p >= 0.0) & (p <= 1.0)):
+                raise ValueError(f"{name} must lie in [0, 1]")
+        out = np.empty(p01.shape)
+        flat, x, y = out.reshape(-1), p01.reshape(-1), p10.reshape(-1)
+        for a in range(0, flat.size, _POINTS):
+            flat[a : a + _POINTS] = self._block(x[a : a + _POINTS], y[a : a + _POINTS])
+        return out
+
+    def _block(self, p01: np.ndarray, p10: np.ndarray) -> np.ndarray:
+        total = np.zeros(p01.size)
         for p0, p1, hon, counted, lo, hi in self.rows:
-            row = _flip_row(p0, p1, p01, p10)
-            p = row[counted]
+            p = _flip_row(p0, p1, p01, p10)[counted]
             if self.mixture is not None:
                 w_single, w_multi, norm = self.mixture
                 p = (w_single * p + w_multi * hon) / norm
-            value *= binomial_window_probability(self.n, p, lo, hi)
-        return value
+            # tables admit an ulp of rounding slack around [0, 1]
+            total += log_binomial_window(self.n, np.clip(p, 0.0, 1.0), lo, hi)
+        return total
+
+
+def flip_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(p01, p10)`` points of the ``step`` grid over ``[0, 1]^2``,
+    in scan order: ``p01`` major, ``p10`` minor."""
+    points = round(1.0 / step) + 1
+    axis = np.minimum(1.0, np.arange(points) * step)
+    return np.repeat(axis, points), np.tile(axis, points)
+
+
+def _public_success(
+    variant: Variant,
+    claimed: int,
+    r: float,
+    n_per_state: int,
+    sigma_factor: float,
+    objective: Objective,
+    flips: FlipParams,
+) -> float:
+    """The objective's value at ``flips`` through the public table path."""
+    if isinstance(objective, MultiPhotonIdeal):
+        from .attacks import MultiPhotonMode, multiphoton_success  # imports this module
+
+        return multiphoton_success(
+            variant, claimed, r, n_per_state, sigma_factor, objective.mu, flips,
+            MultiPhotonMode.IDEAL,
+        )
+    return cheat_success(variant, claimed, r, n_per_state, sigma_factor, flips)
 
 
 def optimize(
@@ -179,38 +245,29 @@ def optimize(
 ) -> OptimizationResult:
     """Maximise the cheating success over the flip pair ``(p01, p10)``.
 
-    A full grid scan at ``grid_step`` over ``[0, 1]^2`` locates the basin;
-    a 5x5 pattern search with step halving then refines the maximiser to
-    a parameter resolution of at most ``resolution``.  Values within a
-    relative ``1e-12`` of the running maximum count as ties and resolve
-    to the lexicographically smallest pair, making the output
-    deterministic.
+    One :class:`LogObjective` call scans the full ``grid_step`` grid over
+    ``[0, 1]^2`` to locate the basin; a 5x5 pattern search with step
+    halving, one batched call per 24-point neighbour ring, then refines
+    the maximiser to a parameter resolution of at most ``resolution``.
+    Log values within ``1e-12`` of the running maximum count as ties and
+    resolve to the lexicographically smallest pair, making the output
+    deterministic.  ``value`` is recomputed at the optimum by the public
+    scalar path (:func:`cheat_success` or the ideal multi-photon
+    counterpart); ``log_value`` is the kernel's log value there, which
+    stays finite where ``value`` underflows to zero.
     """
     if not 0.0 < grid_step <= 0.5:
         raise ValueError(f"grid_step must lie in (0, 0.5], got {grid_step!r}")
-    if resolution <= 0.0:
+    if not resolution > 0.0:
         raise ValueError(f"resolution must be positive, got {resolution!r}")
-    fn = _FastObjective(variant, claimed, r, n_per_state, sigma_factor, objective)
+    fn = LogObjective(variant, claimed, r, n_per_state, sigma_factor, objective)
 
-    best_v = -1.0
-    best = (0.0, 0.0)
-    evaluations = 0
-
-    def consider(x: float, y: float) -> bool:
-        nonlocal best_v, best, evaluations
-        v = fn(x, y)
-        evaluations += 1
-        if v > best_v + _TIE_REL * abs(best_v):
-            best_v, best = v, (x, y)
-            return True
-        if abs(v - best_v) <= _TIE_REL * max(abs(v), abs(best_v)) and (x, y) < best:
-            best = (x, y)
-        return False
-
-    steps = round(1.0 / grid_step)
-    for i in range(steps + 1):
-        for j in range(steps + 1):
-            consider(min(1.0, i * grid_step), min(1.0, j * grid_step))
+    xs, ys = flip_grid(grid_step)
+    values = fn(xs, ys)
+    # the first point in scan order that ties with the grid maximum
+    i = int(np.argmax(values >= values.max() - _TIE_LOG))
+    best, best_v = (float(xs[i]), float(ys[i])), float(values[i])
+    evaluations = values.size
 
     s = grid_step / 2.0
     while s >= resolution / 2.0:
@@ -218,17 +275,25 @@ def optimize(
         while improved:
             improved = False
             x0, y0 = best
-            for dx in (-2, -1, 0, 1, 2):
-                for dy in (-2, -1, 0, 1, 2):
-                    if dx == 0 and dy == 0:
-                        continue
-                    x = min(1.0, max(0.0, x0 + dx * s))
-                    y = min(1.0, max(0.0, y0 + dy * s))
-                    if consider(x, y):
-                        improved = True
+            xs = np.minimum(1.0, np.maximum(0.0, x0 + _RING_DX * s))
+            ys = np.minimum(1.0, np.maximum(0.0, y0 + _RING_DY * s))
+            values = fn(xs, ys)
+            evaluations += values.size
+            for x, y, v in zip(xs.tolist(), ys.tolist(), values.tolist()):
+                if v > best_v + _TIE_LOG:
+                    best_v, best = v, (x, y)
+                    improved = True
+                elif v >= best_v - _TIE_LOG and (x, y) < best:
+                    best = (x, y)
         s /= 2.0
 
     flips = FlipParams(*best)
     return OptimizationResult(
-        best=flips, value=fn(*best), evaluations=evaluations, grid_step=grid_step
+        best=flips,
+        value=_public_success(
+            variant, claimed, r, n_per_state, sigma_factor, objective, flips
+        ),
+        log_value=float(fn(*best)),
+        evaluations=evaluations,
+        grid_step=grid_step,
     )

@@ -110,6 +110,10 @@ class TestCheatSurface:
         best = max(float(row[2]) for row in rows)
         res = optimize(Variant.TWO_STATE, 0, 0.1, 50, 3.0)
         assert best <= res.value + 1e-9
+        for row in rows:
+            flips = FlipParams(float(row[0]), float(row[1]))
+            value = cheat_success(Variant.TWO_STATE, 0, 0.1, 50, 3.0, flips)
+            assert row[2] == f"{value:.9g}"
 
     def test_noiseless_optimum_on_boundary(self, capsys):
         _, out, _ = run_cli(
@@ -143,6 +147,33 @@ class TestTables:
         code, _, err = run_cli(["tables", "--m", "101"], capsys)
         assert code != 0
         assert "even" in err
+
+    def test_appended_log10_columns(self, capsys):
+        _, out, _ = run_cli(["tables", "--variant", "four", "--m", "100"], capsys)
+        header, rows = parse_csv(out)
+        assert header[7:] == ["sp_log10", "mp_log10"]
+        row = rows[0]
+        assert abs(float(row[7]) - math.log10(float(row[3]))) <= 1e-8
+        assert abs(float(row[8]) - math.log10(float(row[6]))) <= 1e-8
+
+    def test_rejects_nan_mu(self, capsys):
+        code, _, err = run_cli(["tables", "--m", "100", "--mu", "nan"], capsys)
+        assert code != 0
+        assert "--mu must be positive" in err
+
+
+class TestCheatMax:
+    def test_log10_column_carries_an_underflowed_optimum(self, capsys):
+        code, out, _ = run_cli(
+            ["cheat-max", "--m", "10000", "--r", "0.1", "--variant", "four"], capsys
+        )
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ["m", "r", "p01", "p10", "p_max", "log10_p_max"]
+        m, r, p01, p10, p_max, log10_p_max = (float(cell) for cell in rows[0])
+        assert p01 == p10 and abs(p01 - 0.13) <= 0.01
+        assert p_max == 0.0
+        assert abs(log10_p_max * math.log(10.0) - (-1180.350)) <= 1e-3
 
 
 class TestDistance:

@@ -11,6 +11,7 @@ from qbcsim.protocol import (
     binding_failure,
     binomial_window_probability,
     build_test,
+    log_binomial_window,
     commit_observable,
     counted_outcomes,
     honest_table,
@@ -134,6 +135,10 @@ class TestBuildTest:
         with pytest.raises(ValueError):
             build_test(TWO, 0, 0.1, 50, 0.0)
 
+    def test_rejects_nan_sigma_factor(self):
+        with pytest.raises(ValueError, match="sigma_factor"):
+            build_test(TWO, 0, 0.1, 50, math.nan)
+
     def test_windows_widen_with_sigma_factor(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -155,6 +160,11 @@ class TestBuildTest:
             AcceptanceTest(10, {"0": (5, 11)}, {"0": 0})
         with pytest.raises(ValueError):
             AcceptanceTest(10, {"0": (6, 5)}, {"0": 0})
+
+    @pytest.mark.parametrize("sigma_factor", (math.nan, 0.0, -1.0))
+    def test_acceptance_test_rejects_nonpositive_sigma_factor(self, sigma_factor):
+        with pytest.raises(ValueError, match="sigma_factor"):
+            AcceptanceTest(10, {"0": (5, 6)}, {"0": 0}, sigma_factor)
 
 
 class TestBinomialWindowProbability:
@@ -189,6 +199,46 @@ class TestBinomialWindowProbability:
         got = binomial_window_probability(n, 0.5, n // 2 - 500, n // 2 + 500)
         # normal approximation: about 3.16 sigma on each side
         assert 0.99 < got < 1.0
+
+
+class TestLogBinomialWindow:
+    CASES = [(10, 2, 5), (50, 15, 35), (50, 43, 50), (25, 0, 3), (1000, 380, 620)]
+
+    def test_matches_log_of_scalar_sum(self):
+        rng = np.random.default_rng(41)
+        p = np.concatenate([rng.uniform(0.0, 1.0, 200), [1e-9, 0.5, 1.0 - 1e-9]])
+        for n, lo, hi in self.CASES:
+            got = log_binomial_window(n, p, lo, hi)
+            for pi, gi in zip(p.tolist(), got.tolist()):
+                want = binomial_window_probability(n, pi, lo, hi)
+                if want > 1e-300:
+                    assert abs(gi - math.log(want)) <= 1e-12
+
+    def test_degenerate_probabilities_are_exact(self):
+        p = np.array([0.0, 1.0])
+        assert log_binomial_window(10, p, 0, 4).tolist() == [0.0, -math.inf]
+        assert log_binomial_window(10, p, 1, 10).tolist() == [-math.inf, 0.0]
+        assert log_binomial_window(10, p, 7, 3).tolist() == [-math.inf, -math.inf]
+
+    def test_stays_finite_where_the_probability_underflows(self):
+        got = float(log_binomial_window(5000, np.array(0.9), 0, 100))
+        assert binomial_window_probability(5000, 0.9, 0, 100) == 0.0
+        assert math.isfinite(got) and got < -700.0
+
+    def test_block_size_does_not_change_values(self, monkeypatch):
+        from qbcsim import protocol
+
+        p = np.random.default_rng(43).uniform(0.0, 1.0, 37)
+        for n, lo, hi in self.CASES:
+            whole = log_binomial_window(n, p, lo, hi)
+            monkeypatch.setattr(protocol, "_BLOCK", 7)
+            blocked = log_binomial_window(n, p, lo, hi)
+            monkeypatch.undo()
+            assert np.allclose(blocked, whole, rtol=0.0, atol=1e-12)
+
+    def test_rejects_out_of_range_probability(self):
+        with pytest.raises(ValueError):
+            log_binomial_window(10, np.array([0.5, math.nan]), 0, 5)
 
 
 class TestPassProbability:

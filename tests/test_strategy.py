@@ -7,8 +7,10 @@ from qbcsim import attacks
 from qbcsim.protocol import ConditionalTable, Variant, build_test, pass_probability
 from qbcsim.strategy import (
     FlipParams,
+    LogObjective,
     MultiPhotonIdeal,
     OptimizationResult,
+    SinglePhoton,
     apply_flips,
     breidbart_table,
     cheat_success,
@@ -202,6 +204,77 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimize(TWO, 0, 0.1, 50, 3.0, resolution=0.0)
 
+    def test_rejects_nan_resolution(self):
+        with pytest.raises(ValueError, match="resolution"):
+            optimize(TWO, 0, 0.1, 50, 3.0, resolution=math.nan)
+
     def test_multiphoton_mu_validated(self):
         with pytest.raises(ValueError):
             MultiPhotonIdeal(0.0)
+
+    def test_multiphoton_mu_rejects_nan(self):
+        with pytest.raises(ValueError, match="mu"):
+            MultiPhotonIdeal(math.nan)
+
+    def test_log_value_is_the_kernel_at_the_optimum(self):
+        for objective in (SinglePhoton(), MultiPhotonIdeal(0.2)):
+            res = optimize(FOUR, 0, 0.1, 50, 3.0, objective=objective)
+            kernel = LogObjective(FOUR, 0, 0.1, 50, 3.0, objective)
+            assert res.log_value == float(kernel(res.best.p01, res.best.p10))
+            assert abs(res.log_value - math.log(res.value)) <= ATOL
+
+    @pytest.mark.parametrize(
+        "n, p_ref, log_ref", ((2500, 0.13, -1180.350), (5000, 0.14, -2490.185))
+    )
+    def test_four_state_large_n_optimum_does_not_underflow(self, n, p_ref, log_ref):
+        res = optimize(FOUR, 0, 0.1, n, 3.0)
+        assert res.value == 0.0  # the product underflows; the log does not
+        assert res.best.p01 == res.best.p10
+        assert abs(res.best.p01 - p_ref) <= 0.01
+        assert abs(res.log_value - log_ref) <= 1e-3
+
+
+class TestLogObjective:
+    @pytest.mark.parametrize("variant", (TWO, FOUR))
+    @pytest.mark.parametrize("mu", (None, 0.2))
+    def test_matches_scalar_public_path(self, variant, mu):
+        rng = np.random.default_rng(47)
+        for r, n in ((0.0, 25), (0.1, 50), (0.3, 200), (0.16, 500)):
+            p01, p10 = rng.uniform(0.0, 1.0, (2, 40))
+            p01[:3], p10[:3] = (0.0, 1.0, 1.0), (0.0, 0.0, 1.0)
+            objective = SinglePhoton() if mu is None else MultiPhotonIdeal(mu)
+            got = LogObjective(variant, 0, r, n, 3.0, objective)(p01, p10)
+            for x, y, g in zip(p01.tolist(), p10.tolist(), got.tolist()):
+                f = FlipParams(x, y)
+                if mu is None:
+                    want = cheat_success(variant, 0, r, n, 3.0, f)
+                else:
+                    want = attacks.multiphoton_success(
+                        variant, 0, r, n, 3.0, mu, f, attacks.MultiPhotonMode.IDEAL
+                    )
+                if want > 1e-300:
+                    assert abs(g - math.log(want)) <= ATOL, (r, n, x, y)
+                else:
+                    assert g < math.log(1e-300) + 1e-9
+
+    def test_broadcasts_and_keeps_shape(self):
+        kernel = LogObjective(TWO, 1, 0.1, 50, 3.0)
+        grid = kernel(np.linspace(0.0, 1.0, 3)[:, None], np.linspace(0.0, 1.0, 4))
+        assert grid.shape == (3, 4)
+        assert grid[1, 2] == kernel(0.5, 2.0 / 3.0)
+
+    def test_block_size_does_not_change_values(self, monkeypatch):
+        from qbcsim import strategy
+
+        p01, p10 = strategy.flip_grid(0.05)
+        kernel = LogObjective(FOUR, 0, 0.2, 100, 3.0)
+        whole = kernel(p01, p10)
+        monkeypatch.setattr(strategy, "_POINTS", 5)
+        assert np.array_equal(kernel(p01, p10), whole)
+
+    def test_rejects_flips_outside_unit_interval(self):
+        kernel = LogObjective(TWO, 0, 0.1, 50, 3.0)
+        with pytest.raises(ValueError, match="p10"):
+            kernel(np.array([0.1]), np.array([1.5]))
+        with pytest.raises(ValueError, match="p01"):
+            kernel(np.array([math.nan]), np.array([0.5]))
