@@ -44,7 +44,7 @@ class SourceModel:
     pulses: int
 
     def __post_init__(self) -> None:
-        if self.mu <= 0.0:
+        if not self.mu > 0.0:
             raise ValueError(f"mu must be positive, got {self.mu!r}")
         if self.alpha <= 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha!r}")
@@ -100,7 +100,7 @@ def poisson_pmf(n: int, mu: float) -> float:
     """``P(N = n)`` for ``N ~ Poisson(mu)``."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n!r}")
-    if mu <= 0.0:
+    if not mu > 0.0:
         raise ValueError(f"mu must be positive, got {mu!r}")
     return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
 
@@ -205,7 +205,7 @@ def ideal_multiphoton_table(
     Conditioned on a non-empty pulse, the single-photon weight is
     ``mu*exp(-mu) / (1 - exp(-mu))``.
     """
-    if mu <= 0.0:
+    if not mu > 0.0:
         raise ValueError(f"mu must be positive, got {mu!r}")
     e = math.exp(-mu)
     w_single = mu * e
@@ -232,7 +232,7 @@ def beam_splitter_table(
     row mixed with weight ``w = mu*exp(-mu) / (2*(1 - exp(-mu)))`` of
     uniform noise.  The strategy has no free parameters.
     """
-    if mu <= 0.0:
+    if not mu > 0.0:
         raise ValueError(f"mu must be positive, got {mu!r}")
     w = 0.5 * mu * math.exp(-mu) / (1.0 - math.exp(-mu))
     honest = honest_table(variant, claimed, r)

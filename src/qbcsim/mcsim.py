@@ -5,14 +5,23 @@ Full protocol runs are sampled pulse by pulse for a configurable party
 faking-distance) and pushed through the verifier's windows, giving an
 empirical acceptance rate to compare against the closed-form results.
 
-Sampling uses the counter-based Philox generator with a fixed draw
-order, so a given :class:`TrialConfig` always produces a bit-identical
-:class:`TrialReport`.
+Trials are sampled in chunks of ``_CHUNK`` trials.  Chunk ``i`` draws
+from its own counter-based stream, ``Philox(seed).jumped(i)``, in a
+fixed draw order, and the chunks' accepted counts and histograms are
+summed as integers in chunk order.  The chunks run on one thread per
+available core, but a given :class:`TrialConfig` always produces a
+bit-identical :class:`TrialReport`, whatever the number of cores.
+Since ``jumped(0)`` is ``Philox(seed)`` itself, a run of at most
+``_CHUNK`` (131,072) trials draws the same numbers as one
+``Philox(seed)`` stream.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,6 +30,16 @@ import numpy as np
 from .attacks import DistanceScenario, faked_table
 from .protocol import ConditionalTable, Variant, build_test, honest_table
 from .strategy import FlipParams, apply_flips, breidbart_table
+
+#: Trials per chunk; each chunk has its own random stream.
+_CHUNK = 1 << 17
+#: Largest accepted ``TrialConfig.trials``, checked before any sampling.
+MAX_TRIALS = 10**9
+
+
+def _check_mu(mu: float) -> None:
+    if not mu > 0.0:
+        raise ValueError(f"mu must be positive, got {mu!r}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +60,9 @@ class BeamSplitter:
 
     mu: float
 
+    def __post_init__(self) -> None:
+        _check_mu(self.mu)
+
 
 @dataclass(frozen=True)
 class IdealMultiPhoton:
@@ -48,6 +70,9 @@ class IdealMultiPhoton:
 
     mu: float
     flips: FlipParams
+
+    def __post_init__(self) -> None:
+        _check_mu(self.mu)
 
 
 @dataclass(frozen=True)
@@ -76,6 +101,8 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials!r}")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"trials must be at most {MAX_TRIALS}, got {self.trials!r}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +141,66 @@ def _strategy_table(
     raise TypeError(f"no direct table for strategy {strategy!r}")
 
 
+def _sampler(
+    config: TrialConfig, state: str, counted: int
+) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """``draw(rng, size)``: the tallied outcome counts of ``state`` in
+    ``size`` trials.  The table lookups happen here, once per run."""
+    strategy, n = config.strategy, config.n_per_state
+
+    def prob(party: Strategy) -> float:
+        table = _strategy_table(party, config.variant, config.claimed, config.r)
+        return table.prob(state, counted)
+
+    if isinstance(strategy, (Honest, BreidbartFlips, FakedDistance)):
+        p = prob(strategy)
+        return lambda rng, size: rng.binomial(n, p, size=size)
+    if isinstance(strategy, IdealMultiPhoton):
+        p_flip = prob(BreidbartFlips(strategy.flips))
+        p_honest = prob(Honest())
+        w_single = _single_photon_weight(strategy.mu)
+
+        def draw_ideal(rng: np.random.Generator, size: int) -> np.ndarray:
+            n_single = rng.binomial(n, w_single, size=size)
+            return rng.binomial(n_single, p_flip) + rng.binomial(n - n_single, p_honest)
+
+        return draw_ideal
+    if isinstance(strategy, BeamSplitter):
+        p_honest = prob(Honest())
+        w_single = _single_photon_weight(strategy.mu)
+
+        def draw_split(rng: np.random.Generator, size: int) -> np.ndarray:
+            n_single = rng.binomial(n, w_single, size=size)
+            n_wrong = rng.binomial(n_single, 0.5)
+            return (
+                rng.binomial(n - n_single, p_honest)
+                + rng.binomial(n_single - n_wrong, p_honest)
+                + rng.binomial(n_wrong, 0.5)
+            )
+
+        return draw_split
+    raise TypeError(f"unknown strategy {strategy!r}")
+
+
+def _in_order(job: Callable[[int], tuple], count: int, workers: int) -> Iterator[tuple]:
+    """``job(0), ..., job(count - 1)`` in index order, computed on
+    ``workers`` threads.  At most ``2 * workers`` jobs are submitted and
+    not yet yielded, so the bookkeeping does not grow with ``count``."""
+    if workers == 1:
+        yield from map(job, range(count))
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        pending: deque = deque()
+        for i in range(count):
+            pending.append(pool.submit(job, i))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
 def run(config: TrialConfig) -> TrialReport:
     """Estimate the acceptance probability of ``config.strategy``.
 
@@ -128,52 +215,38 @@ def run(config: TrialConfig) -> TrialReport:
     test = build_test(
         config.variant, config.claimed, config.r, config.n_per_state, config.sigma_factor
     )
-    rng = np.random.Generator(np.random.Philox(config.seed))
     n = config.n_per_state
-    strategy = config.strategy
+    states = config.variant.states
+    samplers = [_sampler(config, s, test.counted_outcome[s]) for s in states]
+    windows = [test.windows[s] for s in states]
 
-    accept = np.ones(config.trials, dtype=bool)
-    histograms: dict[str, np.ndarray] = {}
-    for s in config.variant.states:
-        counted = test.counted_outcome[s]
-        if isinstance(strategy, (Honest, BreidbartFlips, FakedDistance)):
-            p = _strategy_table(strategy, config.variant, config.claimed, config.r).prob(
-                s, counted
-            )
-            counts = rng.binomial(n, p, size=config.trials)
-        elif isinstance(strategy, IdealMultiPhoton):
-            p_flip = _strategy_table(
-                BreidbartFlips(strategy.flips), config.variant, config.claimed, config.r
-            ).prob(s, counted)
-            p_honest = _strategy_table(
-                Honest(), config.variant, config.claimed, config.r
-            ).prob(s, counted)
-            n_single = rng.binomial(n, _single_photon_weight(strategy.mu), size=config.trials)
-            counts = rng.binomial(n_single, p_flip) + rng.binomial(n - n_single, p_honest)
-        elif isinstance(strategy, BeamSplitter):
-            p_honest = _strategy_table(
-                Honest(), config.variant, config.claimed, config.r
-            ).prob(s, counted)
-            n_single = rng.binomial(n, _single_photon_weight(strategy.mu), size=config.trials)
-            n_wrong = rng.binomial(n_single, 0.5)
-            counts = (
-                rng.binomial(n - n_single, p_honest)
-                + rng.binomial(n_single - n_wrong, p_honest)
-                + rng.binomial(n_wrong, 0.5)
-            )
-        else:
-            raise TypeError(f"unknown strategy {strategy!r}")
-        lo, hi = test.windows[s]
-        accept &= (counts >= lo) & (counts <= hi)
-        histograms[s] = np.bincount(counts, minlength=n + 1)
+    def chunk(i: int) -> tuple[int, list[np.ndarray]]:
+        size = min(_CHUNK, config.trials - i * _CHUNK)
+        rng = np.random.Generator(np.random.Philox(config.seed).jumped(i))
+        accept = np.ones(size, dtype=bool)
+        histograms = []
+        for draw, (lo, hi) in zip(samplers, windows):
+            counts = draw(rng, size)
+            accept &= (counts >= lo) & (counts <= hi)
+            histograms.append(np.bincount(counts, minlength=n + 1))
+        return int(np.count_nonzero(accept)), histograms
 
-    rate = float(accept.mean())
+    chunks = -(-config.trials // _CHUNK)
+    workers = min(len(os.sched_getaffinity(0)), chunks)
+    accepted = 0
+    totals = [np.zeros(n + 1, dtype=np.int64) for _ in states]
+    for chunk_accepted, histograms in _in_order(chunk, chunks, workers):
+        accepted += chunk_accepted
+        for total, histogram in zip(totals, histograms):
+            total += histogram
+
+    rate = accepted / config.trials
     se = math.sqrt(rate * (1.0 - rate) / config.trials)
     return TrialReport(
         accept_rate=rate,
         standard_error=se,
         trials=config.trials,
-        per_state_count_histograms=histograms,
+        per_state_count_histograms=dict(zip(states, totals)),
     )
 
 

@@ -163,8 +163,10 @@ class AcceptanceTest:
     def __post_init__(self) -> None:
         if self.n_per_state < 1:
             raise ValueError("n_per_state must be at least 1")
-        if not self.sigma_factor > 0.0:
-            raise ValueError(f"sigma_factor must be positive, got {self.sigma_factor!r}")
+        if not 0.0 < self.sigma_factor < math.inf:
+            raise ValueError(
+                f"sigma_factor must be positive and finite, got {self.sigma_factor!r}"
+            )
         for s, (lo, hi) in self.windows.items():
             if not 0 <= lo <= hi <= self.n_per_state:
                 raise ValueError(f"invalid window for state {s!r}: [{lo}, {hi}]")
@@ -188,8 +190,8 @@ def build_test(
     """
     if n_per_state < 1:
         raise ValueError("n_per_state must be at least 1")
-    if not sigma_factor > 0.0:
-        raise ValueError(f"sigma_factor must be positive, got {sigma_factor!r}")
+    if not 0.0 < sigma_factor < math.inf:
+        raise ValueError(f"sigma_factor must be positive and finite, got {sigma_factor!r}")
     honest = honest_table(variant, claimed, r)
     counted = counted_outcomes(variant, claimed)
     windows: dict[str, tuple[int, int]] = {}

@@ -283,3 +283,14 @@ class TestMultiPhoton:
             ideal_multiphoton_table(TWO, 0, 0.1, 0.0, FlipParams(0.0, 0.0))
         with pytest.raises(ValueError):
             beam_splitter_table(TWO, 0, 0.1, -0.5)
+
+    def test_nan_mu_rejected_by_name(self):
+        nan = math.nan
+        for build in (
+            lambda: poisson_pmf(0, nan),
+            lambda: SourceModel(mu=nan, alpha=0.2, length_km=1.0, eta=0.1, pulses=10),
+            lambda: ideal_multiphoton_table(TWO, 0, 0.1, nan, FlipParams(0.0, 0.0)),
+            lambda: beam_splitter_table(TWO, 0, 0.1, nan),
+        ):
+            with pytest.raises(ValueError, match="mu must be positive"):
+                build()

@@ -17,6 +17,12 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+def assert_one_line_error(args, subject, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code != 0 and out == ""
+    assert err.startswith(f"error: {subject}") and err.count("\n") == 1, err
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
@@ -175,6 +181,12 @@ class TestCheatMax:
         assert p_max == 0.0
         assert abs(log10_p_max * math.log(10.0) - (-1180.350)) <= 1e-3
 
+    def test_rejects_infinite_sigma_factor(self, capsys):
+        assert_one_line_error(
+            ["cheat-max", "--m", "100", "--r", "0.1", "--sigma-factor", "inf"],
+            "sigma_factor", capsys,
+        )
+
 
 class TestDistance:
     def test_noiseless_value(self, capsys):
@@ -288,6 +300,19 @@ class TestMc:
             ["mc", "--strategy", "faked", "--r", "0.1", "--m", "100"], capsys
         )
         assert code != 0
+
+    def test_rejects_infinite_sigma_factor(self, capsys):
+        assert_one_line_error(
+            ["mc", "--strategy", "honest", "--r", "0.1", "--sigma-factor", "inf"],
+            "sigma_factor", capsys,
+        )
+
+    @pytest.mark.parametrize("strategy", ("beam-splitter", "ideal"))
+    def test_rejects_nan_mu(self, strategy, capsys):
+        assert_one_line_error(
+            ["mc", "--strategy", strategy, "--r", "0.1", "--mu", "nan"],
+            "mu must be positive", capsys,
+        )
 
 
 class TestConfigPrecedence:

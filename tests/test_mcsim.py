@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +95,77 @@ class TestReports:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             config(trials=0)
+
+    def test_trials_capped_before_sampling(self):
+        assert config(trials=mcsim.MAX_TRIALS).trials == mcsim.MAX_TRIALS
+        with pytest.raises(ValueError, match="trials"):
+            config(trials=mcsim.MAX_TRIALS + 1)
+
+    @pytest.mark.parametrize(
+        "make",
+        (
+            lambda mu: mcsim.BeamSplitter(mu),
+            lambda mu: mcsim.IdealMultiPhoton(mu, FlipParams(0.0, 0.0)),
+        ),
+        ids=("beam-splitter", "ideal"),
+    )
+    @pytest.mark.parametrize("mu", (math.nan, 0.0, -1.0))
+    def test_photon_source_mu_validated(self, make, mu):
+        with pytest.raises(ValueError, match="mu must be positive"):
+            make(mu)
+
+
+STRATEGIES = (
+    mcsim.Honest(),
+    mcsim.BreidbartFlips(FlipParams(0.1, 0.45)),
+    mcsim.BeamSplitter(0.2),
+    mcsim.IdealMultiPhoton(0.2, FlipParams(0.0, 0.49)),
+    mcsim.FakedDistance(DistanceScenario(r_distant=0.1, r_near=0.0), 17.0, 0.2),
+)
+
+
+class TestChunkedSampler:
+    @pytest.mark.parametrize(
+        "variant, n, strategy, accept_rate",
+        (
+            (TWO, 50, mcsim.BeamSplitter(0.2), 0.04161834716796875),
+            (FOUR, 25, mcsim.IdealMultiPhoton(0.2, FlipParams(0.047, 0.047)),
+             0.109466552734375),
+        ),
+        ids=("two-beam-splitter", "four-ideal"),
+    )
+    def test_one_full_chunk_keeps_the_single_stream(self, variant, n, strategy, accept_rate):
+        # Values of the single-stream sampler that predates chunking.
+        assert mcsim._CHUNK == 131_072
+        cfg = config(variant=variant, n_per_state=n, strategy=strategy,
+                     trials=131_072, seed=3)
+        assert mcsim.run(cfg).accept_rate == accept_rate
+
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: type(s).__name__)
+    def test_report_independent_of_worker_count(self, strategy, monkeypatch):
+        monkeypatch.setattr(mcsim, "_CHUNK", 1024)
+        cfg = config(strategy=strategy, trials=10_001, seed=11)
+        default = mcsim.run(cfg)
+        for cpus in ({0}, {0, 1, 2}):
+            monkeypatch.setattr(mcsim.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            report = mcsim.run(cfg)
+            assert report.accept_rate == default.accept_rate
+            for s in TWO.states:
+                assert np.array_equal(
+                    report.per_state_count_histograms[s],
+                    default.per_state_count_histograms[s],
+                )
+        for hist in default.per_state_count_histograms.values():
+            assert hist.sum() == cfg.trials
+
+    def test_cli_import_leaves_thread_pool_unloaded(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mcsim.__file__)))
+        code = "import sys, qbcsim.cli; print('concurrent.futures' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestOracleAgreement:

@@ -139,6 +139,10 @@ class TestBuildTest:
         with pytest.raises(ValueError, match="sigma_factor"):
             build_test(TWO, 0, 0.1, 50, math.nan)
 
+    def test_rejects_infinite_sigma_factor(self):
+        with pytest.raises(ValueError, match="sigma_factor"):
+            build_test(TWO, 0, 0.1, 50, math.inf)
+
     def test_windows_widen_with_sigma_factor(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -165,6 +169,10 @@ class TestBuildTest:
     def test_acceptance_test_rejects_nonpositive_sigma_factor(self, sigma_factor):
         with pytest.raises(ValueError, match="sigma_factor"):
             AcceptanceTest(10, {"0": (5, 6)}, {"0": 0}, sigma_factor)
+
+    def test_acceptance_test_rejects_infinite_sigma_factor(self):
+        with pytest.raises(ValueError, match="sigma_factor"):
+            AcceptanceTest(10, {"0": (0, 10)}, {"0": 0}, math.inf)
 
 
 class TestBinomialWindowProbability:
