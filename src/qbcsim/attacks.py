@@ -4,9 +4,11 @@ Two families are modelled here.  The faking-distance attack exploits
 expected fibre loss: a committer sitting next to the verifier while
 claiming a remote location measures both observables on disjoint halves
 of the pulses and later reveals whichever half suits her, padding with
-random outcomes where needed.  The multi-photon attacks exploit a weak
-Poisson source: pulses carrying two or more photons can be split and
-measured in both observables at once, pinning down the sent state.
+random outcomes where needed; its strategy type is :class:`FakedDistance`.
+The multi-photon attacks exploit a weak Poisson source: pulses carrying
+two or more photons can be split and measured in both observables at
+once, pinning down the sent state.  Their strategy types live in
+:mod:`qbcsim.strategy`; the functions here wrap their tables.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .protocol import ConditionalTable, Variant, build_test, honest_table, pass_probability
-from .strategy import FlipParams, apply_flips, breidbart_table
+from .strategy import BeamSplitter, FlipParams, IdealMultiPhoton, photon_weights
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,7 @@ class SourceModel:
     pulses: int
 
     def __post_init__(self) -> None:
-        if not self.mu > 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu!r}")
+        photon_weights(self.mu)
         if self.alpha <= 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha!r}")
         if self.length_km < 0.0:
@@ -94,15 +95,6 @@ class DistanceScenario:
                 "need 0 <= r_near <= r_distant <= 1, got "
                 f"r_near={self.r_near!r}, r_distant={self.r_distant!r}"
             )
-
-
-def poisson_pmf(n: int, mu: float) -> float:
-    """``P(N = n)`` for ``N ~ Poisson(mu)``."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n!r}")
-    if not mu > 0.0:
-        raise ValueError(f"mu must be positive, got {mu!r}")
-    return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
 
 
 def max_safe_distance(alpha: float) -> float:
@@ -173,12 +165,17 @@ def faked_table(
     return ConditionalTable(variant.states, entries)
 
 
-def usd_success_rate() -> float:
-    """Fraction of particles whose state unambiguous discrimination
-    identifies with certainty in the noiseless two-state protocol:
-    ``1 - 1/sqrt(2)``, around 29%.  Weaker than the measure-both-halves
-    strategy, which resolves 50%."""
-    return 1.0 - 1.0 / math.sqrt(2.0)
+@dataclass(frozen=True)
+class FakedDistance:
+    """Claim a remote location and reveal the favourable half; the table
+    uses the scenario's noise levels, not ``r``."""
+
+    scenario: DistanceScenario
+    length_km: float
+    alpha: float
+
+    def table(self, variant: Variant, claimed: int, r: float) -> ConditionalTable:
+        return faked_table(variant, claimed, self.scenario, self.length_km, self.alpha)
 
 
 class MultiPhotonMode(Enum):
@@ -197,51 +194,15 @@ def ideal_multiphoton_table(
     mu: float,
     flips: FlipParams,
 ) -> ConditionalTable:
-    """Revealed statistics of a cheater who detects the photon number of
-    each non-empty pulse: multi-photon pulses yield honest-looking
-    outcomes (she learns the state), single-photon pulses fall back to
-    the flipped mid-basis strategy.
-
-    Conditioned on a non-empty pulse, the single-photon weight is
-    ``mu*exp(-mu) / (1 - exp(-mu))``.
-    """
-    if not mu > 0.0:
-        raise ValueError(f"mu must be positive, got {mu!r}")
-    e = math.exp(-mu)
-    w_single = mu * e
-    w_multi = 1.0 - e - mu * e
-    norm = 1.0 - e
-    flipped = apply_flips(breidbart_table(variant, r), flips)
-    honest = honest_table(variant, claimed, r)
-    entries = {
-        (s, o): (w_single * flipped.prob(s, o) + w_multi * honest.prob(s, o)) / norm
-        for s in variant.states
-        for o in (0, 1)
-    }
-    return ConditionalTable(variant.states, entries)
+    """Revealed statistics of :class:`~qbcsim.strategy.IdealMultiPhoton`."""
+    return IdealMultiPhoton(mu, flips).table(variant, claimed, r)
 
 
 def beam_splitter_table(
     variant: Variant, claimed: int, r: float, mu: float
 ) -> ConditionalTable:
-    """Revealed statistics of the beam-splitter cheater.
-
-    Every pulse is split between the two measurement set-ups; a
-    single-photon pulse lands on the wrong observable half the time, and
-    those outcomes are replaced by coin flips.  Each row is the honest
-    row mixed with weight ``w = mu*exp(-mu) / (2*(1 - exp(-mu)))`` of
-    uniform noise.  The strategy has no free parameters.
-    """
-    if not mu > 0.0:
-        raise ValueError(f"mu must be positive, got {mu!r}")
-    w = 0.5 * mu * math.exp(-mu) / (1.0 - math.exp(-mu))
-    honest = honest_table(variant, claimed, r)
-    entries = {
-        (s, o): (1.0 - w) * honest.prob(s, o) + w * 0.5
-        for s in variant.states
-        for o in (0, 1)
-    }
-    return ConditionalTable(variant.states, entries)
+    """Revealed statistics of :class:`~qbcsim.strategy.BeamSplitter`."""
+    return BeamSplitter(mu).table(variant, claimed, r)
 
 
 def multiphoton_success(
@@ -258,8 +219,9 @@ def multiphoton_success(
     honest acceptance test.  ``flips`` is ignored in beam-splitter mode,
     which has no tunable parameters."""
     if mode is MultiPhotonMode.IDEAL:
-        table = ideal_multiphoton_table(variant, claimed, r, mu, flips)
+        party = IdealMultiPhoton(mu, flips)
     else:
-        table = beam_splitter_table(variant, claimed, r, mu)
+        party = BeamSplitter(mu)
+    table = party.table(variant, claimed, r)
     test = build_test(variant, claimed, r, n_per_state, sigma_factor)
     return pass_probability(test, table)

@@ -275,10 +275,7 @@ def cmd_distance(args: argparse.Namespace) -> Artifact:
         raise CliError(f"--alpha must be positive, got {args.alpha!r}")
     rd = args.rd if args.rd is not None else 0.0
     rn = args.rn if args.rn is not None else 0.0
-    try:
-        scenario = DistanceScenario(r_distant=rd, r_near=rn)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    scenario = DistanceScenario(r_distant=rd, r_near=rn)
     noiseless = attacks.max_safe_distance(args.alpha)
     noisy = attacks.max_safe_distance_noisy(args.alpha, scenario)
     return Artifact(
@@ -337,14 +334,24 @@ def _optional_flips(args: argparse.Namespace) -> FlipParams | None:
     p01, p10 = getattr(args, "p01", None), getattr(args, "p10", None)
     if p01 is None and p10 is None:
         return None
-    try:
-        return FlipParams(p01 or 0.0, p10 or 0.0)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return FlipParams(p01 or 0.0, p10 or 0.0)
+
+
+#: ``mc`` flags that only some strategies read, with those strategies.
+_MC_FLAG_USERS = {
+    ("p01", "p10"): ("breidbart", "ideal"),
+    ("mu",): ("beam-splitter", "ideal"),
+    ("rd", "rn", "length_km", "alpha"): ("faked",),
+}
 
 
 def _mc_strategy(args: argparse.Namespace) -> mcsim.Strategy:
     name = args.strategy
+    for dests, users in _MC_FLAG_USERS.items():
+        for dest in dests:
+            if getattr(args, dest) is not None and name not in users:
+                flag = "--" + dest.replace("_", "-")
+                raise CliError(f"{flag} is not used by strategy {name!r}")
     if name == "honest":
         return mcsim.Honest()
     if name == "breidbart":
@@ -360,37 +367,16 @@ def _mc_strategy(args: argparse.Namespace) -> mcsim.Strategy:
     if name == "faked":
         if args.rd is None or args.rn is None or args.length_km is None or args.alpha is None:
             raise CliError("--rd, --rn, --length-km and --alpha are required for 'faked'")
-        try:
-            scenario = DistanceScenario(r_distant=args.rd, r_near=args.rn)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        scenario = DistanceScenario(r_distant=args.rd, r_near=args.rn)
         return mcsim.FakedDistance(scenario, args.length_km, args.alpha)
     raise CliError(f"unknown strategy {name!r}")
 
 
 def _mc_analytic(config: mcsim.TrialConfig) -> float:
-    s = config.strategy
     test = protocol.build_test(
         config.variant, config.claimed, config.r, config.n_per_state, config.sigma_factor
     )
-    if isinstance(s, mcsim.Honest):
-        table = protocol.honest_table(config.variant, config.claimed, config.r)
-    elif isinstance(s, mcsim.BreidbartFlips):
-        table = strategy.apply_flips(
-            strategy.breidbart_table(config.variant, config.r), s.flips
-        )
-    elif isinstance(s, mcsim.BeamSplitter):
-        table = attacks.beam_splitter_table(
-            config.variant, config.claimed, config.r, s.mu
-        )
-    elif isinstance(s, mcsim.IdealMultiPhoton):
-        table = attacks.ideal_multiphoton_table(
-            config.variant, config.claimed, config.r, s.mu, s.flips
-        )
-    else:
-        table = attacks.faked_table(
-            config.variant, config.claimed, s.scenario, s.length_km, s.alpha
-        )
+    table = config.strategy.table(config.variant, config.claimed, config.r)
     return protocol.pass_probability(test, table)
 
 
@@ -399,23 +385,17 @@ def cmd_mc(args: argparse.Namespace) -> Artifact:
     _check_r([args.r])
     n = derive_n(args.m, variant)
     mc_strategy = _mc_strategy(args)
-    try:
-        config = mcsim.TrialConfig(
-            variant=variant,
-            claimed=args.commit,
-            r=args.r,
-            n_per_state=n,
-            sigma_factor=args.sigma_factor,
-            strategy=mc_strategy,
-            trials=args.trials,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    try:
-        analytic = _mc_analytic(config)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    config = mcsim.TrialConfig(
+        variant=variant,
+        claimed=args.commit,
+        r=args.r,
+        n_per_state=n,
+        sigma_factor=args.sigma_factor,
+        strategy=mc_strategy,
+        trials=args.trials,
+        seed=args.seed,
+    )
+    analytic = _mc_analytic(config)
     report = mcsim.run(config)
     return Artifact(
         (

@@ -1,9 +1,10 @@
 """Monte Carlo cross-check of the analytic acceptance probabilities.
 
-Full protocol runs are sampled pulse by pulse for a configurable party
-(honest, flipped mid-basis, beam-splitter, ideal multi-photon, or
-faking-distance) and pushed through the verifier's windows, giving an
-empirical acceptance rate to compare against the closed-form results.
+Full protocol runs are sampled for a configurable party, any
+:data:`Strategy` (honest, flipped mid-basis, beam-splitter, ideal
+multi-photon, or faking-distance), from its ``table()`` rows and pushed
+through the verifier's windows, giving an empirical acceptance rate to
+compare against the closed-form results.
 
 Trials are sampled in chunks of ``_CHUNK`` trials.  Chunk ``i`` draws
 from its own counter-based stream, ``Philox(seed).jumped(i)``, in a
@@ -23,65 +24,17 @@ import os
 from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .attacks import DistanceScenario, faked_table
-from .protocol import ConditionalTable, Variant, build_test, honest_table
-from .strategy import FlipParams, apply_flips, breidbart_table
+from .attacks import FakedDistance
+from .protocol import Variant, build_test
+from .strategy import BeamSplitter, BreidbartFlips, Honest, IdealMultiPhoton, photon_weights
 
 #: Trials per chunk; each chunk has its own random stream.
 _CHUNK = 1 << 17
 #: Largest accepted ``TrialConfig.trials``, checked before any sampling.
 MAX_TRIALS = 10**9
-
-
-def _check_mu(mu: float) -> None:
-    if not mu > 0.0:
-        raise ValueError(f"mu must be positive, got {mu!r}")
-
-
-@dataclass(frozen=True)
-class Honest:
-    """Measure the claimed observable on every particle."""
-
-
-@dataclass(frozen=True)
-class BreidbartFlips:
-    """Mid-basis measurement with outcome flipping."""
-
-    flips: FlipParams
-
-
-@dataclass(frozen=True)
-class BeamSplitter:
-    """Split every pulse between both observables; coin-flip the rest."""
-
-    mu: float
-
-    def __post_init__(self) -> None:
-        _check_mu(self.mu)
-
-
-@dataclass(frozen=True)
-class IdealMultiPhoton:
-    """Photon-number-resolved splitting with mid-basis fallback."""
-
-    mu: float
-    flips: FlipParams
-
-    def __post_init__(self) -> None:
-        _check_mu(self.mu)
-
-
-@dataclass(frozen=True)
-class FakedDistance:
-    """Claim a remote location and reveal the favourable half."""
-
-    scenario: DistanceScenario
-    length_km: float
-    alpha: float
 
 
 Strategy = Honest | BreidbartFlips | BeamSplitter | IdealMultiPhoton | FakedDistance
@@ -119,28 +72,6 @@ class TrialReport:
     per_state_count_histograms: dict[str, np.ndarray]
 
 
-def _single_photon_weight(mu: float) -> float:
-    """P(pulse carried one photon | it carried at least one)."""
-    return mu * math.exp(-mu) / (1.0 - math.exp(-mu))
-
-
-@lru_cache(maxsize=256)
-def _strategy_table(
-    strategy: Strategy, variant: Variant, claimed: int, r: float
-) -> ConditionalTable:
-    """Analytic conditional table of a direct-sampling strategy, or the
-    honest fallback rows used by the pulse-splitting modes."""
-    if isinstance(strategy, Honest):
-        return honest_table(variant, claimed, r)
-    if isinstance(strategy, BreidbartFlips):
-        return apply_flips(breidbart_table(variant, r), strategy.flips)
-    if isinstance(strategy, FakedDistance):
-        return faked_table(
-            variant, claimed, strategy.scenario, strategy.length_km, strategy.alpha
-        )
-    raise TypeError(f"no direct table for strategy {strategy!r}")
-
-
 def _sampler(
     config: TrialConfig, state: str, counted: int
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
@@ -149,37 +80,33 @@ def _sampler(
     strategy, n = config.strategy, config.n_per_state
 
     def prob(party: Strategy) -> float:
-        table = _strategy_table(party, config.variant, config.claimed, config.r)
-        return table.prob(state, counted)
+        return party.table(config.variant, config.claimed, config.r).prob(state, counted)
 
-    if isinstance(strategy, (Honest, BreidbartFlips, FakedDistance)):
+    if not isinstance(strategy, (IdealMultiPhoton, BeamSplitter)):
         p = prob(strategy)
         return lambda rng, size: rng.binomial(n, p, size=size)
+    p_honest = prob(Honest())
+    single, _, norm = photon_weights(strategy.mu)
+    w_single = single / norm  # P(one photon | at least one)
     if isinstance(strategy, IdealMultiPhoton):
         p_flip = prob(BreidbartFlips(strategy.flips))
-        p_honest = prob(Honest())
-        w_single = _single_photon_weight(strategy.mu)
 
         def draw_ideal(rng: np.random.Generator, size: int) -> np.ndarray:
             n_single = rng.binomial(n, w_single, size=size)
             return rng.binomial(n_single, p_flip) + rng.binomial(n - n_single, p_honest)
 
         return draw_ideal
-    if isinstance(strategy, BeamSplitter):
-        p_honest = prob(Honest())
-        w_single = _single_photon_weight(strategy.mu)
 
-        def draw_split(rng: np.random.Generator, size: int) -> np.ndarray:
-            n_single = rng.binomial(n, w_single, size=size)
-            n_wrong = rng.binomial(n_single, 0.5)
-            return (
-                rng.binomial(n - n_single, p_honest)
-                + rng.binomial(n_single - n_wrong, p_honest)
-                + rng.binomial(n_wrong, 0.5)
-            )
+    def draw_split(rng: np.random.Generator, size: int) -> np.ndarray:
+        n_single = rng.binomial(n, w_single, size=size)
+        n_wrong = rng.binomial(n_single, 0.5)
+        return (
+            rng.binomial(n - n_single, p_honest)
+            + rng.binomial(n_single - n_wrong, p_honest)
+            + rng.binomial(n_wrong, 0.5)
+        )
 
-        return draw_split
-    raise TypeError(f"unknown strategy {strategy!r}")
+    return draw_split
 
 
 def _in_order(job: Callable[[int], tuple], count: int, workers: int) -> Iterator[tuple]:
@@ -249,38 +176,3 @@ def run(config: TrialConfig) -> TrialReport:
         per_state_count_histograms=dict(zip(states, totals)),
     )
 
-
-def sample_pulse_outcome(
-    strategy: Strategy,
-    variant: Variant,
-    claimed: int,
-    r: float,
-    state: str,
-    rng: np.random.Generator,
-) -> int | None:
-    """Sample the revealed outcome of a single pulse of ``state``.
-
-    Returns 0 or 1, or ``None`` for pulses that produce no detection
-    (empty Poisson draws in the photon-source modes; the direct-table
-    strategies always detect).
-    """
-    if isinstance(strategy, (Honest, BreidbartFlips, FakedDistance)):
-        p0 = _strategy_table(strategy, variant, claimed, r).prob(state, 0)
-        return 0 if rng.random() < p0 else 1
-    if isinstance(strategy, (IdealMultiPhoton, BeamSplitter)):
-        photons = rng.poisson(strategy.mu)
-        if photons == 0:
-            return None
-        honest_p0 = _strategy_table(Honest(), variant, claimed, r).prob(state, 0)
-        if photons >= 2:
-            return 0 if rng.random() < honest_p0 else 1
-        if isinstance(strategy, IdealMultiPhoton):
-            p0 = _strategy_table(
-                BreidbartFlips(strategy.flips), variant, claimed, r
-            ).prob(state, 0)
-            return 0 if rng.random() < p0 else 1
-        # Beam splitter, one photon: half the time it hit the wrong set-up.
-        if rng.random() < 0.5:
-            return 0 if rng.random() < honest_p0 else 1
-        return 0 if rng.random() < 0.5 else 1
-    raise TypeError(f"unknown strategy {strategy!r}")

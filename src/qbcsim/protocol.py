@@ -25,6 +25,10 @@ from .qcore import KET_0, KET_1, KET_MINUS, KET_PLUS, Basis, Qubit, born
 
 _ATOL = 1e-12
 
+#: Largest accepted ``n_per_state``, checked before any window sum or
+#: histogram is sized by it.
+MAX_N_PER_STATE = 10**6
+
 #: State label -> prepared state.
 STATE_VECTORS: Mapping[str, Qubit] = {
     "0": KET_0,
@@ -147,6 +151,13 @@ def counted_outcomes(variant: Variant, claimed: int) -> dict[str, int]:
     return {"0": 0, "1": 1, "+": 1, "-": 0}
 
 
+def _check_n_per_state(n_per_state: int) -> None:
+    if not 1 <= n_per_state <= MAX_N_PER_STATE:
+        raise ValueError(
+            f"n_per_state must lie in [1, {MAX_N_PER_STATE}], got {n_per_state!r}"
+        )
+
+
 @dataclass(frozen=True)
 class AcceptanceTest:
     """Per-state integer count windows the verifier checks at reveal time.
@@ -161,8 +172,7 @@ class AcceptanceTest:
     sigma_factor: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.n_per_state < 1:
-            raise ValueError("n_per_state must be at least 1")
+        _check_n_per_state(self.n_per_state)
         if not 0.0 < self.sigma_factor < math.inf:
             raise ValueError(
                 f"sigma_factor must be positive and finite, got {self.sigma_factor!r}"
@@ -188,8 +198,7 @@ def build_test(
     clamped to ``[0, N]``, where ``mu = N*p`` and
     ``sigma = sqrt(N*p*(1-p))``.
     """
-    if n_per_state < 1:
-        raise ValueError("n_per_state must be at least 1")
+    _check_n_per_state(n_per_state)
     if not 0.0 < sigma_factor < math.inf:
         raise ValueError(f"sigma_factor must be positive and finite, got {sigma_factor!r}")
     honest = honest_table(variant, claimed, r)

@@ -1,11 +1,13 @@
-"""Mid-basis cheating with probabilistic outcome flipping.
+"""Per-particle cheating strategies, and the optimiser of the flip pair.
 
-A committer who wants to defer her choice measures every particle in the
-basis halfway between the two commitment observables, then post-processes
-the raw outcomes: each 0 is flipped to 1 with probability ``p01`` and
-each 1 to 0 with probability ``p10``.  The flip pair is tuned numerically
-to maximise the probability of passing the verifier's acceptance test
-for the claimed bit.
+Each strategy is one frozen type whose ``table(variant, claimed, r)``
+gives its revealed-outcome statistics (the faking-distance one lives in
+:mod:`qbcsim.attacks`).  A mid-basis committer who wants to defer her
+choice measures every particle in the basis halfway between the two
+commitment observables, then post-processes the raw outcomes: each 0 is
+flipped to 1 with probability ``p01`` and each 1 to 0 with probability
+``p10``.  The flip pair is tuned numerically to maximise the probability
+of passing the verifier's acceptance test for the claimed bit.
 
 The optimiser is a deterministic coarse grid scan followed by a
 shrinking-step local pattern search, both evaluated in batches by one
@@ -62,26 +64,6 @@ class FlipParams:
 
 
 @dataclass(frozen=True)
-class SinglePhoton:
-    """Maximise the plain flipped mid-basis pass probability."""
-
-
-@dataclass(frozen=True)
-class MultiPhotonIdeal:
-    """Maximise the pass probability of a cheater who also exploits
-    multi-photon pulses of a Poisson source with mean ``mu``."""
-
-    mu: float
-
-    def __post_init__(self) -> None:
-        if not self.mu > 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu!r}")
-
-
-Objective = SinglePhoton | MultiPhotonIdeal
-
-
-@dataclass(frozen=True)
 class OptimizationResult:
     """``value`` is the pass probability at ``best`` and ``log_value`` its
     natural log from :class:`LogObjective`, finite where ``value``
@@ -119,6 +101,114 @@ def apply_flips(table: ConditionalTable, flips: FlipParams) -> ConditionalTable:
     return ConditionalTable(table.states, entries)
 
 
+def photon_weights(mu: float) -> tuple[float, float, float]:
+    """``(single, multi, norm)``: the probabilities that a pulse of a Poisson
+    source with mean ``mu`` carries one photon, two or more, or at least one."""
+    if not mu > 0.0:
+        raise ValueError(f"mu must be positive, got {mu!r}")
+    e = math.exp(-mu)
+    return mu * e, 1.0 - e - mu * e, 1.0 - e
+
+
+@dataclass(frozen=True)
+class Honest:
+    """Measure the claimed observable on every particle."""
+
+    def table(self, variant: Variant, claimed: int, r: float) -> ConditionalTable:
+        return honest_table(variant, claimed, r)
+
+
+@dataclass(frozen=True)
+class BreidbartFlips:
+    """Mid-basis measurement with outcome flipping."""
+
+    flips: FlipParams
+
+    def table(self, variant: Variant, claimed: int, r: float) -> ConditionalTable:
+        return apply_flips(breidbart_table(variant, r), self.flips)
+
+
+@dataclass(frozen=True)
+class IdealMultiPhoton:
+    """Photon-number-resolved splitting of a Poisson source with mean
+    ``mu``: multi-photon pulses yield honest outcomes (she learns the
+    state), single-photon pulses fall back to the flipped mid-basis
+    strategy."""
+
+    mu: float
+    flips: FlipParams
+
+    def __post_init__(self) -> None:
+        photon_weights(self.mu)
+
+    def table(self, variant: Variant, claimed: int, r: float) -> ConditionalTable:
+        w_single, w_multi, norm = photon_weights(self.mu)
+        flipped = BreidbartFlips(self.flips).table(variant, claimed, r)
+        honest = honest_table(variant, claimed, r)
+        entries = {
+            (s, o): (w_single * flipped.prob(s, o) + w_multi * honest.prob(s, o)) / norm
+            for s in variant.states
+            for o in (0, 1)
+        }
+        return ConditionalTable(variant.states, entries)
+
+
+@dataclass(frozen=True)
+class BeamSplitter:
+    """Split every pulse between both observables; a single photon lands
+    on the wrong one half the time, and coin flips replace those outcomes.
+    Each row is the honest row mixed with weight
+    ``w = mu*exp(-mu) / (2*(1 - exp(-mu)))`` of uniform noise."""
+
+    mu: float
+
+    def __post_init__(self) -> None:
+        photon_weights(self.mu)
+
+    def table(self, variant: Variant, claimed: int, r: float) -> ConditionalTable:
+        w_single, _, norm = photon_weights(self.mu)
+        w = 0.5 * (w_single / norm)
+        honest = honest_table(variant, claimed, r)
+        entries = {
+            (s, o): (1.0 - w) * honest.prob(s, o) + w * 0.5
+            for s in variant.states
+            for o in (0, 1)
+        }
+        return ConditionalTable(variant.states, entries)
+
+
+@dataclass(frozen=True)
+class SinglePhoton:
+    """Maximise the plain flipped mid-basis pass probability."""
+
+    #: No photon-number mixture: every pulse is measured mid-basis.
+    mixture = None
+
+    def at(self, flips: FlipParams) -> BreidbartFlips:
+        return BreidbartFlips(flips)
+
+
+@dataclass(frozen=True)
+class MultiPhotonIdeal:
+    """Maximise the pass probability of a cheater who also exploits
+    multi-photon pulses of a Poisson source with mean ``mu``."""
+
+    mu: float
+
+    def __post_init__(self) -> None:
+        photon_weights(self.mu)
+
+    @property
+    def mixture(self) -> tuple[float, float, float]:
+        return photon_weights(self.mu)
+
+    def at(self, flips: FlipParams) -> IdealMultiPhoton:
+        return IdealMultiPhoton(self.mu, flips)
+
+
+Objective = SinglePhoton | MultiPhotonIdeal
+
+
 def cheat_success(
     variant: Variant,
     claimed: int,
@@ -130,7 +220,7 @@ def cheat_success(
     """Probability that the flipped mid-basis strategy passes every
     acceptance window of the test for ``claimed``."""
     test = build_test(variant, claimed, r, n_per_state, sigma_factor)
-    return pass_probability(test, apply_flips(breidbart_table(variant, r), flips))
+    return pass_probability(test, BreidbartFlips(flips).table(variant, claimed, r))
 
 
 class LogObjective:
@@ -159,10 +249,7 @@ class LogObjective:
         test = build_test(variant, claimed, r, n_per_state, sigma_factor)
         raw = breidbart_table(variant, r)
         self.n = n_per_state
-        self.mixture: tuple[float, float, float] | None = None
-        if isinstance(objective, MultiPhotonIdeal):
-            e = math.exp(-objective.mu)
-            self.mixture = (objective.mu * e, 1.0 - e - objective.mu * e, 1.0 - e)
+        self.mixture = objective.mixture
         honest = honest_table(variant, claimed, r)
         self.rows = []
         for s in variant.states:
@@ -213,26 +300,6 @@ def flip_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(axis, points), np.tile(axis, points)
 
 
-def _public_success(
-    variant: Variant,
-    claimed: int,
-    r: float,
-    n_per_state: int,
-    sigma_factor: float,
-    objective: Objective,
-    flips: FlipParams,
-) -> float:
-    """The objective's value at ``flips`` through the public table path."""
-    if isinstance(objective, MultiPhotonIdeal):
-        from .attacks import MultiPhotonMode, multiphoton_success  # imports this module
-
-        return multiphoton_success(
-            variant, claimed, r, n_per_state, sigma_factor, objective.mu, flips,
-            MultiPhotonMode.IDEAL,
-        )
-    return cheat_success(variant, claimed, r, n_per_state, sigma_factor, flips)
-
-
 def optimize(
     variant: Variant,
     claimed: int,
@@ -252,8 +319,7 @@ def optimize(
     Log values within ``1e-12`` of the running maximum count as ties and
     resolve to the lexicographically smallest pair, making the output
     deterministic.  ``value`` is recomputed at the optimum by the public
-    scalar path (:func:`cheat_success` or the ideal multi-photon
-    counterpart); ``log_value`` is the kernel's log value there, which
+    scalar path, the table of ``objective.at(best)``; ``log_value`` is the kernel's log value there, which
     stays finite where ``value`` underflows to zero.
     """
     if not 0.0 < grid_step <= 0.5:
@@ -290,8 +356,9 @@ def optimize(
     flips = FlipParams(*best)
     return OptimizationResult(
         best=flips,
-        value=_public_success(
-            variant, claimed, r, n_per_state, sigma_factor, objective, flips
+        value=pass_probability(
+            build_test(variant, claimed, r, n_per_state, sigma_factor),
+            objective.at(flips).table(variant, claimed, r),
         ),
         log_value=float(fn(*best)),
         evaluations=evaluations,

@@ -14,11 +14,9 @@ from qbcsim.attacks import (
     max_safe_distance,
     max_safe_distance_noisy,
     multiphoton_success,
-    poisson_pmf,
-    usd_success_rate,
 )
 from qbcsim.protocol import Variant, build_test, honest_table, pass_probability
-from qbcsim.strategy import FlipParams, optimize, MultiPhotonIdeal
+from qbcsim.strategy import FlipParams, optimize, MultiPhotonIdeal, photon_weights
 
 ATOL = 1e-12
 TWO = Variant.TWO_STATE
@@ -31,29 +29,6 @@ def equal_statistics_length(alpha: float, scenario: DistanceScenario) -> float:
     (r_d - r_n) / (2*(1 - r_d)) )."""
     gap = (scenario.r_distant - scenario.r_near) / (1.0 - scenario.r_distant)
     return (10.0 / alpha) * (math.log10(2.0) - math.log10(1.0 - gap))
-
-
-class TestPoisson:
-    def test_reference_values(self):
-        assert abs(poisson_pmf(0, 0.2) - math.exp(-0.2)) <= ATOL
-        assert abs(poisson_pmf(0, 0.2) - 0.818731) <= 5e-7
-        assert abs(poisson_pmf(1, 0.2) - 0.2 * math.exp(-0.2)) <= ATOL
-        assert abs(poisson_pmf(1, 0.2) - 0.163746) <= 5e-7
-
-    def test_multi_photon_mass(self):
-        mass = 1.0 - poisson_pmf(0, 0.2) - poisson_pmf(1, 0.2)
-        assert abs(mass - 0.017523) <= 5e-7
-
-    @pytest.mark.parametrize("mu", (0.1, 0.5, 1.0, 2.0, 5.0))
-    def test_normalisation(self, mu):
-        total = math.fsum(poisson_pmf(n, mu) for n in range(51))
-        assert abs(total - 1.0) <= 1e-12
-
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            poisson_pmf(-1, 0.2)
-        with pytest.raises(ValueError):
-            poisson_pmf(0, 0.0)
 
 
 class TestSourceModel:
@@ -192,15 +167,6 @@ class TestFakedTable:
             faked_table(TWO, 0, DistanceScenario(0.1, 0.0), 10.0, 0.2)
 
 
-class TestUsd:
-    def test_value(self):
-        assert usd_success_rate() == 1.0 - 1.0 / math.sqrt(2.0)
-        assert abs(usd_success_rate() - 0.292893) <= 5e-7
-
-    def test_weaker_than_half(self):
-        assert usd_success_rate() < 0.5
-
-
 class TestMultiPhoton:
     def test_bright_source_approaches_honest(self):
         flips = FlipParams(0.0, 0.4897)
@@ -287,7 +253,7 @@ class TestMultiPhoton:
     def test_nan_mu_rejected_by_name(self):
         nan = math.nan
         for build in (
-            lambda: poisson_pmf(0, nan),
+            lambda: photon_weights(nan),
             lambda: SourceModel(mu=nan, alpha=0.2, length_km=1.0, eta=0.1, pulses=10),
             lambda: ideal_multiphoton_table(TWO, 0, 0.1, nan, FlipParams(0.0, 0.0)),
             lambda: beam_splitter_table(TWO, 0, 0.1, nan),

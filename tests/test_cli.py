@@ -314,6 +314,45 @@ class TestMc:
             "mu must be positive", capsys,
         )
 
+    def test_rejects_budget_above_particle_cap(self, capsys):
+        # 1,000,001 per state: rejected while building the test, before sampling
+        assert_one_line_error(
+            ["mc", "--strategy", "honest", "--r", "0.1", "--m", "2000002", "--trials", "1"],
+            "n_per_state", capsys,
+        )
+
+    @pytest.mark.parametrize(
+        "strategy, flags, flag",
+        (
+            ("honest", ["--mu", "0.2", "--p01", "0.5", "--rd", "0.3"], "--p01"),
+            ("honest", ["--mu", "0.2"], "--mu"),
+            ("honest", ["--rd", "0.3"], "--rd"),
+            ("breidbart", ["--p01", "0.1", "--mu", "0.2"], "--mu"),
+            ("breidbart", ["--alpha", "0.2"], "--alpha"),
+            ("beam-splitter", ["--mu", "0.2", "--p10", "0.9"], "--p10"),
+            ("beam-splitter", ["--mu", "0.2", "--rn", "0"], "--rn"),
+            ("ideal", ["--mu", "0.2", "--p10", "0.4", "--length-km", "17"], "--length-km"),
+            (
+                "faked",
+                ["--rd", "0.1", "--rn", "0", "--length-km", "17", "--alpha", "0.2",
+                 "--mu", "0.2"],
+                "--mu",
+            ),
+            (
+                "faked",
+                ["--rd", "0.1", "--rn", "0", "--length-km", "17", "--alpha", "0.2",
+                 "--p01", "0.1"],
+                "--p01",
+            ),
+        ),
+    )
+    def test_rejects_flags_the_strategy_ignores(self, strategy, flags, flag, capsys):
+        code, out, err = run_cli(
+            ["mc", "--strategy", strategy, "--r", "0.1", "--trials", "100"] + flags, capsys
+        )
+        assert code != 0 and out == ""
+        assert err == f"error: {flag} is not used by strategy {strategy!r}\n"
+
 
 class TestConfigPrecedence:
     def test_config_overrides_default_and_flag_overrides_config(self, tmp_path, capsys):

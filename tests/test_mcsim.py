@@ -10,9 +10,7 @@ from qbcsim import mcsim
 from qbcsim.attacks import (
     DistanceScenario,
     MultiPhotonMode,
-    beam_splitter_table,
     faked_table,
-    ideal_multiphoton_table,
     multiphoton_success,
 )
 from qbcsim.protocol import Variant, build_test, honest_table, pass_probability
@@ -203,55 +201,3 @@ class TestOracleAgreement:
         table = faked_table(TWO, 0, scenario, 17.0, 0.2)
         analytic = pass_probability(build_test(TWO, 0, 0.1, 50, 3.0), table)
         assert_within_3se(mcsim.run(cfg), analytic)
-
-
-class TestSamplePulseOutcome:
-    def test_honest_noiseless_is_deterministic(self):
-        rng = np.random.default_rng(0)
-        outcomes = {
-            mcsim.sample_pulse_outcome(mcsim.Honest(), TWO, 0, 0.0, "0", rng)
-            for _ in range(200)
-        }
-        assert outcomes == {0}
-
-    def test_direct_strategies_never_miss(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            out = mcsim.sample_pulse_outcome(
-                mcsim.BreidbartFlips(FlipParams(0.2, 0.3)), TWO, 0, 0.2, "+", rng
-            )
-            assert out in (0, 1)
-
-    def test_beam_splitter_matches_analytic_row(self):
-        rng = np.random.default_rng(7)
-        strategy = mcsim.BeamSplitter(0.2)
-        zeros = detections = 0
-        pulses = 1_000_000
-        for _ in range(pulses):
-            out = mcsim.sample_pulse_outcome(strategy, TWO, 0, 0.0, "0", rng)
-            if out is None:
-                continue
-            detections += 1
-            zeros += out == 0
-        # empty-pulse rate matches the Poisson vacuum probability
-        vacuum = math.exp(-0.2)
-        miss_rate = 1.0 - detections / pulses
-        assert abs(miss_rate - vacuum) <= 3.0 * math.sqrt(vacuum * (1 - vacuum) / pulses)
-        p_zero = beam_splitter_table(TWO, 0, 0.0, 0.2).prob("0", 0)
-        se = math.sqrt(p_zero * (1.0 - p_zero) / detections)
-        assert abs(zeros / detections - p_zero) <= 3.0 * se
-
-    def test_ideal_multiphoton_matches_analytic_row(self):
-        rng = np.random.default_rng(9)
-        flips = FlipParams(0.1, 0.45)
-        strategy = mcsim.IdealMultiPhoton(0.2, flips)
-        zeros = detections = 0
-        for _ in range(1_000_000):
-            out = mcsim.sample_pulse_outcome(strategy, TWO, 0, 0.1, "+", rng)
-            if out is None:
-                continue
-            detections += 1
-            zeros += out == 0
-        p_zero = ideal_multiphoton_table(TWO, 0, 0.1, 0.2, flips).prob("+", 0)
-        se = math.sqrt(p_zero * (1.0 - p_zero) / detections)
-        assert abs(zeros / detections - p_zero) <= 3.0 * se

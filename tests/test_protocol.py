@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qbcsim.protocol import (
+    MAX_N_PER_STATE,
     AcceptanceTest,
     ConditionalTable,
     Variant,
@@ -134,6 +135,14 @@ class TestBuildTest:
     def test_rejects_nonpositive_sigma_factor(self):
         with pytest.raises(ValueError):
             build_test(TWO, 0, 0.1, 50, 0.0)
+
+    def test_particle_count_capped_before_any_sum(self):
+        # built, never summed: the windows stay a few thousand counts wide
+        assert build_test(TWO, 0, 0.1, MAX_N_PER_STATE, 3.0).n_per_state == MAX_N_PER_STATE
+        with pytest.raises(ValueError, match="n_per_state"):
+            build_test(TWO, 0, 0.1, MAX_N_PER_STATE + 1, 3.0)
+        with pytest.raises(ValueError, match="n_per_state"):
+            AcceptanceTest(MAX_N_PER_STATE + 1, {"0": (0, 10)}, {"0": 0})
 
     def test_rejects_nan_sigma_factor(self):
         with pytest.raises(ValueError, match="sigma_factor"):

@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 
 from qbcsim import attacks
-from qbcsim.protocol import ConditionalTable, Variant, build_test, pass_probability
+from qbcsim.protocol import (
+    ConditionalTable,
+    Variant,
+    build_test,
+    honest_table,
+    pass_probability,
+)
 from qbcsim.strategy import (
+    BeamSplitter,
+    BreidbartFlips,
     FlipParams,
+    Honest,
+    IdealMultiPhoton,
     LogObjective,
     MultiPhotonIdeal,
     OptimizationResult,
@@ -15,6 +25,7 @@ from qbcsim.strategy import (
     breidbart_table,
     cheat_success,
     optimize,
+    photon_weights,
 )
 
 ATOL = 1e-12
@@ -278,3 +289,77 @@ class TestLogObjective:
             kernel(np.array([0.1]), np.array([1.5]))
         with pytest.raises(ValueError, match="p01"):
             kernel(np.array([math.nan]), np.array([0.5]))
+
+
+FLIPS = FlipParams(0.05, 0.45)
+SCENARIO = attacks.DistanceScenario(r_distant=0.1, r_near=0.0)
+
+#: Each strategy type, with the public value its ``table()`` must reproduce
+#: as ``f(variant, claimed, r, n)`` at ``sigma_factor = 3``.
+PARTIES = (
+    (
+        Honest(),
+        lambda v, c, r, n: pass_probability(build_test(v, c, r, n), honest_table(v, c, r)),
+    ),
+    (BreidbartFlips(FLIPS), lambda v, c, r, n: cheat_success(v, c, r, n, 3.0, FLIPS)),
+    (
+        IdealMultiPhoton(0.2, FLIPS),
+        lambda v, c, r, n: attacks.multiphoton_success(
+            v, c, r, n, 3.0, 0.2, FLIPS, attacks.MultiPhotonMode.IDEAL
+        ),
+    ),
+    (
+        BeamSplitter(0.2),
+        lambda v, c, r, n: attacks.multiphoton_success(
+            v, c, r, n, 3.0, 0.2, FLIPS, attacks.MultiPhotonMode.BEAM_SPLITTER
+        ),
+    ),
+    (
+        attacks.FakedDistance(SCENARIO, 17.0, 0.2),
+        lambda v, c, r, n: pass_probability(
+            build_test(v, c, r, n), attacks.faked_table(v, c, SCENARIO, 17.0, 0.2)
+        ),
+    ),
+)
+
+
+class TestStrategyTable:
+    @pytest.mark.parametrize("variant", (TWO, FOUR))
+    @pytest.mark.parametrize(
+        "party, public", PARTIES, ids=[type(party).__name__ for party, _ in PARTIES]
+    )
+    def test_pass_probability_equals_public_value(self, variant, party, public):
+        for claimed in (0, 1):
+            for r, n in ((0.1, 50), (0.2, 200)):
+                test = build_test(variant, claimed, r, n)
+                got = pass_probability(test, party.table(variant, claimed, r))
+                assert got == public(variant, claimed, r, n), (claimed, r, n)
+
+    @pytest.mark.parametrize("variant", (TWO, FOUR))
+    @pytest.mark.parametrize(
+        "objective", (SinglePhoton(), MultiPhotonIdeal(0.2)), ids=("single", "ideal")
+    )
+    def test_optimize_value_is_table_of_optimum(self, variant, objective):
+        res = optimize(variant, 0, 0.1, 50, 3.0, objective=objective)
+        table = objective.at(res.best).table(variant, 0, 0.1)
+        assert res.value == pass_probability(build_test(variant, 0, 0.1, 50), table)
+
+    def test_objectives_name_their_party(self):
+        assert SinglePhoton().at(FLIPS) == BreidbartFlips(FLIPS)
+        assert MultiPhotonIdeal(0.3).at(FLIPS) == IdealMultiPhoton(0.3, FLIPS)
+
+
+class TestPhotonWeights:
+    @pytest.mark.parametrize("mu", (1e-3, 0.1, 0.2, 0.5, 1.0, 3.0, 20.0))
+    def test_weights_partition_the_non_empty_pulses(self, mu):
+        single, multi, norm = photon_weights(mu)
+        assert single == mu * math.exp(-mu)
+        assert abs(single + multi - norm) <= ATOL
+        assert norm == 1.0 - math.exp(-mu)
+
+    def test_beam_splitter_weight_is_bit_equal_to_closed_form(self):
+        # halving is exact, so factoring out the 0.5 changes no bit
+        for mu in np.linspace(0.01, 20.0, 400).tolist():
+            single, _, norm = photon_weights(mu)
+            want = 0.5 * mu * math.exp(-mu) / (1.0 - math.exp(-mu))
+            assert 0.5 * (single / norm) == want, mu
