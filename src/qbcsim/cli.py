@@ -191,10 +191,13 @@ def cmd_binding_failure(args: argparse.Namespace) -> Artifact:
     rs = _r_values(args, default="0:0.5:0.01")
     _check_r(rs)
     n = derive_n(args.m, variant)
-    rows = [
-        [r, protocol.binding_failure(variant, r, n, args.sigma_factor)] for r in rs
-    ]
-    return Artifact(("r", "probability"), rows)
+    rows = []
+    for r in rs:
+        test = protocol.build_test(variant, 0, r, n, args.sigma_factor)
+        committed_one = protocol.honest_table(variant, 1, r)
+        log_p = protocol.log_pass_probability(test, committed_one)
+        rows.append([r, protocol.pass_probability(test, committed_one), _log10(log_p)])
+    return Artifact(("r", "probability", "log10_probability"), rows)
 
 
 def _log10(log_value: float) -> float:
@@ -223,9 +226,7 @@ def cmd_cheat_max(args: argparse.Namespace) -> Artifact:
     for m in sorted(parse_m_list(args.m)):
         n = derive_n(m, variant)
         for r in rs:
-            res = strategy.optimize(
-                variant, args.commit, r, n, args.sigma_factor, grid_step=args.grid_step
-            )
+            res = strategy.optimize(variant, args.commit, r, n, args.sigma_factor)
             rows.append(
                 [m, r, res.best.p01, res.best.p10, res.value, _log10(res.log_value)]
             )
@@ -247,17 +248,10 @@ def cmd_tables(args: argparse.Namespace) -> Artifact:
         if m % 2 != 0:
             raise CliError(f"--m {m} must be even (per-state count is m/2)")
         n = m // 2
-        sp = strategy.optimize(
-            variant, args.commit, args.r, n, args.sigma_factor, grid_step=args.grid_step
-        )
+        sp = strategy.optimize(variant, args.commit, args.r, n, args.sigma_factor)
         mp = strategy.optimize(
-            variant,
-            args.commit,
-            args.r,
-            n,
-            args.sigma_factor,
+            variant, args.commit, args.r, n, args.sigma_factor,
             objective=MultiPhotonIdeal(args.mu),
-            grid_step=args.grid_step,
         )
         rows.append([
             m, sp.best.p01, sp.best.p10, sp.value, mp.best.p01, mp.best.p10, mp.value,
@@ -304,13 +298,8 @@ def cmd_multiphoton(args: argparse.Namespace) -> Artifact:
             for r in rs:
                 if fixed is None:
                     res = strategy.optimize(
-                        variant,
-                        args.commit,
-                        r,
-                        n,
-                        args.sigma_factor,
+                        variant, args.commit, r, n, args.sigma_factor,
                         objective=MultiPhotonIdeal(mu),
-                        grid_step=args.grid_step,
                     )
                     flips, ideal = res.best, res.value
                 else:
@@ -367,6 +356,11 @@ def _mc_strategy(args: argparse.Namespace) -> mcsim.Strategy:
     if name == "faked":
         if args.rd is None or args.rn is None or args.length_km is None or args.alpha is None:
             raise CliError("--rd, --rn, --length-km and --alpha are required for 'faked'")
+        if args.rd != args.r:
+            raise CliError(
+                f"--rd {args.rd!r} must equal --r {args.r!r}: the test is built for "
+                "the claimed remote noise"
+            )
         scenario = DistanceScenario(r_distant=args.rd, r_near=args.rn)
         return mcsim.FakedDistance(scenario, args.length_km, args.alpha)
     raise CliError(f"unknown strategy {name!r}")
@@ -465,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--r-range", default=None)
     p.add_argument("--m", default="100")
-    p.add_argument("--grid-step", type=float, default=None)
 
     p = sub.add_parser(
         "tables",
@@ -475,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=0.1)
     p.add_argument("--mu", type=float, default=0.2)
     p.add_argument("--m", default="100,200,300,400")
-    p.add_argument("--grid-step", type=float, default=None)
 
     p = sub.add_parser("distance", help="maximum safe fibre lengths")
     _add_common(p, variant=False)
@@ -490,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=None)
     p.add_argument("--mu-range", default=None)
     p.add_argument("--m", default="100")
-    p.add_argument("--grid-step", type=float, default=None)
     p.add_argument("--p01", type=float, default=None, help="fix flips instead of optimising")
     p.add_argument("--p10", type=float, default=None)
 

@@ -303,6 +303,49 @@ def _log_window_interior(n: int, q: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.minimum(0.0, out)
 
 
+def log_binomial_window_derivatives(
+    n: int, p: np.ndarray, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`log_binomial_window` and its first and second derivatives in
+    ``p``, as ``(log_f, d1, d2)``.
+
+    With ``F`` the window probability, ``F' = n*(b(lo-1) - b(hi))`` for the
+    ``Binomial(n - 1, p)`` masses ``b``, and ``b'(k) = b(k)*u(k)`` with
+    ``u(k) = k/p - (n-1-k)/(1-p)``.  So with ``A = b(lo-1)/F`` and
+    ``B = b(hi)/F``, both formed in the log domain, ``d1 = n*(A - B)`` and
+    ``d2 = n*(A*u(lo-1) - B*u(hi)) - d1**2``.  ``p`` of exactly 0 or 1
+    uses the one-sided limits; where ``F`` is 0 both come back as nan.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    log_f = log_binomial_window(n, p, lo, hi)
+    bad = np.isneginf(log_f)
+    safe_log_f = np.where(bad, 0.0, log_f)
+    lo, hi = max(lo, 0), min(hi, n)
+    q = np.where((p > 0.0) & (p < 1.0), p, 0.5)
+
+    def ratio_and_slope(k: int) -> tuple[np.ndarray, np.ndarray]:
+        # b(k; n-1, q)/F and u(k), with b taken as 0 off 0..n-1
+        u = k / q - (n - 1 - k) / (1.0 - q)
+        if not 0 <= k <= n - 1:
+            return np.zeros(q.shape), u
+        log_b = math.lgamma(n) - math.lgamma(k + 1) - math.lgamma(n - k)
+        log_b = log_b + k * np.log(q) + (n - 1 - k) * np.log1p(-q)
+        return np.exp(log_b - safe_log_f), u
+
+    (a, u_lo), (b, u_hi) = ratio_and_slope(lo - 1), ratio_and_slope(hi)
+    d1 = np.array(n * (a - b))
+    d2 = np.array(n * (a * u_lo - b * u_hi) - d1 * d1)
+    # the one-sided limits at p = 0 depend only on whether hi is 0 or 1,
+    # and at p = 1, mirrored, on whether n - lo is
+    for edge, k, sign in ((0.0, hi, -1), (1.0, n - lo, 1)):
+        at = p == edge
+        e1 = sign * n * (k == 0)
+        d1[at] = e1
+        d2[at] = n * (n - 1) * ((k == 0) - (k == 1)) - e1 * e1
+    d1[bad], d2[bad] = np.nan, np.nan
+    return log_f, d1, d2
+
+
 def pass_factors(test: AcceptanceTest, actual: ConditionalTable) -> dict[str, float]:
     """Per-state probability that the tallied count lands in its window,
     when the revealed outcomes are distributed per ``actual``."""
@@ -321,6 +364,17 @@ def pass_probability(test: AcceptanceTest, actual: ConditionalTable) -> float:
     ``actual`` must cover every state the test windows refer to.
     """
     return math.prod(pass_factors(test, actual).values())
+
+
+def log_pass_probability(test: AcceptanceTest, actual: ConditionalTable) -> float:
+    """Natural log of :func:`pass_probability`, a sum of
+    :func:`log_binomial_window` terms that stays finite where the product
+    underflows to 0."""
+    total = 0.0
+    for s, (lo, hi) in test.windows.items():
+        p = min(1.0, max(0.0, actual.prob(s, test.counted_outcome[s])))
+        total += float(log_binomial_window(test.n_per_state, p, lo, hi))
+    return total
 
 
 def binding_failure(

@@ -9,11 +9,13 @@ flipped to 1 with probability ``p01`` and each 1 to 0 with probability
 ``p10``.  The flip pair is tuned numerically to maximise the probability
 of passing the verifier's acceptance test for the claimed bit.
 
-The optimiser is a deterministic coarse grid scan followed by a
-shrinking-step local pattern search, both evaluated in batches by one
-log-domain kernel; evaluations are pure, the scan order is fixed, and
-near-ties resolve to the lexicographically smallest parameter pair, so
-results are reproducible bit for bit.
+The log pass probability is concave in the flip pair: each state's
+window probability is log-concave in its tallied probability, which is
+affine in ``(p01, p10)``.  So the optimiser needs no global search: a
+coarse start scan, then projected Newton steps with closed-form
+derivatives, reach the global maximum and certify it by the Newton
+decrement.  Every step is deterministic, so results are reproducible bit
+for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .protocol import (
     build_test,
     honest_table,
     log_binomial_window,
+    log_binomial_window_derivatives,
     pass_probability,
 )
 from .qcore import born, breidbart
@@ -42,12 +45,12 @@ _TIE_LOG = 1e-12
 #: stays fixed whatever the number of pairs.
 _POINTS = 2048
 
-#: Offsets of the 24-point 5x5 neighbour ring, in the pattern search's
-#: consideration order.
-_RING_DX, _RING_DY = np.array(
-    [(dx, dy) for dx in range(-2, 3) for dy in range(-2, 3) if (dx, dy) != (0, 0)],
-    dtype=np.float64,
-).T
+#: Newton steps ``optimize`` may take before it gives up.
+_MAX_STEPS = 50
+
+#: ``optimize`` stops once the Newton decrement, twice the log gain a
+#: Newton step predicts, is at most this.
+_DECREMENT = 2e-12
 
 
 @dataclass(frozen=True)
@@ -67,13 +70,16 @@ class FlipParams:
 class OptimizationResult:
     """``value`` is the pass probability at ``best`` and ``log_value`` its
     natural log from :class:`LogObjective`, finite where ``value``
-    underflows to 0."""
+    underflows to 0.  ``gap`` is half the Newton decrement at ``best``,
+    the log gain a further Newton step predicts; as the log objective is
+    concave, a small gap certifies the global maximum.  ``evaluations``
+    counts the kernel points, derivative points included."""
 
     best: FlipParams
     value: float
     log_value: float
     evaluations: int
-    grid_step: float
+    gap: float
 
 
 def breidbart_table(variant: Variant, r: float) -> ConditionalTable:
@@ -83,21 +89,15 @@ def breidbart_table(variant: Variant, r: float) -> ConditionalTable:
     return ConditionalTable.from_zero_probs(variant.states, p_zero)
 
 
-def _flip_row(p0: float, p1: float, p01: float, p10: float) -> tuple[float, float]:
-    # 2x2 stochastic flip kernel applied to one row.
-    return p0 * (1.0 - p01) + p1 * p10, p1 * (1.0 - p10) + p0 * p01
-
-
 def apply_flips(table: ConditionalTable, flips: FlipParams) -> ConditionalTable:
-    """Post-process a conditional table with the flip kernel; rows stay
-    normalised."""
+    """Post-process a conditional table with the 2x2 stochastic flip
+    kernel; rows stay normalised."""
+    p01, p10 = flips.p01, flips.p10
     entries: dict[tuple[str, int], float] = {}
     for s in table.states:
-        q0, q1 = _flip_row(
-            table.prob(s, 0), table.prob(s, 1), flips.p01, flips.p10
-        )
-        entries[(s, 0)] = q0
-        entries[(s, 1)] = q1
+        p0, p1 = table.prob(s, 0), table.prob(s, 1)
+        entries[(s, 0)] = p0 * (1.0 - p01) + p1 * p10
+        entries[(s, 1)] = p1 * (1.0 - p10) + p0 * p01
     return ConditionalTable(table.states, entries)
 
 
@@ -181,9 +181,6 @@ class BeamSplitter:
 class SinglePhoton:
     """Maximise the plain flipped mid-basis pass probability."""
 
-    #: No photon-number mixture: every pulse is measured mid-basis.
-    mixture = None
-
     def at(self, flips: FlipParams) -> BreidbartFlips:
         return BreidbartFlips(flips)
 
@@ -197,10 +194,6 @@ class MultiPhotonIdeal:
 
     def __post_init__(self) -> None:
         photon_weights(self.mu)
-
-    @property
-    def mixture(self) -> tuple[float, float, float]:
-        return photon_weights(self.mu)
 
     def at(self, flips: FlipParams) -> IdealMultiPhoton:
         return IdealMultiPhoton(self.mu, flips)
@@ -224,17 +217,17 @@ def cheat_success(
 
 
 class LogObjective:
-    """Log pass probability of the flipped mid-basis strategy, batched
-    over arrays of flip pairs.
+    """Log pass probability of a flip party, batched over arrays of flip
+    pairs, with its gradient and Hessian at a pair.
 
-    The acceptance test, the raw mid-basis rows and the honest rows are
-    built once.  For each sent state the tallied-outcome probability is
-    affine in ``(p01, p10)`` (the flip kernel, mixed with the honest row
-    for :class:`MultiPhotonIdeal`, with the arithmetic of the public table
-    functions); its log window probability comes from
-    :func:`~qbcsim.protocol.log_binomial_window`, and the states' logs
-    add.  Nothing underflows: the four-state optimum at ``n = 5000`` per
-    state has a log value near -2490.
+    For each sent state the tallied-outcome probability of the party
+    ``objective.at(FlipParams(p01, p10))`` is affine in ``(p01, p10)``;
+    its coefficients ``c + a*p01 + b*p10`` are read from the party's
+    ``table()`` at the corners (0, 0), (1, 0) and (0, 1), so any party
+    with an affine table works unchanged.  Each state's log window
+    probability comes from :func:`~qbcsim.protocol.log_binomial_window`,
+    and the states' logs add.  Nothing underflows: the four-state optimum
+    at ``n = 5000`` per state has a log value near -2490.
     """
 
     def __init__(
@@ -246,25 +239,21 @@ class LogObjective:
         sigma_factor: float,
         objective: Objective = SinglePhoton(),
     ) -> None:
-        test = build_test(variant, claimed, r, n_per_state, sigma_factor)
-        raw = breidbart_table(variant, r)
+        self.test = build_test(variant, claimed, r, n_per_state, sigma_factor)
+        corners = [
+            objective.at(FlipParams(x, y)).table(variant, claimed, r)
+            for x, y in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+        ]
         self.n = n_per_state
-        self.mixture = objective.mixture
-        honest = honest_table(variant, claimed, r)
         self.rows = []
         for s in variant.states:
-            counted = test.counted_outcome[s]
-            lo, hi = test.windows[s]
-            self.rows.append(
-                (
-                    raw.prob(s, 0),
-                    raw.prob(s, 1),
-                    honest.prob(s, counted),
-                    counted,
-                    lo,
-                    hi,
-                )
-            )
+            c, t10, t01 = (t.prob(s, self.test.counted_outcome[s]) for t in corners)
+            self.rows.append((c, t10 - c, t01 - c, *self.test.windows[s]))
+
+    def _tallied(self, p01, p10):
+        for c, a, b, lo, hi in self.rows:
+            # tables admit an ulp of rounding slack around [0, 1]
+            yield np.clip(c + a * p01 + b * p10, 0.0, 1.0), a, b, lo, hi
 
     def __call__(self, p01, p10) -> np.ndarray:
         """Log pass probability at each pair of the broadcast arrays."""
@@ -282,14 +271,24 @@ class LogObjective:
 
     def _block(self, p01: np.ndarray, p10: np.ndarray) -> np.ndarray:
         total = np.zeros(p01.size)
-        for p0, p1, hon, counted, lo, hi in self.rows:
-            p = _flip_row(p0, p1, p01, p10)[counted]
-            if self.mixture is not None:
-                w_single, w_multi, norm = self.mixture
-                p = (w_single * p + w_multi * hon) / norm
-            # tables admit an ulp of rounding slack around [0, 1]
-            total += log_binomial_window(self.n, np.clip(p, 0.0, 1.0), lo, hi)
+        for p, _, _, lo, hi in self._tallied(p01, p10):
+            total += log_binomial_window(self.n, p, lo, hi)
         return total
+
+    def derivatives(
+        self, p01: float, p10: float
+    ) -> tuple[float, np.ndarray, np.ndarray]:
+        """Log pass probability at one pair, equal to this kernel's value
+        there, with its gradient and Hessian in ``(p01, p10)``: each state
+        adds ``d1*(a, b)`` and ``d2*(a, b)(a, b)^T``."""
+        value, grad, hess = 0.0, np.zeros(2), np.zeros((2, 2))
+        for p, a, b, lo, hi in self._tallied(p01, p10):
+            log_f, d1, d2 = log_binomial_window_derivatives(self.n, p, lo, hi)
+            ab = np.array([a, b])
+            value += float(log_f)
+            grad += d1 * ab
+            hess += d2 * np.outer(ab, ab)
+        return value, grad, hess
 
 
 def flip_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -300,6 +299,19 @@ def flip_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(axis, points), np.tile(axis, points)
 
 
+def _newton_step(grad: np.ndarray, hess: np.ndarray, free: np.ndarray):
+    """The Newton step that maximises over the ``free`` coordinates, and
+    the Newton decrement ``g.(-H)^+.g``; directions in which ``-H`` has no
+    curvature are left out."""
+    step = np.zeros(grad.size)
+    w, vecs = np.linalg.eigh(-hess[np.ix_(free, free)])
+    curved = w > 1e-12 * w.max(initial=0.0)
+    coef = vecs[:, curved].T @ grad[free]
+    scaled = coef / w[curved]
+    step[free] = vecs[:, curved] @ scaled
+    return step, float(coef @ scaled)
+
+
 def optimize(
     variant: Variant,
     claimed: int,
@@ -307,60 +319,65 @@ def optimize(
     n_per_state: int,
     sigma_factor: float = 3.0,
     objective: Objective = SinglePhoton(),
-    grid_step: float = 0.01,
-    resolution: float = 1e-4,
 ) -> OptimizationResult:
     """Maximise the cheating success over the flip pair ``(p01, p10)``.
 
-    One :class:`LogObjective` call scans the full ``grid_step`` grid over
-    ``[0, 1]^2`` to locate the basin; a 5x5 pattern search with step
-    halving, one batched call per 24-point neighbour ring, then refines
-    the maximiser to a parameter resolution of at most ``resolution``.
-    Log values within ``1e-12`` of the running maximum count as ties and
-    resolve to the lexicographically smallest pair, making the output
-    deterministic.  ``value`` is recomputed at the optimum by the public
-    scalar path, the table of ``objective.at(best)``; ``log_value`` is the kernel's log value there, which
-    stays finite where ``value`` underflows to zero.
+    The log objective is concave on ``[0, 1]^2``, so a local maximum is
+    the global one.  One :class:`LogObjective` call scans the 0.1 grid;
+    its first point in scan order within ``1e-12`` of the maximum starts
+    projected Newton steps on the coordinates not held at a bound (a
+    coordinate is held at 0 while its gradient is negative, at 1 while it
+    is positive), each projected onto the box and backtracked until it
+    meets the Armijo rule (1e-4).  The search stops when the Newton
+    decrement is at most ``2e-12``, or when a step gains nothing, and
+    raises ``ValueError`` after ``_MAX_STEPS`` steps.  The four-state
+    objective is swap-symmetric, so a concave maximum lies on the
+    diagonal, and the search there runs on ``p01 = p10`` alone.
+
+    ``value`` is recomputed at the optimum by the public scalar path, the
+    table of ``objective.at(best)``; ``log_value`` is the kernel's log
+    value there, which stays finite where ``value`` underflows to zero.
     """
-    if not 0.0 < grid_step <= 0.5:
-        raise ValueError(f"grid_step must lie in (0, 0.5], got {grid_step!r}")
-    if not resolution > 0.0:
-        raise ValueError(f"resolution must be positive, got {resolution!r}")
     fn = LogObjective(variant, claimed, r, n_per_state, sigma_factor, objective)
+    # search coordinates z in [0, 1]^d map to the flip pair basis @ z
+    xs, ys = flip_grid(0.1)
+    if variant is Variant.FOUR_STATE:
+        basis, starts = np.ones((2, 1)), xs[xs == ys][None]
+    else:
+        basis, starts = np.eye(2), np.stack((xs, ys))
+    values = fn(*(basis @ starts))
+    z = starts[:, int(np.argmax(values >= values.max() - _TIE_LOG))]
+    v, grad, hess = fn.derivatives(*(basis @ z))
+    evaluations = values.size + 1
 
-    xs, ys = flip_grid(grid_step)
-    values = fn(xs, ys)
-    # the first point in scan order that ties with the grid maximum
-    i = int(np.argmax(values >= values.max() - _TIE_LOG))
-    best, best_v = (float(xs[i]), float(ys[i])), float(values[i])
-    evaluations = values.size
+    for _ in range(_MAX_STEPS):
+        grad, hess = basis.T @ grad, basis.T @ hess @ basis
+        held = ((z <= 0.0) & (grad < 0.0)) | ((z >= 1.0) & (grad > 0.0))
+        step, decrement = _newton_step(grad, hess, ~held)
+        if decrement <= _DECREMENT:
+            break
+        for t in 0.5 ** np.arange(40):
+            trial = np.clip(z + t * step, 0.0, 1.0)
+            tv, t_grad, t_hess = fn.derivatives(*(basis @ trial))
+            evaluations += 1
+            if tv > v and tv - v >= 1e-4 * float(grad @ (trial - z)):
+                z, v, grad, hess = trial, tv, t_grad, t_hess
+                break
+        else:
+            break  # no step along the Newton direction gains anything
+    else:
+        raise ValueError(
+            f"optimize did not converge in {_MAX_STEPS} Newton steps for the "
+            f"{variant.value}-state protocol, claimed={claimed}, r={r!r}, "
+            f"n_per_state={n_per_state}, sigma_factor={sigma_factor!r}, "
+            f"objective={objective!r}"
+        )
 
-    s = grid_step / 2.0
-    while s >= resolution / 2.0:
-        improved = True
-        while improved:
-            improved = False
-            x0, y0 = best
-            xs = np.minimum(1.0, np.maximum(0.0, x0 + _RING_DX * s))
-            ys = np.minimum(1.0, np.maximum(0.0, y0 + _RING_DY * s))
-            values = fn(xs, ys)
-            evaluations += values.size
-            for x, y, v in zip(xs.tolist(), ys.tolist(), values.tolist()):
-                if v > best_v + _TIE_LOG:
-                    best_v, best = v, (x, y)
-                    improved = True
-                elif v >= best_v - _TIE_LOG and (x, y) < best:
-                    best = (x, y)
-        s /= 2.0
-
-    flips = FlipParams(*best)
+    flips = FlipParams(*(float(p) for p in basis @ z))
     return OptimizationResult(
         best=flips,
-        value=pass_probability(
-            build_test(variant, claimed, r, n_per_state, sigma_factor),
-            objective.at(flips).table(variant, claimed, r),
-        ),
-        log_value=float(fn(*best)),
+        value=pass_probability(fn.test, objective.at(flips).table(variant, claimed, r)),
+        log_value=v,
         evaluations=evaluations,
-        grid_step=grid_step,
+        gap=decrement / 2.0,
     )

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import pytest
 from qbcsim.attacks import (
     DistanceScenario,
     MultiPhotonMode,
-    SourceModel,
     beam_splitter_table,
     faked_table,
     ideal_multiphoton_table,
@@ -21,6 +20,68 @@ from qbcsim.strategy import FlipParams, optimize, MultiPhotonIdeal, photon_weigh
 ATOL = 1e-12
 TWO = Variant.TWO_STATE
 FOUR = Variant.FOUR_STATE
+
+
+@dataclass(frozen=True)
+class SourceModel:
+    """Pulsed Poisson photon source feeding a lossy fibre and a detector:
+    the count chain behind :func:`max_safe_distance`, kept here as the
+    oracle of its bisection test.
+
+    Attributes
+    ----------
+    mu : float
+        Mean photons per pulse.
+    alpha : float
+        Fibre attenuation in dB/km.
+    length_km : float
+        Fibre length.
+    eta : float
+        Detector efficiency in ``(0, 1]``.
+    pulses : int
+        Number of pulses emitted.
+    """
+
+    mu: float
+    alpha: float
+    length_km: float
+    eta: float
+    pulses: int
+
+    def __post_init__(self) -> None:
+        photon_weights(self.mu)
+        if self.alpha <= 0.0:
+            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+        if self.length_km < 0.0:
+            raise ValueError(f"length_km must be non-negative, got {self.length_km!r}")
+        if not 0.0 < self.eta <= 1.0:
+            raise ValueError(f"eta must lie in (0, 1], got {self.eta!r}")
+        if self.pulses < 0:
+            raise ValueError(f"pulses must be non-negative, got {self.pulses!r}")
+
+    @property
+    def transmittance(self) -> float:
+        """Fraction of photons surviving the fibre, ``10**(-alpha*L/10)``."""
+        return 10.0 ** (-self.alpha * self.length_km / 10.0)
+
+    @property
+    def n_emitted(self) -> float:
+        return self.mu * self.pulses
+
+    @property
+    def n_received(self) -> float:
+        return self.transmittance * self.n_emitted
+
+    @property
+    def n_measured(self) -> float:
+        """Expected measurement count of an honest party at ``length_km``."""
+        return self.eta * self.n_received
+
+    @property
+    def n_cheat_measured(self) -> float:
+        """Expected measurement count of a cheater intercepting at the
+        source (no fibre loss, same detector)."""
+        return self.eta * self.n_emitted
 
 
 def equal_statistics_length(alpha: float, scenario: DistanceScenario) -> float:

@@ -90,7 +90,7 @@ class TestBindingFailure:
         code, out, _ = run_cli(["binding-failure", "--m", "100"], capsys)
         assert code == 0
         header, rows = parse_csv(out)
-        assert header == ["r", "probability"]
+        assert header == ["r", "probability", "log10_probability"]
         assert len(rows) == 51
         values = [float(row[1]) for row in rows]
         assert values[0] < 1e-6
@@ -103,6 +103,24 @@ class TestBindingFailure:
         )
         assert code != 0
         assert "step" in err
+
+    def test_log10_column_carries_an_underflowed_failure(self, capsys):
+        code, out, _ = run_cli(["binding-failure", "--m", "3200", "--r", "0.1"], capsys)
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header[2] == "log10_probability"
+        r, probability, log10_probability = (float(cell) for cell in rows[0])
+        assert probability == 0.0
+        assert math.isfinite(log10_probability) and log10_probability < -320.0
+
+    def test_log10_column_matches_the_probability(self, capsys):
+        _, out, _ = run_cli(["binding-failure", "--m", "100", "--variant", "four"], capsys)
+        for row in parse_csv(out)[1]:
+            probability, log10_probability = float(row[1]), float(row[2])
+            if probability > 0.0:
+                # both columns carry 9 significant digits
+                want = math.log10(probability)
+                assert abs(log10_probability - want) <= 1e-8 * (1.0 + abs(want))
 
 
 class TestCheatSurface:
@@ -294,6 +312,13 @@ class TestMc:
         )
         assert code != 0
         assert "--mu" in err
+
+    def test_faked_rejects_remote_noise_other_than_the_tested_one(self, capsys):
+        assert_one_line_error(
+            ["mc", "--strategy", "faked", "--r", "0.3", "--rd", "0.1", "--rn", "0",
+             "--length-km", "17", "--alpha", "0.2", "--m", "100", "--trials", "1000"],
+            "--rd 0.1 must equal --r 0.3", capsys,
+        )
 
     def test_faked_requires_scenario(self, capsys):
         code, _, err = run_cli(

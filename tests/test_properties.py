@@ -1,0 +1,153 @@
+"""Property tests of the log-domain kernel and the Newton optimiser.
+
+Every property is drawn by ``hypothesis`` from a fixed seed, so the suite
+gives the same examples on every run.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qbcsim.protocol import Variant, log_binomial_window, log_binomial_window_derivatives
+from qbcsim.strategy import (
+    FlipParams,
+    LogObjective,
+    MultiPhotonIdeal,
+    SinglePhoton,
+    optimize,
+)
+
+TWO = Variant.TWO_STATE
+FOUR = Variant.FOUR_STATE
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+unit = st.floats(0.0, 1.0)
+objectives = st.one_of(
+    st.just(SinglePhoton()), st.sampled_from((0.05, 0.2, 1.0)).map(MultiPhotonIdeal)
+)
+
+
+@st.composite
+def windows(draw):
+    """``(n, lo, hi)`` with a non-empty window; edges are often at or next
+    to 0 and n."""
+    n = draw(st.integers(1, 400))
+    edge = st.one_of(st.sampled_from((0, 1, n - 1, n)), st.integers(0, n))
+    lo, hi = sorted((min(max(draw(edge), 0), n), min(max(draw(edge), 0), n)))
+    return n, lo, hi
+
+
+@st.composite
+def kernels(draw, max_n=300):
+    variant = draw(st.sampled_from((TWO, FOUR)))
+    claimed = draw(st.sampled_from((0, 1)))
+    r = draw(st.one_of(st.sampled_from((0.0, 0.1, 1.0)), unit))
+    n = draw(st.integers(1, max_n))
+    objective = draw(objectives)
+    config = (variant, claimed, r, n, objective)
+    return LogObjective(variant, claimed, r, n, 3.0, objective), config
+
+
+def log_window(n, p, lo, hi):
+    return float(log_binomial_window(n, np.array(p), lo, hi))
+
+
+@st.composite
+def windows_and_probabilities(draw):
+    """A window and a ``p`` anywhere in (0, 1), near 0 or 1, or near an
+    edge of the window (a mean of ``lo`` or ``hi``)."""
+    n, lo, hi = draw(windows())
+    shift = draw(st.floats(-0.02, 0.02))
+    p = draw(
+        st.one_of(
+            st.floats(1e-6, 1.0 - 1e-6),
+            st.floats(1e-6, 1e-3),
+            st.floats(1e-6, 1e-3).map(lambda x: 1.0 - x),
+            st.sampled_from((lo, hi)).map(lambda k: k / n + shift),
+        )
+    )
+    return n, lo, hi, min(max(p, 1e-6), 1.0 - 1e-6)
+
+
+@SETTINGS
+@given(windows_and_probabilities())
+def test_derivatives_match_central_differences(case):
+    n, lo, hi, p = case
+    log_f, d1, d2 = map(float, log_binomial_window_derivatives(n, np.array(p), lo, hi))
+    assert log_f == log_window(n, p, lo, hi)
+    h = 1e-4 * min(p, 1.0 - p)
+    f = [log_window(n, p + k * h, lo, hi) for k in (-2, -1, 0, 1, 2)]
+    # fourth-order central differences; rounding of f limits them to about
+    # eps*|f|/h and eps*|f|/h^2
+    fd1 = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / (12.0 * h)
+    fd2 = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (12.0 * h * h)
+    noise = 1e-15 * (1.0 + max(abs(v) for v in f))
+    assert abs(d1 - fd1) <= 1e-6 * abs(d1) + 10.0 * noise / h
+    assert abs(d2 - fd2) <= 1e-4 * abs(d2) + 100.0 * noise / (h * h)
+
+
+@SETTINGS
+@given(windows())
+def test_derivatives_at_zero_and_one_are_the_one_sided_limits(window):
+    n, lo, hi = window
+    eps = 1e-12
+    _, d1, d2 = log_binomial_window_derivatives(n, np.array([0.0, 1.0]), lo, hi)
+    _, near1, near2 = log_binomial_window_derivatives(n, np.array([eps, 1.0 - eps]), lo, hi)
+    # the derivatives move by at most about n^3 * eps over that distance
+    slack = 10.0 * n**3 * eps
+    for edge in (0, 1):
+        if math.isinf(log_window(n, float(edge), lo, hi)):
+            assert math.isnan(d1[edge]) and math.isnan(d2[edge])
+        else:
+            assert abs(d1[edge] - near1[edge]) <= 1e-6 * abs(d1[edge]) + slack
+            assert abs(d2[edge] - near2[edge]) <= 1e-6 * abs(d2[edge]) + slack
+
+
+@SETTINGS
+@given(kernels(), unit, unit, unit, unit)
+def test_kernel_is_concave_along_segments(kernel, x0, y0, x1, y1):
+    fn, _ = kernel
+    t = np.linspace(0.0, 1.0, 9)
+    values = fn(x0 + t * (x1 - x0), y0 + t * (y1 - y0))
+    finite = values[np.isfinite(values)]
+    tol = 1e-9 * (1.0 + (np.abs(finite).max() if finite.size else 0.0))
+    second = values[:-2] - 2.0 * values[1:-1] + values[2:]
+    assert not np.any(second > tol), second
+
+
+@settings(SETTINGS, max_examples=30)
+@given(kernels(max_n=200), st.lists(st.tuples(unit, unit), min_size=1, max_size=20))
+def test_optimum_beats_the_kernel_at_random_pairs(kernel, pairs):
+    fn, (variant, claimed, r, n, objective) = kernel
+    res = optimize(variant, claimed, r, n, 3.0, objective=objective)
+    x, y = np.array(pairs).T
+    assert np.all(res.log_value >= fn(x, y) - 1e-12)
+
+
+@SETTINGS
+@given(
+    st.sampled_from((TWO, FOUR)), st.sampled_from((0, 1)), unit, objectives, unit, unit
+)
+def test_tables_are_affine_in_the_flips(variant, claimed, r, objective, x, y):
+    # the kernel's coefficients come from the corners; a party whose table
+    # is not affine in (p01, p10) would break it
+    def table(a, b):
+        return objective.at(FlipParams(a, b)).table(variant, claimed, r)
+
+    t00, t10, t01, txy = table(0.0, 0.0), table(1.0, 0.0), table(0.0, 1.0), table(x, y)
+    for s in variant.states:
+        for o in (0, 1):
+            c = t00.prob(s, o)
+            want = c + (t10.prob(s, o) - c) * x + (t01.prob(s, o) - c) * y
+            assert abs(txy.prob(s, o) - want) <= 1e-15
+
+
+@SETTINGS
+@given(st.sampled_from((0, 1)), unit, st.integers(1, 200), objectives, unit, unit)
+def test_four_state_kernel_is_swap_symmetric(claimed, r, n, objective, x, y):
+    fn = LogObjective(FOUR, claimed, r, n, 3.0, objective)
+    a, b = fn(x, y), fn(y, x)
+    assert a == b or abs(a - b) <= 1e-12

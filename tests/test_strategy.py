@@ -24,6 +24,7 @@ from qbcsim.strategy import (
     apply_flips,
     breidbart_table,
     cheat_success,
+    flip_grid,
     optimize,
     photon_weights,
 )
@@ -156,8 +157,11 @@ class TestOptimize:
         assert isinstance(res, OptimizationResult)
         direct = cheat_success(TWO, 0, 0.1, 50, 3.0, res.best)
         assert abs(res.value - direct) <= ATOL
-        assert res.evaluations >= 101 * 101
-        assert res.grid_step == 0.01
+        # beats every point of the 0.01 grid, certified, in few evaluations
+        grid = LogObjective(TWO, 0, 0.1, 50, 3.0)(*flip_grid(0.01))
+        assert res.log_value >= grid.max() - ATOL
+        assert res.gap <= ATOL
+        assert res.evaluations < 1000
 
     def test_deterministic(self):
         a = optimize(TWO, 0, 0.1, 50, 3.0)
@@ -209,15 +213,19 @@ class TestOptimize:
         ]
         assert values[1] < values[0]
 
-    def test_validates_grid_step_and_resolution(self):
-        with pytest.raises(ValueError):
-            optimize(TWO, 0, 0.1, 50, 3.0, grid_step=0.0)
-        with pytest.raises(ValueError):
-            optimize(TWO, 0, 0.1, 50, 3.0, resolution=0.0)
+    def test_step_limit_raises_naming_the_configuration(self, monkeypatch):
+        from qbcsim import strategy
 
-    def test_rejects_nan_resolution(self):
-        with pytest.raises(ValueError, match="resolution"):
-            optimize(TWO, 0, 0.1, 50, 3.0, resolution=math.nan)
+        monkeypatch.setattr(strategy, "_MAX_STEPS", 1)
+        with pytest.raises(ValueError, match=r"two-state .*r=0\.1, n_per_state=50"):
+            optimize(TWO, 0, 0.1, 50, 3.0)
+
+    @pytest.mark.parametrize("variant", (TWO, FOUR))
+    def test_only_the_four_state_optimum_is_on_the_diagonal(self, variant):
+        for r in (0.05, 0.1, 0.3):
+            res = optimize(variant, 1, r, 100, 3.0, objective=MultiPhotonIdeal(0.2))
+            assert (res.best.p01 == res.best.p10) is (variant is FOUR)
+            assert res.gap <= ATOL
 
     def test_multiphoton_mu_validated(self):
         with pytest.raises(ValueError):
