@@ -20,9 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from . import attacks, mcsim, protocol, strategy
-from .attacks import DistanceScenario, MultiPhotonMode
+from .attacks import DistanceScenario
 from .protocol import Variant
-from .strategy import FlipParams, MultiPhotonIdeal
+from .strategy import BeamSplitter, FlipParams, IdealMultiPhoton, MultiPhotonIdeal
 
 DEFAULTS = {"sigma_factor": 3.0, "grid_step": 0.01, "trials": 100_000, "seed": 0}
 
@@ -64,13 +64,13 @@ def to_csv(artifact: Artifact) -> str:
 def to_json(artifact: Artifact) -> str:
     def jsonable(v):
         if isinstance(v, float):
-            return float(f"{v:.9g}")
+            return float(f"{v:.9g}") if math.isfinite(v) else None
         return v
 
     records = [
         {c: jsonable(v) for c, v in zip(artifact.columns, row)} for row in artifact.rows
     ]
-    return json.dumps(records, indent=2) + "\n"
+    return json.dumps(records, indent=2, allow_nan=False) + "\n"
 
 
 def parse_range(text: str, name: str) -> list[float]:
@@ -296,21 +296,14 @@ def cmd_multiphoton(args: argparse.Namespace) -> Artifact:
         n = derive_n(m, variant)
         for mu in mus:
             for r in rs:
-                if fixed is None:
-                    res = strategy.optimize(
-                        variant, args.commit, r, n, args.sigma_factor,
-                        objective=MultiPhotonIdeal(mu),
-                    )
-                    flips, ideal = res.best, res.value
-                else:
-                    flips = fixed
-                    ideal = attacks.multiphoton_success(
-                        variant, args.commit, r, n, args.sigma_factor, mu, flips,
-                        MultiPhotonMode.IDEAL,
-                    )
-                bs = attacks.multiphoton_success(
-                    variant, args.commit, r, n, args.sigma_factor, mu, flips,
-                    MultiPhotonMode.BEAM_SPLITTER,
+                test = protocol.build_test(variant, args.commit, r, n, args.sigma_factor)
+                flips = fixed or strategy.optimize(
+                    variant, args.commit, r, n, args.sigma_factor,
+                    objective=MultiPhotonIdeal(mu),
+                ).best
+                ideal, bs = (
+                    protocol.pass_probability(test, party.table(variant, args.commit, r))
+                    for party in (IdealMultiPhoton(mu, flips), BeamSplitter(mu))
                 )
                 rows.append([m, mu, r, flips.p01, flips.p10, ideal, bs])
     return Artifact(
@@ -366,14 +359,6 @@ def _mc_strategy(args: argparse.Namespace) -> mcsim.Strategy:
     raise CliError(f"unknown strategy {name!r}")
 
 
-def _mc_analytic(config: mcsim.TrialConfig) -> float:
-    test = protocol.build_test(
-        config.variant, config.claimed, config.r, config.n_per_state, config.sigma_factor
-    )
-    table = config.strategy.table(config.variant, config.claimed, config.r)
-    return protocol.pass_probability(test, table)
-
-
 def cmd_mc(args: argparse.Namespace) -> Artifact:
     variant = _variant(args.variant)
     _check_r([args.r])
@@ -389,7 +374,10 @@ def cmd_mc(args: argparse.Namespace) -> Artifact:
         trials=args.trials,
         seed=args.seed,
     )
-    analytic = _mc_analytic(config)
+    analytic = protocol.pass_probability(
+        protocol.build_test(variant, args.commit, args.r, n, args.sigma_factor),
+        mc_strategy.table(variant, args.commit, args.r),
+    )
     report = mcsim.run(config)
     return Artifact(
         (

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import FakedDistance
-from .protocol import Variant, build_test
+from .protocol import AcceptanceTest, Variant, build_test
 from .strategy import BeamSplitter, BreidbartFlips, Honest, IdealMultiPhoton, photon_weights
 
 #: Trials per chunk; each chunk has its own random stream.
@@ -73,14 +73,14 @@ class TrialReport:
 
 
 def _sampler(
-    config: TrialConfig, state: str, counted: int
+    config: TrialConfig, test: AcceptanceTest, state: str
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
     """``draw(rng, size)``: the tallied outcome counts of ``state`` in
     ``size`` trials.  The table lookups happen here, once per run."""
     strategy, n = config.strategy, config.n_per_state
 
     def prob(party: Strategy) -> float:
-        return party.table(config.variant, config.claimed, config.r).prob(state, counted)
+        return test.tallied(party.table(config.variant, config.claimed, config.r))[state]
 
     if not isinstance(strategy, (IdealMultiPhoton, BeamSplitter)):
         p = prob(strategy)
@@ -144,7 +144,7 @@ def run(config: TrialConfig) -> TrialReport:
     )
     n = config.n_per_state
     states = config.variant.states
-    samplers = [_sampler(config, s, test.counted_outcome[s]) for s in states]
+    samplers = [_sampler(config, test, s) for s in states]
     windows = [test.windows[s] for s in states]
 
     def chunk(i: int) -> tuple[int, list[np.ndarray]]:

@@ -21,7 +21,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .qcore import KET_0, KET_1, KET_MINUS, KET_PLUS, Basis, Qubit, born
+from .qcore import (
+    COMPUTATIONAL, HADAMARD, KET_0, KET_1, KET_MINUS, KET_PLUS, Basis, Qubit, born,
+)
 
 _ATOL = 1e-12
 
@@ -72,9 +74,7 @@ def commit_observable(claimed: int) -> Basis:
     noise in both variants.
     """
     check_commitment(claimed)
-    if claimed == 0:
-        return Basis(KET_0, KET_1)
-    return Basis(KET_MINUS, KET_PLUS)
+    return COMPUTATIONAL if claimed == 0 else HADAMARD.swapped()
 
 
 @dataclass(frozen=True)
@@ -169,19 +169,22 @@ class AcceptanceTest:
     n_per_state: int
     windows: Mapping[str, tuple[int, int]]
     counted_outcome: Mapping[str, int]
-    sigma_factor: float = 3.0
 
     def __post_init__(self) -> None:
         _check_n_per_state(self.n_per_state)
-        if not 0.0 < self.sigma_factor < math.inf:
-            raise ValueError(
-                f"sigma_factor must be positive and finite, got {self.sigma_factor!r}"
-            )
         for s, (lo, hi) in self.windows.items():
             if not 0 <= lo <= hi <= self.n_per_state:
                 raise ValueError(f"invalid window for state {s!r}: [{lo}, {hi}]")
             if self.counted_outcome.get(s) not in (0, 1):
                 raise ValueError(f"missing counted outcome for state {s!r}")
+
+    def tallied(self, table: ConditionalTable) -> dict[str, float]:
+        """Per window state, in window order, the probability ``table`` gives the
+        tallied outcome, clipped to [0, 1]: tables admit an ulp of rounding slack."""
+        return {
+            s: min(1.0, max(0.0, table.prob(s, self.counted_outcome[s])))
+            for s in self.windows
+        }
 
 
 def build_test(
@@ -210,8 +213,13 @@ def build_test(
         sigma = math.sqrt(n_per_state * p * (1.0 - p))
         lo = max(0, math.ceil(mu - sigma_factor * sigma))
         hi = min(n_per_state, math.floor(mu + sigma_factor * sigma))
+        if lo > hi:
+            raise ValueError(
+                f"empty acceptance window for state {s!r}: no count is within "
+                f"sigma_factor={sigma_factor!r} sigma at n_per_state={n_per_state}"
+            )
         windows[s] = (lo, hi)
-    return AcceptanceTest(n_per_state, windows, counted, sigma_factor)
+    return AcceptanceTest(n_per_state, windows, counted)
 
 
 #: Elements of the (points x terms) block that one step of
@@ -349,12 +357,10 @@ def log_binomial_window_derivatives(
 def pass_factors(test: AcceptanceTest, actual: ConditionalTable) -> dict[str, float]:
     """Per-state probability that the tallied count lands in its window,
     when the revealed outcomes are distributed per ``actual``."""
-    factors: dict[str, float] = {}
-    for s, (lo, hi) in test.windows.items():
-        # tables admit an ulp of rounding slack around [0, 1]
-        p = min(1.0, max(0.0, actual.prob(s, test.counted_outcome[s])))
-        factors[s] = binomial_window_probability(test.n_per_state, p, lo, hi)
-    return factors
+    return {
+        s: binomial_window_probability(test.n_per_state, p, *test.windows[s])
+        for s, p in test.tallied(actual).items()
+    }
 
 
 def pass_probability(test: AcceptanceTest, actual: ConditionalTable) -> float:
@@ -371,9 +377,8 @@ def log_pass_probability(test: AcceptanceTest, actual: ConditionalTable) -> floa
     :func:`log_binomial_window` terms that stays finite where the product
     underflows to 0."""
     total = 0.0
-    for s, (lo, hi) in test.windows.items():
-        p = min(1.0, max(0.0, actual.prob(s, test.counted_outcome[s])))
-        total += float(log_binomial_window(test.n_per_state, p, lo, hi))
+    for s, p in test.tallied(actual).items():
+        total += float(log_binomial_window(test.n_per_state, p, *test.windows[s]))
     return total
 
 

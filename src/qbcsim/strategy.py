@@ -41,10 +41,6 @@ from .qcore import born, breidbart
 #: tied: the log form of a relative tolerance of 1e-12.
 _TIE_LOG = 1e-12
 
-#: Flip pairs per step of :class:`LogObjective`, so its scratch memory
-#: stays fixed whatever the number of pairs.
-_POINTS = 2048
-
 #: Newton steps ``optimize`` may take before it gives up.
 _MAX_STEPS = 50
 
@@ -222,9 +218,9 @@ class LogObjective:
 
     For each sent state the tallied-outcome probability of the party
     ``objective.at(FlipParams(p01, p10))`` is affine in ``(p01, p10)``;
-    its coefficients ``c + a*p01 + b*p10`` are read from the party's
-    ``table()`` at the corners (0, 0), (1, 0) and (0, 1), so any party
-    with an affine table works unchanged.  Each state's log window
+    its coefficients ``c + a*p01 + b*p10`` are the test's ``tallied()``
+    of the party's ``table()`` at the corners (0, 0), (1, 0) and (0, 1),
+    so any party with an affine table works unchanged.  Each state's log window
     probability comes from :func:`~qbcsim.protocol.log_binomial_window`,
     and the states' logs add.  Nothing underflows: the four-state optimum
     at ``n = 5000`` per state has a log value near -2490.
@@ -240,19 +236,17 @@ class LogObjective:
         objective: Objective = SinglePhoton(),
     ) -> None:
         self.test = build_test(variant, claimed, r, n_per_state, sigma_factor)
-        corners = [
-            objective.at(FlipParams(x, y)).table(variant, claimed, r)
+        c, t10, t01 = (
+            self.test.tallied(objective.at(FlipParams(x, y)).table(variant, claimed, r))
             for x, y in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
-        ]
+        )
         self.n = n_per_state
-        self.rows = []
-        for s in variant.states:
-            c, t10, t01 = (t.prob(s, self.test.counted_outcome[s]) for t in corners)
-            self.rows.append((c, t10 - c, t01 - c, *self.test.windows[s]))
+        self.rows = [
+            (c[s], t10[s] - c[s], t01[s] - c[s], *w) for s, w in self.test.windows.items()
+        ]
 
     def _tallied(self, p01, p10):
         for c, a, b, lo, hi in self.rows:
-            # tables admit an ulp of rounding slack around [0, 1]
             yield np.clip(c + a * p01 + b * p10, 0.0, 1.0), a, b, lo, hi
 
     def __call__(self, p01, p10) -> np.ndarray:
@@ -263,14 +257,7 @@ class LogObjective:
         for name, p in (("p01", p01), ("p10", p10)):
             if not np.all((p >= 0.0) & (p <= 1.0)):
                 raise ValueError(f"{name} must lie in [0, 1]")
-        out = np.empty(p01.shape)
-        flat, x, y = out.reshape(-1), p01.reshape(-1), p10.reshape(-1)
-        for a in range(0, flat.size, _POINTS):
-            flat[a : a + _POINTS] = self._block(x[a : a + _POINTS], y[a : a + _POINTS])
-        return out
-
-    def _block(self, p01: np.ndarray, p10: np.ndarray) -> np.ndarray:
-        total = np.zeros(p01.size)
+        total = np.zeros(p01.shape)
         for p, _, _, lo, hi in self._tallied(p01, p10):
             total += log_binomial_window(self.n, p, lo, hi)
         return total

@@ -84,6 +84,14 @@ class TestHonest:
         assert code != 0
         assert "--r" in err
 
+    @pytest.mark.parametrize("command", ("honest", "cheat-max"))
+    def test_empty_window_names_its_inputs(self, command, capsys):
+        args = [command, "--m", "2", "--r", "0.1", "--sigma-factor", "0.5"]
+        code, out, err = run_cli(args, capsys)
+        assert code != 0 and out == "" and err.count("\n") == 1
+        assert "empty acceptance window for state '+'" in err
+        assert "sigma_factor=0.5" in err and "n_per_state=1" in err
+
 
 class TestBindingFailure:
     def test_default_grid(self, capsys):
@@ -112,6 +120,18 @@ class TestBindingFailure:
         r, probability, log10_probability = (float(cell) for cell in rows[0])
         assert probability == 0.0
         assert math.isfinite(log10_probability) and log10_probability < -320.0
+
+    def test_json_is_strict_and_writes_a_zero_probability_log_as_null(self, capsys):
+        args = ["binding-failure", "--m", "100", "--r", "0"]
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        _, out, _ = run_cli(args + ["--format", "json"], capsys)
+        records = json.loads(out, parse_constant=reject)
+        assert records == [{"r": 0.0, "probability": 0.0, "log10_probability": None}]
+        _, out, _ = run_cli(args, capsys)
+        assert parse_csv(out)[1] == [["0", "0", "-inf"]]
 
     def test_log10_column_matches_the_probability(self, capsys):
         _, out, _ = run_cli(["binding-failure", "--m", "100", "--variant", "four"], capsys)

@@ -1,4 +1,5 @@
-"""Property tests of the log-domain kernel and the Newton optimiser.
+"""Property tests of the log-domain kernel, the scalar pass probability
+and the Newton optimiser.
 
 Every property is drawn by ``hypothesis`` from a fixed seed, so the suite
 gives the same examples on every run.
@@ -10,9 +11,21 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbcsim.protocol import Variant, log_binomial_window, log_binomial_window_derivatives
+from qbcsim.attacks import DistanceScenario, FakedDistance
+from qbcsim.protocol import (
+    Variant,
+    build_test,
+    log_binomial_window,
+    log_binomial_window_derivatives,
+    log_pass_probability,
+    pass_probability,
+)
 from qbcsim.strategy import (
+    BeamSplitter,
+    BreidbartFlips,
     FlipParams,
+    Honest,
+    IdealMultiPhoton,
     LogObjective,
     MultiPhotonIdeal,
     SinglePhoton,
@@ -151,3 +164,39 @@ def test_four_state_kernel_is_swap_symmetric(claimed, r, n, objective, x, y):
     fn = LogObjective(FOUR, claimed, r, n, 3.0, objective)
     a, b = fn(x, y), fn(y, x)
     assert a == b or abs(a - b) <= 1e-12
+
+
+flip_pairs = st.builds(FlipParams, unit, unit)
+mus = st.floats(0.01, 2.0)
+parties = st.one_of(
+    st.just(Honest()),
+    st.builds(BreidbartFlips, flip_pairs),
+    st.builds(IdealMultiPhoton, mus, flip_pairs),
+    st.builds(BeamSplitter, mus),
+    st.builds(
+        FakedDistance,
+        st.tuples(unit, unit).map(lambda rs: DistanceScenario(max(rs), min(rs))),
+        st.floats(16.0, 60.0),
+        st.just(0.2),
+    ),
+)
+
+
+@SETTINGS
+@given(
+    st.sampled_from((TWO, FOUR)),
+    st.sampled_from((0, 1)),
+    st.sampled_from((0, 1)),
+    unit,
+    st.integers(1, 400),
+    parties,
+)
+def test_log_pass_probability_is_the_log_of_the_scalar_path(
+    variant, claimed, table_claim, r, n, party
+):
+    # the party may reveal for either bit, so binding failures are covered
+    test = build_test(variant, claimed, r, n, 3.0)
+    table = party.table(variant, table_claim, r)
+    p = pass_probability(test, table)
+    if p > 1e-300:
+        assert abs(log_pass_probability(test, table) - math.log(p)) <= 1e-12

@@ -174,14 +174,35 @@ class TestBuildTest:
         with pytest.raises(ValueError):
             AcceptanceTest(10, {"0": (6, 5)}, {"0": 0})
 
-    @pytest.mark.parametrize("sigma_factor", (math.nan, 0.0, -1.0))
-    def test_acceptance_test_rejects_nonpositive_sigma_factor(self, sigma_factor):
-        with pytest.raises(ValueError, match="sigma_factor"):
-            AcceptanceTest(10, {"0": (5, 6)}, {"0": 0}, sigma_factor)
+    def test_empty_window_is_an_input_error(self):
+        # at n = 1 and r = 0.1 the '+' tally has mean 0.5 and sigma 0.5, so
+        # no count lies within half a sigma of it
+        with pytest.raises(ValueError, match=r"'\+'.*sigma_factor=0\.5.*n_per_state=1"):
+            build_test(TWO, 0, 0.1, 1, 0.5)
 
-    def test_acceptance_test_rejects_infinite_sigma_factor(self):
-        with pytest.raises(ValueError, match="sigma_factor"):
-            AcceptanceTest(10, {"0": (0, 10)}, {"0": 0}, math.inf)
+
+class TestTallied:
+    def test_reads_the_counted_outcome_of_each_state(self):
+        for variant in (TWO, FOUR):
+            # a distinct outcome-0 probability per state
+            table = ConditionalTable.from_zero_probs(
+                variant.states, {s: 0.1 + 0.2 * i for i, s in enumerate(variant.states)}
+            )
+            for claimed in (0, 1):
+                test = build_test(variant, claimed, 0.1, 50, 3.0)
+                counted = counted_outcomes(variant, claimed)
+                tallied = test.tallied(table)
+                assert list(tallied) == list(test.windows) == list(variant.states)
+                for s in variant.states:
+                    assert tallied[s] == table.prob(s, counted[s])
+
+    def test_clips_an_ulp_outside_the_unit_interval(self):
+        one_up = math.nextafter(1.0, 2.0)
+        table = ConditionalTable.from_zero_probs(("0", "+"), {"0": one_up, "+": one_up})
+        assert table.prob("+", 1) < 0.0
+        # claim 0 of the two-state protocol tallies 0s for |0> and 1s for |+>
+        tallied = build_test(TWO, 0, 0.1, 50, 3.0).tallied(table)
+        assert tallied == {"0": 1.0, "+": 0.0}
 
 
 class TestBinomialWindowProbability:

@@ -283,12 +283,14 @@ class TestLogObjective:
         assert grid[1, 2] == kernel(0.5, 2.0 / 3.0)
 
     def test_block_size_does_not_change_values(self, monkeypatch):
-        from qbcsim import strategy
+        from qbcsim import protocol, strategy
 
         p01, p10 = strategy.flip_grid(0.05)
         kernel = LogObjective(FOUR, 0, 0.2, 100, 3.0)
         whole = kernel(p01, p10)
-        monkeypatch.setattr(strategy, "_POINTS", 5)
+        # no window is wider than 64 counts here, so only the points regroup
+        assert max(hi - lo + 1 for lo, hi in kernel.test.windows.values()) <= 64
+        monkeypatch.setattr(protocol, "_BLOCK", 64)
         assert np.array_equal(kernel(p01, p10), whole)
 
     def test_rejects_flips_outside_unit_interval(self):
