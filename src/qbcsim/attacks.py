@@ -43,7 +43,7 @@ def max_safe_distance(alpha: float) -> float:
 
     Past this distance the reveal-half-the-data attack succeeds outright.
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     return (10.0 / alpha) * math.log10(2.0)
 
@@ -58,7 +58,7 @@ def max_safe_distance_noisy(alpha: float, scenario: DistanceScenario) -> float |
     that the cheater can always fake her statistics and no safe distance
     exists.
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     r_d, r_n = scenario.r_distant, scenario.r_near
     if r_d >= (r_n + 1.0) / 2.0:
@@ -85,9 +85,9 @@ def faked_table(
     the 50%-loss length): the cheater cannot even fill the expected count
     and the attack degenerates to honest play.
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
-    if length_km < 0.0:
+    if not length_km >= 0.0:
         raise ValueError(f"length_km must be non-negative, got {length_km!r}")
     delta = 0.5 - 10.0 ** (-alpha * length_km / 10.0)
     if delta < -1e-12:

@@ -9,12 +9,11 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +22,11 @@ from . import attacks, mcsim, protocol, strategy
 from .attacks import DistanceScenario
 from .protocol import Variant
 from .strategy import BeamSplitter, FlipParams, IdealMultiPhoton, MultiPhotonIdeal
+
+#: Most values a sweep expression, and most points a ``cheat-surface``
+#: grid, may have; checked before any is allocated.  The 0.001 grid
+#: (1,002,001 points) fits.
+MAX_SWEEP_POINTS = 2**20
 
 DEFAULTS = {"sigma_factor": 3.0, "grid_step": 0.01, "trials": 100_000, "seed": 0}
 
@@ -41,7 +45,7 @@ class CliError(Exception):
 @dataclass(frozen=True)
 class Artifact:
     columns: tuple[str, ...]
-    rows: list[list]
+    rows: list[Sequence]
 
 
 def _fmt(value) -> str:
@@ -52,13 +56,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _field(value) -> str:
+    """``_fmt(value)`` as :mod:`csv` writes a cell: quoted, with its quotes
+    doubled, when it holds a comma, a quote or a line break."""
+    text = _fmt(value)
+    if any(c in text for c in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def to_csv(artifact: Artifact) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(artifact.columns)
-    for row in artifact.rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
+    """The artifact as CSV, byte for byte what :mod:`csv` writes for the
+    cells of :func:`_fmt`, with one format operation per row: the row
+    template has ``%.9g`` for a column of floats and ``%s`` for any other
+    column, whose cells :func:`_field` renders first."""
+    width = len(artifact.columns)
+    columns = list(zip(*artifact.rows)) or [()] * width
+    floats = [all(map(isinstance, column, repeat(float))) for column in columns]
+    # csv quotes a record that is a single empty cell
+    blank = '""' if width == 1 else ""
+    cells = [
+        column if f else [_field(v) or blank for v in column]
+        for column, f in zip(columns, floats)
+    ]
+    template = ",".join("%.9g" if f else "%s" for f in floats) + "\n"
+    header = ",".join(map(_field, artifact.columns)) or blank
+    return header + "\n" + "".join(map(template.__mod__, zip(*cells)))
 
 
 def to_json(artifact: Artifact) -> str:
@@ -82,12 +105,16 @@ def parse_range(text: str, name: str) -> list[float]:
         a, b, step = (float(p) for p in parts)
     except ValueError:
         raise CliError(f"{name} has non-numeric parts: {text!r}") from None
+    if not all(map(math.isfinite, (a, b, step))):
+        raise CliError(f"{name} parts must be finite, got {text!r}")
     if step <= 0.0:
         raise CliError(f"{name} step must be positive, got {step!r}")
     if b < a:
         raise CliError(f"{name} upper end {b!r} is below lower end {a!r}")
-    count = int((b - a) / step + 1e-9) + 1
-    return [a + i * step for i in range(count)]
+    steps = (b - a) / step + 1e-9
+    if not steps < MAX_SWEEP_POINTS:
+        raise CliError(f"{name} {text!r} has more than {MAX_SWEEP_POINTS} values")
+    return [a + i * step for i in range(int(steps) + 1)]
 
 
 def parse_m_list(text: str) -> list[int]:
@@ -211,10 +238,14 @@ def cmd_cheat_surface(args: argparse.Namespace) -> Artifact:
     step = args.grid_step
     if not 0.0 < step <= 0.5:
         raise CliError(f"--grid-step must lie in (0, 0.5], got {step!r}")
+    if (round(1.0 / step) + 1) ** 2 > MAX_SWEEP_POINTS:
+        raise CliError(
+            f"--grid-step {step!r} gives more than {MAX_SWEEP_POINTS} surface points"
+        )
     p01, p10 = strategy.flip_grid(step)
     kernel = strategy.LogObjective(variant, args.commit, args.r, n, args.sigma_factor)
     success = np.exp(kernel(p01, p10))
-    rows = [list(row) for row in zip(p01.tolist(), p10.tolist(), success.tolist())]
+    rows = list(zip(p01.tolist(), p10.tolist(), success.tolist()))
     return Artifact(("p01", "p10", "success"), rows)
 
 
@@ -241,8 +272,8 @@ def cmd_tables(args: argparse.Namespace) -> Artifact:
     """
     variant = _variant(args.variant)
     _check_r([args.r])
-    if not args.mu > 0.0:
-        raise CliError(f"--mu must be positive, got {args.mu!r}")
+    if not 0.0 < args.mu < math.inf:
+        raise CliError(f"--mu must be positive and finite, got {args.mu!r}")
     rows = []
     for m in sorted(parse_m_list(args.m)):
         if m % 2 != 0:
@@ -265,7 +296,7 @@ def cmd_tables(args: argparse.Namespace) -> Artifact:
 
 
 def cmd_distance(args: argparse.Namespace) -> Artifact:
-    if args.alpha is None or args.alpha <= 0.0:
+    if not args.alpha > 0.0:
         raise CliError(f"--alpha must be positive, got {args.alpha!r}")
     rd = args.rd if args.rd is not None else 0.0
     rn = args.rn if args.rn is not None else 0.0
@@ -288,8 +319,8 @@ def cmd_multiphoton(args: argparse.Namespace) -> Artifact:
         mus = [args.mu]
     else:
         mus = parse_range(args.mu_range or "0.1:1:0.1", "--mu-range")
-    if not all(mu > 0.0 for mu in mus):
-        raise CliError("--mu values must be positive")
+    if not all(0.0 < mu < math.inf for mu in mus):
+        raise CliError("--mu values must be positive and finite")
     fixed = _optional_flips(args)
     rows = []
     for m in sorted(parse_m_list(args.m)):

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -211,8 +211,10 @@ def build_test(
         p = honest.prob(s, counted[s])
         mu = n_per_state * p
         sigma = math.sqrt(n_per_state * p * (1.0 - p))
-        lo = max(0, math.ceil(mu - sigma_factor * sigma))
-        hi = min(n_per_state, math.floor(mu + sigma_factor * sigma))
+        # each bound is clamped into [0, N] first, so a huge finite
+        # sigma_factor whose product overflows gives the full window
+        lo = math.ceil(min(max(mu - sigma_factor * sigma, 0.0), n_per_state))
+        hi = math.floor(min(max(mu + sigma_factor * sigma, 0.0), n_per_state))
         if lo > hi:
             raise ValueError(
                 f"empty acceptance window for state {s!r}: no count is within "
@@ -263,59 +265,142 @@ def binomial_window_probability(n: int, p: float, lo: int, hi: int) -> float:
     return min(1.0, math.fsum(np.exp(logs).tolist()))
 
 
-def log_binomial_window(n: int, p: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def log_binomial_window(n: int, p: np.ndarray, lo, hi) -> np.ndarray:
     """``log P(lo <= X <= hi)`` for ``X ~ Binomial(n, p)``, elementwise over
     the array ``p``.
 
-    The log terms are those of :func:`binomial_window_probability`; they
-    are combined by a log-sum-exp shifted by the largest term in the
-    window (the binomial mode ``floor((n + 1) p)`` clipped into it), so
-    the result stays finite where the probability itself underflows.
-    ``p`` of exactly 0 or 1 puts all mass on ``k = 0`` or ``k = n`` and
-    is handled without forming ``0 * log(0)``.
+    ``lo`` and ``hi`` are integers, or integer arrays of one window per
+    entry of ``p``'s last axis, so every sent state's window is summed in
+    one call.  The log terms are those of :func:`binomial_window_probability`;
+    they are combined by a log-sum-exp shifted by the largest term in the
+    window (the binomial mode ``floor((n + 1) p)`` clipped into it), so the
+    result stays finite where the probability itself underflows.  ``p`` of
+    exactly 0 or 1 puts all mass on ``k = 0`` or ``k = n`` and is handled
+    without forming ``0 * log(0)``.
     """
+    shape, p, w = _stacked(n, p, lo, hi)
+    inner, q, log_q, log_1mq = _interior_points(p, w)
+    log_f = _log_window_interior(n, q, log_q, log_1mq, w)
+    return np.where(inner, log_f, np.where(p == 0.0, *w.limits[:, 0])).reshape(shape)
+
+
+class _Windows(NamedTuple):
+    """Read-only constants of S windows ``[lo, hi]`` clamped into ``0..n``,
+    in the shapes noted; an empty window is summed as the stand-in
+    ``[0, 0]``, and its limits make it ``-inf``."""
+
+    filled: np.ndarray  # the window is not empty
+    lo: np.ndarray  # (S, 1)
+    hi: np.ndarray  # (S, 1)
+    logc: np.ndarray  # (S, W): log C(n, k), padded with -inf to the widest window
+    k: np.ndarray  # (S, W): the counts k of logc
+    offset: np.ndarray  # (S, 1): log C(n, k) is logc.flat[k + offset]
+    ends: np.ndarray  # (2, 1, S): k = lo - 1 and k = hi
+    rest: np.ndarray  # (2, 1, S): n - 1 - ends
+    log_below: np.ndarray  # (2, 1, S): log C(n - 1, ends), -inf off 0..n-1
+    limits: np.ndarray  # (2, 3, 1, S): (log F, d1, d2) at p = 0 and at p = 1
+
+
+@lru_cache(maxsize=256)
+def _windows(n: int, lo: tuple[int, ...], hi: tuple[int, ...]) -> _Windows:
+    """The :class:`_Windows` of ``Binomial(n)`` windows ``[lo[i], hi[i]]``,
+    built from :func:`_log_binomial_coefficients`."""
+    lo = [max(a, 0) for a in lo]
+    hi = [min(b, n) for b in hi]
+    filled = [a <= b for a, b in zip(lo, hi)]
+    lo, hi = ([x if f else 0 for x, f in zip(v, filled)] for v in (lo, hi))
+    width = max(b - a for a, b in zip(lo, hi)) + 1
+    logc = np.full((len(lo), width), -np.inf)
+    for row, a, b in zip(logc, lo, hi):
+        row[: b - a + 1] = _log_binomial_coefficients(n, a, b)
+    ends = np.array([[a - 1 for a in lo], hi])
+    lg = math.lgamma
+    log_below = [
+        [lg(n) - lg(j + 1) - lg(n - j) if 0 <= j <= n - 1 else -np.inf for j in row]
+        for row in ends.tolist()
+    ]
+
+    def limits(f: bool, passes: bool, k: int, sign: int) -> tuple[float, float, float]:
+        # one-sided limits at an edge; they depend only on whether k, the
+        # window's distance from that edge's count, is 0 or 1
+        if not (f and passes):
+            return -np.inf, np.nan, np.nan
+        e1 = sign * n * (k == 0)
+        return 0.0, e1, n * (n - 1) * ((k == 0) - (k == 1)) - e1 * e1
+
+    at = [
+        [limits(f, a == 0, b, -1) for f, a, b in zip(filled, lo, hi)],
+        [limits(f, b == n, n - a, 1) for f, a, b in zip(filled, lo, hi)],
+    ]
+    table = _Windows(
+        filled=np.array(filled),
+        lo=np.array(lo)[:, None],
+        hi=np.array(hi)[:, None],
+        logc=logc,
+        k=np.add.outer(lo, np.arange(width)).astype(np.float64),
+        offset=(np.arange(len(lo)) * width - np.array(lo))[:, None],
+        ends=ends[:, None, :].astype(np.float64),
+        rest=(n - 1 - ends)[:, None, :].astype(np.float64),
+        log_below=np.array(log_below)[:, None, :],
+        limits=np.array(at, dtype=np.float64).transpose(0, 2, 1)[:, :, None, :],
+    )
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
+def _stacked(n: int, p, lo, hi) -> tuple[tuple[int, ...], np.ndarray, _Windows]:
+    """The shape of ``p``, ``p`` as a (points, windows) array, and the
+    windows' constants."""
     p = np.asarray(p, dtype=np.float64)
-    if not np.all((p >= 0.0) & (p <= 1.0)):
+    if not ((p >= 0.0) & (p <= 1.0)).all():
         raise ValueError("probabilities must lie in [0, 1]")
-    lo, hi = max(lo, 0), min(hi, n)
-    if lo > hi:
-        return np.full(p.shape, -np.inf)
-    out = np.where(p == 0.0, 0.0 if lo == 0 else -np.inf, 0.0 if hi == n else -np.inf)
-    inner = (p > 0.0) & (p < 1.0)
-    out[inner] = _log_window_interior(n, p[inner], lo, hi)
-    return out
+    w = _windows(n, tuple(np.ravel(lo).tolist()), tuple(np.ravel(hi).tolist()))
+    if np.ndim(lo) and p.shape[-1:] != w.filled.shape:
+        raise ValueError(f"p needs one entry per window on its last axis, has shape {p.shape}")
+    return p.shape, p.reshape(-1, w.filled.size), w
 
 
-def _log_window_interior(n: int, q: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """:func:`log_binomial_window` for a 1-d ``q`` inside ``(0, 1)`` and a
-    non-empty window, in blocks of at most ``_BLOCK`` terms."""
-    logc = _log_binomial_coefficients(n, lo, hi)
-    k = np.arange(lo, hi + 1, dtype=np.float64)
-    chunk = min(k.size, _BLOCK)
-    rows = _BLOCK // chunk
-    out = np.empty(q.size)
-    for a in range(0, q.size, rows):
-        qb = q[a : a + rows, None]
-        log_q, log_1mq = np.log(qb), np.log1p(-qb)
-        mode = np.clip(np.floor((n + 1) * qb), lo, hi).astype(np.intp)
-        shift = logc[mode - lo] + mode * log_q + (n - mode) * log_1mq
+def _interior_points(p: np.ndarray, w: _Windows):
+    """Where ``p`` is inside (0, 1) and its window not empty, and ``q``, the
+    ``p`` there and 0.5 elsewhere, with ``log q`` and ``log(1 - q)``."""
+    inner = (p > 0.0) & (p < 1.0) & w.filled
+    q = np.where(inner, p, 0.5)
+    return inner, q, np.log(q), np.log1p(-q)
+
+
+def _log_window_interior(n: int, q, log_q, log_1mq, w: _Windows) -> np.ndarray:
+    """:func:`log_binomial_window` of the (points, windows) array ``q``
+    inside (0, 1), in blocks of at most ``_BLOCK`` terms per window."""
+    count, width = w.logc.shape
+    chunk = max(1, min(width, _BLOCK // count))
+    rows = max(1, _BLOCK // (count * chunk))
+    flat = w.logc.ravel()
+    out = np.empty(q.shape)
+    for a in range(0, q.shape[0], rows):
+        block = slice(a, a + rows)
+        lq, l1q = log_q[block, :, None], log_1mq[block, :, None]
+        mode = np.minimum(np.maximum(np.floor((n + 1) * q[block, :, None]), w.lo), w.hi)
+        mode = mode.astype(np.intp)
+        shift = flat[mode + w.offset] + mode * lq + (n - mode) * l1q
         total = 0.0
-        for c in range(0, k.size, chunk):
+        for c in range(0, width, chunk):
             t = slice(c, c + chunk)
-            terms = logc[t] + k[t] * log_q
-            terms += (n - k[t]) * log_1mq
+            terms = w.logc[:, t] + w.k[:, t] * lq
+            terms += (n - w.k[:, t]) * l1q
             terms -= shift
             np.exp(terms, out=terms)
-            total = total + terms.sum(axis=1)
-        out[a : a + rows] = shift[:, 0] + np.log(total)
+            total = total + terms.sum(axis=-1)
+        out[block] = shift[..., 0] + np.log(total)
     return np.minimum(0.0, out)
 
 
 def log_binomial_window_derivatives(
-    n: int, p: np.ndarray, lo: int, hi: int
+    n: int, p: np.ndarray, lo, hi
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`log_binomial_window` and its first and second derivatives in
-    ``p``, as ``(log_f, d1, d2)``.
+    ``p``, as ``(log_f, d1, d2)``; ``lo`` and ``hi`` are integers or one
+    window per entry of ``p``'s last axis, as there.
 
     With ``F`` the window probability, ``F' = n*(b(lo-1) - b(hi))`` for the
     ``Binomial(n - 1, p)`` masses ``b``, and ``b'(k) = b(k)*u(k)`` with
@@ -324,34 +409,19 @@ def log_binomial_window_derivatives(
     ``d2 = n*(A*u(lo-1) - B*u(hi)) - d1**2``.  ``p`` of exactly 0 or 1
     uses the one-sided limits; where ``F`` is 0 both come back as nan.
     """
-    p = np.asarray(p, dtype=np.float64)
-    log_f = log_binomial_window(n, p, lo, hi)
-    bad = np.isneginf(log_f)
-    safe_log_f = np.where(bad, 0.0, log_f)
-    lo, hi = max(lo, 0), min(hi, n)
-    q = np.where((p > 0.0) & (p < 1.0), p, 0.5)
-
-    def ratio_and_slope(k: int) -> tuple[np.ndarray, np.ndarray]:
-        # b(k; n-1, q)/F and u(k), with b taken as 0 off 0..n-1
-        u = k / q - (n - 1 - k) / (1.0 - q)
-        if not 0 <= k <= n - 1:
-            return np.zeros(q.shape), u
-        log_b = math.lgamma(n) - math.lgamma(k + 1) - math.lgamma(n - k)
-        log_b = log_b + k * np.log(q) + (n - 1 - k) * np.log1p(-q)
-        return np.exp(log_b - safe_log_f), u
-
-    (a, u_lo), (b, u_hi) = ratio_and_slope(lo - 1), ratio_and_slope(hi)
-    d1 = np.array(n * (a - b))
-    d2 = np.array(n * (a * u_lo - b * u_hi) - d1 * d1)
-    # the one-sided limits at p = 0 depend only on whether hi is 0 or 1,
-    # and at p = 1, mirrored, on whether n - lo is
-    for edge, k, sign in ((0.0, hi, -1), (1.0, n - lo, 1)):
-        at = p == edge
-        e1 = sign * n * (k == 0)
-        d1[at] = e1
-        d2[at] = n * (n - 1) * ((k == 0) - (k == 1)) - e1 * e1
-    d1[bad], d2[bad] = np.nan, np.nan
-    return log_f, d1, d2
+    shape, p, w = _stacked(n, p, lo, hi)
+    inner, q, log_q, log_1mq = _interior_points(p, w)
+    log_f = _log_window_interior(n, q, log_q, log_1mq, w)
+    # b(k; n-1, q)/F and u(k) at k = lo - 1 and k = hi; b is 0 off 0..n-1
+    ratio = np.exp(w.log_below + w.ends * log_q + w.rest * log_1mq - log_f)
+    u = w.ends / q - w.rest / (1.0 - q)
+    d1 = n * (ratio[0] - ratio[1])
+    ru = ratio * u
+    d2 = n * (ru[0] - ru[1]) - d1 * d1
+    edge = np.where(p == 0.0, *w.limits)
+    return tuple(
+        np.where(inner, v, e).reshape(shape) for v, e in zip((log_f, d1, d2), edge)
+    )
 
 
 def pass_factors(test: AcceptanceTest, actual: ConditionalTable) -> dict[str, float]:
@@ -373,13 +443,12 @@ def pass_probability(test: AcceptanceTest, actual: ConditionalTable) -> float:
 
 
 def log_pass_probability(test: AcceptanceTest, actual: ConditionalTable) -> float:
-    """Natural log of :func:`pass_probability`, a sum of
-    :func:`log_binomial_window` terms that stays finite where the product
-    underflows to 0."""
-    total = 0.0
-    for s, p in test.tallied(actual).items():
-        total += float(log_binomial_window(test.n_per_state, p, *test.windows[s]))
-    return total
+    """Natural log of :func:`pass_probability`: the sum of every state's
+    :func:`log_binomial_window`, taken in one call, which stays finite
+    where the product underflows to 0."""
+    p = np.array(list(test.tallied(actual).values()))
+    lo, hi = np.array(list(test.windows.values())).T
+    return float(log_binomial_window(test.n_per_state, p, lo, hi).sum())
 
 
 def binding_failure(

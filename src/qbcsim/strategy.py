@@ -100,8 +100,8 @@ def apply_flips(table: ConditionalTable, flips: FlipParams) -> ConditionalTable:
 def photon_weights(mu: float) -> tuple[float, float, float]:
     """``(single, multi, norm)``: the probabilities that a pulse of a Poisson
     source with mean ``mu`` carries one photon, two or more, or at least one."""
-    if not mu > 0.0:
-        raise ValueError(f"mu must be positive, got {mu!r}")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu!r}")
     e = math.exp(-mu)
     return mu * e, 1.0 - e - mu * e, 1.0 - e
 
@@ -236,46 +236,51 @@ class LogObjective:
         objective: Objective = SinglePhoton(),
     ) -> None:
         self.test = build_test(variant, claimed, r, n_per_state, sigma_factor)
-        c, t10, t01 = (
+        corners = (
             self.test.tallied(objective.at(FlipParams(x, y)).table(variant, claimed, r))
             for x, y in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
         )
+        c, t10, t01 = (np.array(list(t.values())) for t in corners)
         self.n = n_per_state
-        self.rows = [
-            (c[s], t10[s] - c[s], t01[s] - c[s], *w) for s, w in self.test.windows.items()
-        ]
+        #: per state, in window order: c, and the coefficients (a, b) as a 2 x S matrix
+        self.c, self.ab = c, np.stack((t10 - c, t01 - c))
+        self.lo, self.hi = np.array(list(self.test.windows.values())).T
 
-    def _tallied(self, p01, p10):
-        for c, a, b, lo, hi in self.rows:
-            yield np.clip(c + a * p01 + b * p10, 0.0, 1.0), a, b, lo, hi
+    def _tallied(self, p01, p10, s=slice(None)) -> np.ndarray:
+        """The tallied probability at the flattened pairs of state ``s``, or
+        of every state with one row each."""
+        a, b = self.ab[:, s, None]
+        p = self.c[s, None] + a * np.ravel(p01) + b * np.ravel(p10)
+        return np.minimum(np.maximum(p, 0.0), 1.0)
 
     def __call__(self, p01, p10) -> np.ndarray:
-        """Log pass probability at each pair of the broadcast arrays."""
+        """Log pass probability at each pair of the broadcast arrays, one
+        window call per state: padding every state to the widest window
+        would cost more ``exp`` terms than the calls save, and one state's
+        points at a time measured faster than every state's at once."""
         p01, p10 = np.broadcast_arrays(
             np.asarray(p01, dtype=np.float64), np.asarray(p10, dtype=np.float64)
         )
         for name, p in (("p01", p01), ("p10", p10)):
             if not np.all((p >= 0.0) & (p <= 1.0)):
                 raise ValueError(f"{name} must lie in [0, 1]")
-        total = np.zeros(p01.shape)
-        for p, _, _, lo, hi in self._tallied(p01, p10):
-            total += log_binomial_window(self.n, p, lo, hi)
-        return total
+        total = np.zeros(p01.size)
+        for s, (lo, hi) in enumerate(zip(self.lo.tolist(), self.hi.tolist())):
+            total += log_binomial_window(self.n, self._tallied(p01, p10, s), lo, hi)
+        return total.reshape(p01.shape)
 
     def derivatives(
         self, p01: float, p10: float
     ) -> tuple[float, np.ndarray, np.ndarray]:
-        """Log pass probability at one pair, equal to this kernel's value
-        there, with its gradient and Hessian in ``(p01, p10)``: each state
-        adds ``d1*(a, b)`` and ``d2*(a, b)(a, b)^T``."""
-        value, grad, hess = 0.0, np.zeros(2), np.zeros((2, 2))
-        for p, a, b, lo, hi in self._tallied(p01, p10):
-            log_f, d1, d2 = log_binomial_window_derivatives(self.n, p, lo, hi)
-            ab = np.array([a, b])
-            value += float(log_f)
-            grad += d1 * ab
-            hess += d2 * np.outer(ab, ab)
-        return value, grad, hess
+        """Log pass probability at one pair, with its gradient and Hessian in
+        ``(p01, p10)``, from one window call for all states: each state adds
+        ``d1*(a, b)`` and ``d2*(a, b)(a, b)^T``.  The value matches this
+        kernel's to 1e-12, not bit for bit, as the states' windows are
+        padded to one width."""
+        log_f, d1, d2 = log_binomial_window_derivatives(
+            self.n, self._tallied(p01, p10)[:, 0], self.lo, self.hi
+        )
+        return float(log_f.sum()), self.ab @ d1, (self.ab * d2) @ self.ab.T
 
 
 def flip_grid(step: float) -> tuple[np.ndarray, np.ndarray]:

@@ -139,6 +139,13 @@ class TestMaxSafeDistance:
         with pytest.raises(ValueError):
             max_safe_distance(0.0)
 
+    def test_nan_alpha_rejected_and_infinite_alpha_is_the_zero_limit(self):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            max_safe_distance(math.nan)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            max_safe_distance_noisy(math.nan, DistanceScenario(0.1, 0.0))
+        assert max_safe_distance(math.inf) == 0.0
+
 
 class TestMaxSafeDistanceNoisy:
     def test_no_noise_gap_reduces_to_noiseless(self):
@@ -226,6 +233,21 @@ class TestFakedTable:
     def test_rejects_lengths_below_half_loss(self):
         with pytest.raises(ValueError):
             faked_table(TWO, 0, DistanceScenario(0.1, 0.0), 10.0, 0.2)
+
+    def test_rejects_nan_inputs_by_name(self):
+        scenario = DistanceScenario(0.1, 0.0)
+        with pytest.raises(ValueError, match="alpha must be positive, got nan"):
+            faked_table(TWO, 0, scenario, 17.0, math.nan)
+        with pytest.raises(ValueError, match="length_km must be non-negative, got nan"):
+            faked_table(TWO, 0, scenario, math.nan, 0.2)
+
+    def test_infinite_length_or_attenuation_pads_half_the_tally(self):
+        # all light is lost, so delta = 1/2 and each row is (p_near + 1/2) / 2
+        near = honest_table(FOUR, 1, 0.0)
+        for length, alpha in ((math.inf, 0.2), (17.0, math.inf)):
+            table = faked_table(FOUR, 1, DistanceScenario(0.1, 0.0), length, alpha)
+            for s in FOUR.states:
+                assert abs(table.prob(s, 0) - (near.prob(s, 0) + 0.5) / 2.0) <= ATOL
 
 
 class TestMultiPhoton:
@@ -320,4 +342,14 @@ class TestMultiPhoton:
             lambda: beam_splitter_table(TWO, 0, 0.1, nan),
         ):
             with pytest.raises(ValueError, match="mu must be positive"):
+                build()
+
+    def test_infinite_mu_rejected_by_name(self):
+        for build in (
+            lambda: photon_weights(math.inf),
+            lambda: MultiPhotonIdeal(math.inf),
+            lambda: ideal_multiphoton_table(TWO, 0, 0.1, math.inf, FlipParams(0.0, 0.0)),
+            lambda: beam_splitter_table(TWO, 0, 0.1, math.inf),
+        ):
+            with pytest.raises(ValueError, match="mu must be positive and finite, got inf"):
                 build()

@@ -28,6 +28,74 @@ def parse_csv(text):
     return rows[0], rows[1:]
 
 
+def reference_csv(artifact):
+    """CSV text as ``cli.to_csv`` wrote it with one ``csv.writer`` call and
+    one format call per cell."""
+
+    def fmt(value):
+        if value is None:
+            return ""
+        if isinstance(value, float):
+            return f"{value:.9g}"
+        return str(value)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(artifact.columns)
+    for row in artifact.rows:
+        writer.writerow([fmt(v) for v in row])
+    return buf.getvalue()
+
+
+class TestToCsv:
+    FLOATS = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e22, 0.1, -1.5e-300, 2.0]
+
+    @pytest.mark.parametrize(
+        "artifact",
+        (
+            cli.Artifact(("x", "y"), [[v, -v] for v in FLOATS]),
+            cli.Artifact(("x", "y"), [(v, v) for v in FLOATS]),
+            cli.Artifact(
+                ("f", "n", "s", "mixed"),
+                [
+                    [0.5, 3, 'say "hi", then go', None],
+                    [-0.0, -7, "a,b", 1.25],
+                    [math.nan, 10**30, 'quote"', "line\nbreak"],
+                    [1e22, 0, "", 4],
+                ],
+            ),
+            cli.Artifact(("a,b", 'q"', "plain"), [[None, None, None], [True, "x", 2.5]]),
+            cli.Artifact(("only",), [[None], [""], [1.5], ["a,b"]]),
+            cli.Artifact(("only",), [[0.25], [math.inf]]),
+            cli.Artifact(("x", "y"), []),
+        ),
+        ids=("floats", "float-tuples", "mixed", "quoted-header", "one-column",
+             "one-float-column", "empty"),
+    )
+    def test_matches_a_csv_writer_per_row(self, artifact):
+        assert cli.to_csv(artifact) == reference_csv(artifact)
+
+    @pytest.mark.parametrize(
+        "args",
+        (
+            ["honest", "--variant", "four", "--r-range", "0:0.3:0.1", "--m", "100"],
+            ["binding-failure", "--m", "100", "--r-range", "0:0.2:0.02"],
+            ["cheat-surface", "--r", "0.1", "--m", "100", "--grid-step", "0.05"],
+            ["cheat-max", "--m", "100", "--r-range", "0:0.2:0.1"],
+            ["tables", "--m", "100,200"],
+            ["distance", "--alpha", "0.2", "--rd", "0.6", "--rn", "0"],
+            ["multiphoton", "--m", "100", "--mu", "0.2", "--r", "0.1"],
+            ["mc", "--strategy", "honest", "--r", "0.1", "--m", "100", "--trials", "1000"],
+        ),
+        ids=lambda a: a[0],
+    )
+    def test_every_command_artifact_matches_a_csv_writer_per_row(self, args):
+        parsed = cli.build_parser().parse_args(args)
+        cli._resolve(parsed)
+        artifact = cli._COMMANDS[parsed.command](parsed)
+        assert cli.to_csv(artifact) == reference_csv(artifact)
+
+
 class TestHonest:
     def test_grid_rows_and_normalisation(self, capsys):
         code, out, _ = run_cli(
@@ -261,6 +329,15 @@ class TestDistance:
         code, _, err = run_cli(["distance", "--alpha", "0"], capsys)
         assert code != 0
 
+    def test_rejects_nan_alpha(self, capsys):
+        assert_one_line_error(["distance", "--alpha", "nan"], "--alpha must be positive", capsys)
+
+    def test_infinite_alpha_is_the_zero_length_limit(self, capsys):
+        code, out, _ = run_cli(["distance", "--alpha", "inf"], capsys)
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert float(rows[0][header.index("max_safe_km")]) == 0.0
+
 
 class TestMultiphoton:
     def test_optimised_point(self, capsys):
@@ -397,6 +474,107 @@ class TestMc:
         )
         assert code != 0 and out == ""
         assert err == f"error: {flag} is not used by strategy {strategy!r}\n"
+
+
+class TestInputLimits:
+    @pytest.mark.parametrize(
+        "args",
+        (
+            ["cheat-max", "--m", "100", "--r", "0.1"],
+            ["mc", "--strategy", "honest", "--m", "100", "--r", "0.1", "--trials", "1000"],
+        ),
+        ids=lambda a: a[0],
+    )
+    def test_huge_finite_sigma_factor_accepts_everything(self, args, capsys):
+        code, out, err = run_cli(args + ["--sigma-factor", "1e308"], capsys)
+        assert code == 0 and err == ""
+        header, rows = parse_csv(out)
+        column = "p_max" if args[0] == "cheat-max" else "accept_rate"
+        assert float(rows[0][header.index(column)]) == 1.0
+
+    @pytest.mark.parametrize(
+        "args",
+        (
+            ["tables", "--m", "100", "--mu", "inf"],
+            ["multiphoton", "--m", "100", "--r", "0.1", "--mu", "inf"],
+        ),
+        ids=("tables", "multiphoton"),
+    )
+    def test_rejects_infinite_mu_by_flag(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code != 0 and out == ""
+        assert "--mu" in err and "positive and finite" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("strategy", ("beam-splitter", "ideal"))
+    def test_mc_rejects_infinite_mu(self, strategy, capsys):
+        assert_one_line_error(
+            ["mc", "--strategy", strategy, "--r", "0.1", "--mu", "inf"],
+            "mu must be positive and finite, got inf", capsys,
+        )
+
+    FAKED = ["mc", "--strategy", "faked", "--r", "0.1", "--rd", "0.1", "--rn", "0",
+             "--m", "100", "--trials", "1000"]
+
+    @pytest.mark.parametrize(
+        "flags, subject",
+        (
+            (["--length-km", "17", "--alpha", "nan"], "alpha must be positive"),
+            (["--length-km", "nan", "--alpha", "0.2"], "length_km must be non-negative"),
+        ),
+        ids=("alpha", "length"),
+    )
+    def test_mc_faked_rejects_nan_by_name(self, flags, subject, capsys):
+        assert_one_line_error(self.FAKED + flags, subject, capsys)
+
+    @pytest.mark.parametrize(
+        "flags",
+        (["--length-km", "inf", "--alpha", "0.2"], ["--length-km", "17", "--alpha", "inf"]),
+        ids=("length", "alpha"),
+    )
+    def test_mc_faked_accepts_total_loss(self, flags, capsys):
+        code, out, err = run_cli(self.FAKED + flags, capsys)
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize(
+        "text", ("0:nan:0.1", "nan:1:0.1", "0:0.1:inf", "-inf:0:0.1", "0:inf:0.1")
+    )
+    def test_range_rejects_non_finite_parts_by_flag(self, text, capsys):
+        assert_one_line_error(
+            ["binding-failure", "--m", "100", f"--r-range={text}"],
+            "--r-range parts must be finite", capsys,
+        )
+
+    @pytest.mark.parametrize("text", ("0:1:1e-9", "-1e308:1e308:1"))
+    def test_range_longer_than_the_cap_is_rejected_before_allocation(self, text, capsys):
+        assert_one_line_error(
+            ["binding-failure", "--m", "100", f"--r-range={text}"],
+            f"--r-range {text!r} has more than {cli.MAX_SWEEP_POINTS} values", capsys,
+        )
+
+    def test_range_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 11)
+        assert len(cli.parse_range("0:1:0.1", "--r-range")) == 11
+        with pytest.raises(cli.CliError, match="more than 11 values"):
+            cli.parse_range("0:1.1:0.1", "--r-range")
+
+    def test_surface_larger_than_the_cap_is_rejected_before_allocation(self, capsys):
+        assert_one_line_error(
+            ["cheat-surface", "--r", "0.1", "--grid-step", "1e-4"],
+            f"--grid-step 0.0001 gives more than {cli.MAX_SWEEP_POINTS} surface points",
+            capsys,
+        )
+
+    def test_surface_cap_is_inclusive(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 121)
+        code, out, _ = run_cli(["cheat-surface", "--r", "0.1", "--grid-step", "0.1"], capsys)
+        assert code == 0 and len(parse_csv(out)[1]) == 121
+        assert_one_line_error(
+            ["cheat-surface", "--r", "0.1", "--grid-step", "0.09"], "--grid-step", capsys
+        )
+
+    def test_the_finest_documented_grid_fits_the_cap(self):
+        # 0.001 gives 1001 x 1001 points; checked by arithmetic, never built
+        assert (round(1.0 / 0.001) + 1) ** 2 <= cli.MAX_SWEEP_POINTS
 
 
 class TestConfigPrecedence:

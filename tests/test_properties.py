@@ -200,3 +200,72 @@ def test_log_pass_probability_is_the_log_of_the_scalar_path(
     p = pass_probability(test, table)
     if p > 1e-300:
         assert abs(log_pass_probability(test, table) - math.log(p)) <= 1e-12
+
+
+@st.composite
+def stacked_windows(draw):
+    """``n``, one to four windows and an array of ``p`` with one column per
+    window; windows include ``[0, 0]``, ``[n, n]``, ``[0, n]`` and
+    ``lo = hi``, and ``p`` includes 0 and 1."""
+    n = draw(st.integers(1, 300))
+    count = draw(st.integers(1, 4))
+    edge = st.one_of(st.sampled_from((0, 1, n - 1, n)), st.integers(0, n))
+    pairs = []
+    for _ in range(count):
+        kind = draw(st.sampled_from(("any", "zero", "full", "top", "point")))
+        if kind == "any":
+            lo, hi = sorted((min(max(draw(edge), 0), n), min(max(draw(edge), 0), n)))
+        elif kind == "zero":
+            lo, hi = 0, 0
+        elif kind == "full":
+            lo, hi = 0, n
+        elif kind == "top":
+            lo, hi = n, n
+        else:
+            lo = hi = draw(st.integers(0, n))
+        pairs.append((lo, hi))
+    lo, hi = (np.array(v) for v in zip(*pairs))
+    # p nearer 0 or 1 than 1e-6 can take d2 past the float range
+    p_value = st.one_of(
+        st.sampled_from((0.0, 1.0)), st.floats(1e-6, 1.0 - 1e-6), st.floats(1e-6, 1e-3)
+    )
+    rows = draw(st.integers(1, 5))
+    p = np.array(draw(st.lists(p_value, min_size=rows * count, max_size=rows * count)))
+    return n, lo, hi, p.reshape(rows, count)
+
+
+def assert_close(got, want, *, atol=0.0, rtol=0.0):
+    """Equal where either is not finite, else within the tolerances."""
+    exact = ~(np.isfinite(got) & np.isfinite(want))
+    assert np.array_equal(got[exact], want[exact], equal_nan=True)
+    got, want = got[~exact], want[~exact]
+    assert np.all(np.abs(got - want) <= atol + rtol * np.abs(want))
+
+
+@SETTINGS
+@given(stacked_windows())
+def test_stacked_windows_match_one_call_per_window(case):
+    n, lo, hi, p = case
+    stacked = log_binomial_window_derivatives(n, p, lo, hi)
+    single = [
+        log_binomial_window_derivatives(n, p[:, s], int(lo[s]), int(hi[s]))
+        for s in range(lo.size)
+    ]
+    (log_f, d1, d2) = (np.stack(parts, axis=-1) for parts in zip(*single))
+    assert_close(stacked[0], log_f, atol=1e-12)
+    assert_close(stacked[1], d1, rtol=1e-9)
+    assert_close(stacked[2], d2, rtol=1e-9)
+    assert_close(log_binomial_window(n, p, lo, hi), log_f, atol=1e-12)
+
+
+@SETTINGS
+@given(stacked_windows())
+def test_one_stacked_window_is_the_scalar_window(case):
+    n, lo, hi, p = case
+    column = p[:, :1]
+    scalar = log_binomial_window_derivatives(n, column[:, 0], int(lo[0]), int(hi[0]))
+    stacked = log_binomial_window_derivatives(n, column, lo[:1], hi[:1])
+    for got, want in zip(stacked, scalar):
+        assert np.array_equal(got[:, 0], want, equal_nan=True)
+    got = log_binomial_window(n, column, lo[:1], hi[:1])[:, 0]
+    assert np.array_equal(got, log_binomial_window(n, column[:, 0], int(lo[0]), int(hi[0])))

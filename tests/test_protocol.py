@@ -152,6 +152,14 @@ class TestBuildTest:
         with pytest.raises(ValueError, match="sigma_factor"):
             build_test(TWO, 0, 0.1, 50, math.inf)
 
+    def test_huge_finite_sigma_factor_gives_full_windows(self):
+        # sigma_factor * sigma overflows to inf; each bound is clamped first
+        for variant in (TWO, FOUR):
+            test = build_test(variant, 0, 0.1, 25, 1e308)
+            assert set(test.windows.values()) == {(0, 25)}
+        # a deterministic state has sigma 0, so its window stays a point
+        assert build_test(TWO, 0, 0.0, 25, 1e308).windows["0"] == (25, 25)
+
     def test_windows_widen_with_sigma_factor(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -277,6 +285,57 @@ class TestLogBinomialWindow:
     def test_rejects_out_of_range_probability(self):
         with pytest.raises(ValueError):
             log_binomial_window(10, np.array([0.5, math.nan]), 0, 5)
+
+    def test_stacked_windows_need_one_column_each(self):
+        lo, hi = np.array([0, 2]), np.array([5, 7])
+        assert log_binomial_window(10, np.full((3, 2), 0.5), lo, hi).shape == (3, 2)
+        with pytest.raises(ValueError, match="one entry per window"):
+            log_binomial_window(10, np.full(4, 0.5), lo, hi)
+
+
+class TestIncompleteBetaCrossCheck:
+    """``P(lo <= X <= hi) = I_p(lo, n - lo + 1) - I_p(hi + 1, n - hi)`` for
+    the regularised incomplete beta ``I``; only where SciPy is installed,
+    as it is no dependency."""
+
+    CASES = [
+        (1, 0, 1), (1, 1, 1), (10, 0, 0), (10, 2, 5), (10, 10, 10), (50, 15, 35),
+        (50, 43, 50), (25, 0, 3), (1000, 380, 620), (5000, 0, 4400), (5000, 4600, 5000),
+    ]
+    P = (1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-6)
+
+    @staticmethod
+    def betainc_window(n, p, lo, hi):
+        betainc = pytest.importorskip("scipy.special").betainc
+        # one tail each: upper tail from lo, lower tail up to hi
+        upper = betainc(lo, n - lo + 1, p) if lo > 0 else 1.0
+        lower = betainc(n - hi, hi + 1, 1.0 - p) if hi < n else 1.0
+        if lo == 0 or hi == n:
+            return min(upper, lower)
+        return upper - betainc(hi + 1, n - hi, p)
+
+    def test_scalar_sum(self):
+        for n, lo, hi in self.CASES:
+            for p in self.P:
+                want = self.betainc_window(n, p, lo, hi)
+                got = binomial_window_probability(n, p, lo, hi)
+                assert abs(got - want) <= 1e-13 + 1e-9 * want, (n, lo, hi, p)
+
+    def test_log_window(self):
+        for n, lo, hi in self.CASES:
+            got = np.exp(log_binomial_window(n, np.array(self.P), lo, hi))
+            for p, g in zip(self.P, got.tolist()):
+                want = self.betainc_window(n, p, lo, hi)
+                assert abs(g - want) <= 1e-13 + 1e-9 * want, (n, lo, hi, p)
+
+    def test_tails_match_to_relative_precision(self):
+        # an open-ended window is one incomplete beta, with no cancellation
+        for n, lo, hi in ((5000, 0, 4400), (5000, 4600, 5000), (200, 0, 5), (200, 190, 200)):
+            for p in (0.05, 0.5, 0.95):
+                want = self.betainc_window(n, p, lo, hi)
+                if want > 1e-300:
+                    got = float(np.exp(log_binomial_window(n, np.array(p), lo, hi)))
+                    assert abs(got - want) <= 1e-9 * want, (n, lo, hi, p)
 
 
 class TestPassProbability:
