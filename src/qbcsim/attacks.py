@@ -67,44 +67,6 @@ def max_safe_distance_noisy(alpha: float, scenario: DistanceScenario) -> float |
     return (10.0 / alpha) * (math.log10(2.0) + math.log10(1.0 - gap))
 
 
-def faked_table(
-    variant: Variant,
-    claimed: int,
-    scenario: DistanceScenario,
-    length_km: float,
-    alpha: float,
-) -> ConditionalTable:
-    """Revealed-outcome statistics of the faking-distance cheater.
-
-    The cheater fills half of the expected tally with her own low-noise
-    (``r_near``) measurements and pads the remaining fraction
-    ``delta = 1/2 - 10**(-alpha*L/10)`` with fair coin flips, giving each
-    row ``(p_near/2 + delta/2) / (1/2 + delta)``.
-
-    Raises ``ValueError`` when ``delta < 0`` (claimed distance short of
-    the 50%-loss length): the cheater cannot even fill the expected count
-    and the attack degenerates to honest play.
-    """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    if not length_km >= 0.0:
-        raise ValueError(f"length_km must be non-negative, got {length_km!r}")
-    delta = 0.5 - 10.0 ** (-alpha * length_km / 10.0)
-    if delta < -1e-12:
-        raise ValueError(
-            f"claimed length {length_km!r} km is below the 50%-loss distance "
-            f"{max_safe_distance(alpha)!r} km; the attack does not apply"
-        )
-    delta = max(delta, 0.0)  # length exactly at the boundary rounds to zero padding
-    near = honest_table(variant, claimed, scenario.r_near)
-    entries: dict[tuple[str, int], float] = {}
-    for s in variant.states:
-        for outcome in (0, 1):
-            good = 0.5 * near.prob(s, outcome)
-            entries[(s, outcome)] = (good + delta * 0.5) / (0.5 + delta)
-    return ConditionalTable(variant.states, entries)
-
-
 @dataclass(frozen=True)
 class FakedDistance:
     """Claim a remote location and reveal the favourable half; the table
@@ -115,7 +77,38 @@ class FakedDistance:
     alpha: float
 
     def table(self, variant: Variant, claimed: int, r: float) -> ConditionalTable:
-        return faked_table(variant, claimed, self.scenario, self.length_km, self.alpha)
+        """Revealed-outcome statistics of the faking-distance cheater.
+
+        The cheater fills half of the expected tally with her own low-noise
+        (``r_near``) measurements and pads the remaining fraction
+        ``delta = 1/2 - 10**(-alpha*L/10)`` with fair coin flips, giving each
+        row ``(p_near/2 + delta/2) / (1/2 + delta)``.
+
+        Raises ``ValueError`` when ``delta < 0`` (claimed distance short of
+        the 50%-loss length): the cheater cannot even fill the expected count
+        and the attack degenerates to honest play.
+        """
+        alpha, length_km = self.alpha, self.length_km
+        if not alpha > 0.0:
+            raise ValueError(f"alpha must be positive, got {alpha!r}")
+        if not length_km >= 0.0:
+            raise ValueError(f"length_km must be non-negative, got {length_km!r}")
+        # nothing is lost over 0 km, even at infinite attenuation (inf * 0 is nan)
+        loss_db = alpha * length_km if length_km > 0.0 else 0.0
+        delta = 0.5 - 10.0 ** (-loss_db / 10.0)
+        if delta < -1e-12:
+            raise ValueError(
+                f"claimed length {length_km!r} km is below the 50%-loss distance "
+                f"{max_safe_distance(alpha)!r} km; the attack does not apply"
+            )
+        delta = max(delta, 0.0)  # length exactly at the boundary rounds to zero padding
+        near = honest_table(variant, claimed, self.scenario.r_near)
+        entries: dict[tuple[str, int], float] = {}
+        for s in variant.states:
+            for outcome in (0, 1):
+                good = 0.5 * near.prob(s, outcome)
+                entries[(s, outcome)] = (good + delta * 0.5) / (0.5 + delta)
+        return ConditionalTable(variant.states, entries)
 
 
 class MultiPhotonMode(Enum):

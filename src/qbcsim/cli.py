@@ -21,7 +21,7 @@ import numpy as np
 from . import attacks, mcsim, protocol, strategy
 from .attacks import DistanceScenario
 from .protocol import Variant
-from .strategy import BeamSplitter, FlipParams, IdealMultiPhoton, MultiPhotonIdeal
+from .strategy import BeamSplitter, FlipParams, IdealMultiPhoton
 
 #: Most values a sweep expression, and most points a ``cheat-surface``
 #: grid, may have; checked before any is allocated.  The 0.001 grid
@@ -127,10 +127,6 @@ def parse_m_list(text: str) -> list[int]:
     return values
 
 
-def _variant(tag: str) -> Variant:
-    return Variant.TWO_STATE if tag == "two" else Variant.FOUR_STATE
-
-
 def derive_n(m: int, variant: Variant) -> int:
     if m % variant.state_count != 0:
         raise CliError(
@@ -186,16 +182,9 @@ def _r_values(args: argparse.Namespace, default: str | None = None) -> list[floa
     raise CliError("one of --r or --r-range is required")
 
 
-def _check_r(values: Sequence[float]) -> None:
-    for r in values:
-        if not 0.0 <= r <= 1.0:
-            raise CliError(f"noise level must lie in [0, 1], got {r!r}")
-
-
 def cmd_honest(args: argparse.Namespace) -> Artifact:
-    variant = _variant(args.variant)
+    variant = Variant(args.variant)
     rs = _r_values(args, default="0:0.5:0.1")
-    _check_r(rs)
     n = derive_n(args.m, variant)
     columns = ["r"]
     for s in variant.states:
@@ -214,9 +203,8 @@ def cmd_honest(args: argparse.Namespace) -> Artifact:
 
 
 def cmd_binding_failure(args: argparse.Namespace) -> Artifact:
-    variant = _variant(args.variant)
+    variant = Variant(args.variant)
     rs = _r_values(args, default="0:0.5:0.01")
-    _check_r(rs)
     n = derive_n(args.m, variant)
     rows = []
     for r in rs:
@@ -232,8 +220,7 @@ def _log10(log_value: float) -> float:
 
 
 def cmd_cheat_surface(args: argparse.Namespace) -> Artifact:
-    variant = _variant(args.variant)
-    _check_r([args.r])
+    variant = Variant(args.variant)
     n = derive_n(args.m, variant)
     step = args.grid_step
     if not 0.0 < step <= 0.5:
@@ -250,9 +237,8 @@ def cmd_cheat_surface(args: argparse.Namespace) -> Artifact:
 
 
 def cmd_cheat_max(args: argparse.Namespace) -> Artifact:
-    variant = _variant(args.variant)
+    variant = Variant(args.variant)
     rs = _r_values(args, default="0:0.5:0.05")
-    _check_r(rs)
     rows = []
     for m in sorted(parse_m_list(args.m)):
         n = derive_n(m, variant)
@@ -270,8 +256,7 @@ def cmd_tables(args: argparse.Namespace) -> Artifact:
     Follows the reference tables' convention of m/2 particles per sent
     state for both protocol variants.
     """
-    variant = _variant(args.variant)
-    _check_r([args.r])
+    variant = Variant(args.variant)
     if not 0.0 < args.mu < math.inf:
         raise CliError(f"--mu must be positive and finite, got {args.mu!r}")
     rows = []
@@ -282,7 +267,7 @@ def cmd_tables(args: argparse.Namespace) -> Artifact:
         sp = strategy.optimize(variant, args.commit, args.r, n, args.sigma_factor)
         mp = strategy.optimize(
             variant, args.commit, args.r, n, args.sigma_factor,
-            objective=MultiPhotonIdeal(args.mu),
+            objective=IdealMultiPhoton(args.mu),
         )
         rows.append([
             m, sp.best.p01, sp.best.p10, sp.value, mp.best.p01, mp.best.p10, mp.value,
@@ -310,9 +295,8 @@ def cmd_distance(args: argparse.Namespace) -> Artifact:
 
 
 def cmd_multiphoton(args: argparse.Namespace) -> Artifact:
-    variant = _variant(args.variant)
+    variant = Variant(args.variant)
     rs = _r_values(args, default="0:0.2:0.1")
-    _check_r(rs)
     if args.mu is not None and args.mu_range is not None:
         raise CliError("give either --mu or --mu-range, not both")
     if args.mu is not None:
@@ -330,7 +314,7 @@ def cmd_multiphoton(args: argparse.Namespace) -> Artifact:
                 test = protocol.build_test(variant, args.commit, r, n, args.sigma_factor)
                 flips = fixed or strategy.optimize(
                     variant, args.commit, r, n, args.sigma_factor,
-                    objective=MultiPhotonIdeal(mu),
+                    objective=IdealMultiPhoton(mu),
                 ).best
                 ideal, bs = (
                     protocol.pass_probability(test, party.table(variant, args.commit, r))
@@ -380,19 +364,18 @@ def _mc_strategy(args: argparse.Namespace) -> mcsim.Strategy:
     if name == "faked":
         if args.rd is None or args.rn is None or args.length_km is None or args.alpha is None:
             raise CliError("--rd, --rn, --length-km and --alpha are required for 'faked'")
+        scenario = DistanceScenario(r_distant=args.rd, r_near=args.rn)
         if args.rd != args.r:
             raise CliError(
                 f"--rd {args.rd!r} must equal --r {args.r!r}: the test is built for "
                 "the claimed remote noise"
             )
-        scenario = DistanceScenario(r_distant=args.rd, r_near=args.rn)
         return mcsim.FakedDistance(scenario, args.length_km, args.alpha)
     raise CliError(f"unknown strategy {name!r}")
 
 
 def cmd_mc(args: argparse.Namespace) -> Artifact:
-    variant = _variant(args.variant)
-    _check_r([args.r])
+    variant = Variant(args.variant)
     n = derive_n(args.m, variant)
     mc_strategy = _mc_strategy(args)
     config = mcsim.TrialConfig(

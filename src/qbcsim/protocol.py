@@ -408,16 +408,33 @@ def log_binomial_window_derivatives(
     ``B = b(hi)/F``, both formed in the log domain, ``d1 = n*(A - B)`` and
     ``d2 = n*(A*u(lo-1) - B*u(hi)) - d1**2``.  ``p`` of exactly 0 or 1
     uses the one-sided limits; where ``F`` is 0 both come back as nan.
+
+    Near 0 or 1 the terms of ``d2`` can overflow where ``d2`` does not.
+    There it is formed from ``A*s`` and ``B*s``, with ``s = p*(1-p)``,
+    which are at most 1: ``u(k)*s = k - (n-1)*p``, so ``d2*s**2`` is the
+    formula above with ``A*s``, ``B*s`` and ``u*s`` in place of ``A``, ``B``
+    and ``u``.  A value past the float range comes back as the infinity of
+    its limit: ``+-inf`` for ``d1``, and ``-inf`` for ``d2`` as ``log F``
+    is concave.
     """
     shape, p, w = _stacked(n, p, lo, hi)
     inner, q, log_q, log_1mq = _interior_points(p, w)
     log_f = _log_window_interior(n, q, log_q, log_1mq, w)
     # b(k; n-1, q)/F and u(k) at k = lo - 1 and k = hi; b is 0 off 0..n-1
-    ratio = np.exp(w.log_below + w.ends * log_q + w.rest * log_1mq - log_f)
-    u = w.ends / q - w.rest / (1.0 - q)
-    d1 = n * (ratio[0] - ratio[1])
-    ru = ratio * u
-    d2 = n * (ru[0] - ru[1]) - d1 * d1
+    log_ratio = w.log_below + w.ends * log_q + w.rest * log_1mq - log_f
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = np.exp(log_ratio)
+        u = w.ends / q - w.rest / (1.0 - q)
+        d1 = n * (ratio[0] - ratio[1])
+        ru = np.where(ratio == 0.0, 0.0, ratio * u)
+        d2 = n * (ru[0] - ru[1]) - d1 * d1
+        lost = ~np.isfinite(d2)
+        if lost.any():
+            s = q * (1.0 - q)
+            ratio_s = np.exp(log_ratio + log_q + log_1mq)
+            d1_s = n * (ratio_s[0] - ratio_s[1])
+            ru_s = ratio_s * (w.ends - (n - 1) * q)
+            d2 = np.where(lost, (n * (ru_s[0] - ru_s[1]) - d1_s * d1_s) / s / s, d2)
     edge = np.where(p == 0.0, *w.limits)
     return tuple(
         np.where(inner, v, e).reshape(shape) for v, e in zip((log_f, d1, d2), edge)

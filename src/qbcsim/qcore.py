@@ -108,9 +108,9 @@ def breidbart() -> Basis:
     Measuring it is the minimum-error way to tell ``|0>`` from ``|+>``
     with a single projective measurement, and (by the symmetry of white
     noise) stays optimal for the depolarized versions of those states.
+    It is the computational basis rotated by ``-pi/8``.
     """
-    c, s = math.cos(math.pi / 8), math.sin(math.pi / 8)
-    return Basis(Qubit(c, -s), Qubit(s, c))
+    return basis_at_angle(-math.pi / 8)
 
 
 def helstrom_success(r: float) -> float:

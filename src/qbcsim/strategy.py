@@ -2,7 +2,8 @@
 
 Each strategy is one frozen type whose ``table(variant, claimed, r)``
 gives its revealed-outcome statistics (the faking-distance one lives in
-:mod:`qbcsim.attacks`).  A mid-basis committer who wants to defer her
+:mod:`qbcsim.attacks`); a flip party is also its own objective for
+:func:`optimize`.  A mid-basis committer who wants to defer her
 choice measures every particle in the basis halfway between the two
 commitment observables, then post-processes the raw outcomes: each 0 is
 flipped to 1 with probability ``p01`` and each 1 to 0 with probability
@@ -21,7 +22,7 @@ for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,11 +100,19 @@ def apply_flips(table: ConditionalTable, flips: FlipParams) -> ConditionalTable:
 
 def photon_weights(mu: float) -> tuple[float, float, float]:
     """``(single, multi, norm)``: the probabilities that a pulse of a Poisson
-    source with mean ``mu`` carries one photon, two or more, or at least one."""
+    source with mean ``mu`` carries one photon, two or more, or at least one.
+
+    Below ``mu = 1e-3`` the difference ``1 - exp(-mu)`` loses digits (it is
+    0 below about 1e-16), so ``norm`` is ``-expm1(-mu)`` there, and ``single``
+    is capped at ``norm`` so that ``multi`` cannot round below 0."""
     if not 0.0 < mu < math.inf:
         raise ValueError(f"mu must be positive and finite, got {mu!r}")
     e = math.exp(-mu)
-    return mu * e, 1.0 - e - mu * e, 1.0 - e
+    if mu >= 1e-3:
+        return mu * e, 1.0 - e - mu * e, 1.0 - e
+    norm = -math.expm1(-mu)
+    single = min(mu * e, norm)
+    return single, norm - single, norm
 
 
 @dataclass(frozen=True)
@@ -118,7 +127,7 @@ class Honest:
 class BreidbartFlips:
     """Mid-basis measurement with outcome flipping."""
 
-    flips: FlipParams
+    flips: FlipParams = FlipParams(0.0, 0.0)
 
     def table(self, variant: Variant, claimed: int, r: float) -> ConditionalTable:
         return apply_flips(breidbart_table(variant, r), self.flips)
@@ -132,7 +141,7 @@ class IdealMultiPhoton:
     strategy."""
 
     mu: float
-    flips: FlipParams
+    flips: FlipParams = FlipParams(0.0, 0.0)
 
     def __post_init__(self) -> None:
         photon_weights(self.mu)
@@ -173,29 +182,9 @@ class BeamSplitter:
         return ConditionalTable(variant.states, entries)
 
 
-@dataclass(frozen=True)
-class SinglePhoton:
-    """Maximise the plain flipped mid-basis pass probability."""
-
-    def at(self, flips: FlipParams) -> BreidbartFlips:
-        return BreidbartFlips(flips)
-
-
-@dataclass(frozen=True)
-class MultiPhotonIdeal:
-    """Maximise the pass probability of a cheater who also exploits
-    multi-photon pulses of a Poisson source with mean ``mu``."""
-
-    mu: float
-
-    def __post_init__(self) -> None:
-        photon_weights(self.mu)
-
-    def at(self, flips: FlipParams) -> IdealMultiPhoton:
-        return IdealMultiPhoton(self.mu, flips)
-
-
-Objective = SinglePhoton | MultiPhotonIdeal
+#: Other names of the two flip parties, which ``perfbench/workloads.py``
+#: and ``tests/test_acceptance.py`` still import.
+SinglePhoton, MultiPhotonIdeal = BreidbartFlips, IdealMultiPhoton
 
 
 def cheat_success(
@@ -216,13 +205,14 @@ class LogObjective:
     """Log pass probability of a flip party, batched over arrays of flip
     pairs, with its gradient and Hessian at a pair.
 
-    For each sent state the tallied-outcome probability of the party
-    ``objective.at(FlipParams(p01, p10))`` is affine in ``(p01, p10)``;
-    its coefficients ``c + a*p01 + b*p10`` are the test's ``tallied()``
-    of the party's ``table()`` at the corners (0, 0), (1, 0) and (0, 1),
-    so any party with an affine table works unchanged.  Each state's log window
-    probability comes from :func:`~qbcsim.protocol.log_binomial_window`,
-    and the states' logs add.  Nothing underflows: the four-state optimum
+    ``objective`` is the party, a frozen type with a ``flips`` field; the
+    flips it was built with are ignored.  For each sent state the
+    tallied-outcome probability of ``replace(objective, flips=FlipParams(p01,
+    p10))`` is affine in ``(p01, p10)``; its coefficients ``c + a*p01 +
+    b*p10`` are the test's ``tallied()`` of that party's ``table()`` at the
+    corners (0, 0), (1, 0) and (0, 1), so any party with an affine table
+    works unchanged.  Each state's log window probability comes from
+    :func:`~qbcsim.protocol.log_binomial_window`, and the states' logs add.  Nothing underflows: the four-state optimum
     at ``n = 5000`` per state has a log value near -2490.
     """
 
@@ -233,11 +223,13 @@ class LogObjective:
         r: float,
         n_per_state: int,
         sigma_factor: float,
-        objective: Objective = SinglePhoton(),
+        objective: BreidbartFlips | IdealMultiPhoton = BreidbartFlips(),
     ) -> None:
         self.test = build_test(variant, claimed, r, n_per_state, sigma_factor)
         corners = (
-            self.test.tallied(objective.at(FlipParams(x, y)).table(variant, claimed, r))
+            self.test.tallied(
+                replace(objective, flips=FlipParams(x, y)).table(variant, claimed, r)
+            )
             for x, y in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
         )
         c, t10, t01 = (np.array(list(t.values())) for t in corners)
@@ -310,9 +302,11 @@ def optimize(
     r: float,
     n_per_state: int,
     sigma_factor: float = 3.0,
-    objective: Objective = SinglePhoton(),
+    objective: BreidbartFlips | IdealMultiPhoton = BreidbartFlips(),
 ) -> OptimizationResult:
-    """Maximise the cheating success over the flip pair ``(p01, p10)``.
+    """Maximise the pass probability of the flip party ``objective`` over
+    its flip pair ``(p01, p10)``; the flips it was built with are ignored.
+    Any party whose table is affine in the flips can be tuned.
 
     The log objective is concave on ``[0, 1]^2``, so a local maximum is
     the global one.  One :class:`LogObjective` call scans the 0.1 grid;
@@ -327,8 +321,9 @@ def optimize(
     diagonal, and the search there runs on ``p01 = p10`` alone.
 
     ``value`` is recomputed at the optimum by the public scalar path, the
-    table of ``objective.at(best)``; ``log_value`` is the kernel's log
-    value there, which stays finite where ``value`` underflows to zero.
+    table of ``replace(objective, flips=best)``; ``log_value`` is the
+    kernel's log value there, which stays finite where ``value`` underflows
+    to zero.
     """
     fn = LogObjective(variant, claimed, r, n_per_state, sigma_factor, objective)
     # search coordinates z in [0, 1]^d map to the flip pair basis @ z
@@ -368,7 +363,9 @@ def optimize(
     flips = FlipParams(*(float(p) for p in basis @ z))
     return OptimizationResult(
         best=flips,
-        value=pass_probability(fn.test, objective.at(flips).table(variant, claimed, r)),
+        value=pass_probability(
+            fn.test, replace(objective, flips=flips).table(variant, claimed, r)
+        ),
         log_value=v,
         evaluations=evaluations,
         gap=decrement / 2.0,

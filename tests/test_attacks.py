@@ -6,16 +6,16 @@ import pytest
 
 from qbcsim.attacks import (
     DistanceScenario,
+    FakedDistance,
     MultiPhotonMode,
     beam_splitter_table,
-    faked_table,
     ideal_multiphoton_table,
     max_safe_distance,
     max_safe_distance_noisy,
     multiphoton_success,
 )
 from qbcsim.protocol import Variant, build_test, honest_table, pass_probability
-from qbcsim.strategy import FlipParams, optimize, MultiPhotonIdeal, photon_weights
+from qbcsim.strategy import FlipParams, IdealMultiPhoton, optimize, photon_weights
 
 ATOL = 1e-12
 TWO = Variant.TWO_STATE
@@ -189,7 +189,7 @@ class TestFakedTable:
         # at the 50%-loss length the padding fraction vanishes
         scenario = DistanceScenario(0.2, 0.05)
         L = max_safe_distance(0.2)
-        got = faked_table(TWO, 0, scenario, L, 0.2)
+        got = FakedDistance(scenario, L, 0.2).table(TWO, 0, scenario.r_distant)
         want = honest_table(TWO, 0, scenario.r_near)
         for s in TWO.states:
             for o in (0, 1):
@@ -200,7 +200,7 @@ class TestFakedTable:
     def test_matches_distant_honesty_at_equalising_length(self, variant, claimed):
         scenario = DistanceScenario(r_distant=0.1, r_near=0.0)
         L = equal_statistics_length(0.2, scenario)
-        got = faked_table(variant, claimed, scenario, L, 0.2)
+        got = FakedDistance(scenario, L, 0.2).table(variant, claimed, scenario.r_distant)
         want = honest_table(variant, claimed, scenario.r_distant)
         for s in variant.states:
             for o in (0, 1):
@@ -214,7 +214,7 @@ class TestFakedTable:
         # alpha=0.2, L=20: delta = 1/2 - 10^-0.4; p(0||0>) = (1/2 + delta/2)/(1/2 + delta)
         delta = 0.5 - 10.0 ** (-0.4)
         expected = (0.5 + 0.5 * delta) / (0.5 + delta)
-        got = faked_table(TWO, 0, DistanceScenario(0.1, 0.0), 20.0, 0.2)
+        got = FakedDistance(DistanceScenario(0.1, 0.0), 20.0, 0.2).table(TWO, 0, 0.1)
         assert abs(got.prob("0", 0) - expected) <= ATOL
         assert abs(expected - 0.915356) <= 5e-7
 
@@ -226,26 +226,33 @@ class TestFakedTable:
             alpha = float(rng.uniform(0.05, 2.0))
             L = float(rng.uniform(1.0, 3.0)) * max_safe_distance(alpha)
             variant = TWO if rng.random() < 0.5 else FOUR
-            t = faked_table(variant, 0, DistanceScenario(r_d, r_n), L, alpha)
+            t = FakedDistance(DistanceScenario(r_d, r_n), L, alpha).table(variant, 0, r_d)
             for s in variant.states:
                 assert abs(t.prob(s, 0) + t.prob(s, 1) - 1.0) <= ATOL
 
     def test_rejects_lengths_below_half_loss(self):
         with pytest.raises(ValueError):
-            faked_table(TWO, 0, DistanceScenario(0.1, 0.0), 10.0, 0.2)
+            FakedDistance(DistanceScenario(0.1, 0.0), 10.0, 0.2).table(TWO, 0, 0.1)
 
     def test_rejects_nan_inputs_by_name(self):
         scenario = DistanceScenario(0.1, 0.0)
         with pytest.raises(ValueError, match="alpha must be positive, got nan"):
-            faked_table(TWO, 0, scenario, 17.0, math.nan)
+            FakedDistance(scenario, 17.0, math.nan).table(TWO, 0, 0.1)
         with pytest.raises(ValueError, match="length_km must be non-negative, got nan"):
-            faked_table(TWO, 0, scenario, math.nan, 0.2)
+            FakedDistance(scenario, math.nan, 0.2).table(TWO, 0, 0.1)
+
+    @pytest.mark.parametrize("alpha", (0.2, math.inf))
+    def test_zero_length_is_below_half_loss_whatever_the_attenuation(self, alpha):
+        # nothing is lost over 0 km, though alpha * 0 is nan at alpha = inf
+        with pytest.raises(ValueError, match=r"claimed length 0\.0 km is below the 50%-loss"):
+            FakedDistance(DistanceScenario(0.1, 0.0), 0.0, alpha).table(TWO, 0, 0.1)
 
     def test_infinite_length_or_attenuation_pads_half_the_tally(self):
         # all light is lost, so delta = 1/2 and each row is (p_near + 1/2) / 2
         near = honest_table(FOUR, 1, 0.0)
         for length, alpha in ((math.inf, 0.2), (17.0, math.inf)):
-            table = faked_table(FOUR, 1, DistanceScenario(0.1, 0.0), length, alpha)
+            party = FakedDistance(DistanceScenario(0.1, 0.0), length, alpha)
+            table = party.table(FOUR, 1, 0.1)
             for s in FOUR.states:
                 assert abs(table.prob(s, 0) - (near.prob(s, 0) + 0.5) / 2.0) <= ATOL
 
@@ -320,7 +327,7 @@ class TestMultiPhoton:
 
     def test_optimised_ideal_beats_beam_splitter(self):
         for r, mu in ((0.0, 0.2), (0.1, 0.2), (0.2, 0.5)):
-            res = optimize(TWO, 0, r, 50, 3.0, objective=MultiPhotonIdeal(mu))
+            res = optimize(TWO, 0, r, 50, 3.0, objective=IdealMultiPhoton(mu))
             bs = multiphoton_success(
                 TWO, 0, r, 50, 3.0, mu, FlipParams(0.0, 0.0),
                 MultiPhotonMode.BEAM_SPLITTER,
@@ -347,7 +354,7 @@ class TestMultiPhoton:
     def test_infinite_mu_rejected_by_name(self):
         for build in (
             lambda: photon_weights(math.inf),
-            lambda: MultiPhotonIdeal(math.inf),
+            lambda: IdealMultiPhoton(math.inf),
             lambda: ideal_multiphoton_table(TWO, 0, 0.1, math.inf, FlipParams(0.0, 0.0)),
             lambda: beam_splitter_table(TWO, 0, 0.1, math.inf),
         ):

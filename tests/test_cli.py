@@ -535,6 +535,30 @@ class TestInputLimits:
         code, out, err = run_cli(self.FAKED + flags, capsys)
         assert code == 0 and err == ""
 
+    @pytest.mark.parametrize("alpha", ("0.2", "inf"))
+    def test_mc_faked_rejects_zero_length_as_below_half_loss(self, alpha, capsys):
+        # nothing is lost over 0 km, whatever the attenuation
+        assert_one_line_error(
+            self.FAKED + ["--length-km", "0", "--alpha", alpha],
+            "claimed length 0.0 km is below the 50%-loss distance", capsys,
+        )
+
+    @pytest.mark.parametrize(
+        "args",
+        (
+            ["honest", "--r", "1.5"],
+            ["binding-failure", "--r-range", "0:1.5:0.5"],
+            ["cheat-surface", "--r", "1.5"],
+            ["cheat-max", "--r", "1.5"],
+            ["tables", "--r", "1.5"],
+            ["multiphoton", "--r", "1.5", "--mu", "0.2"],
+            ["mc", "--strategy", "honest", "--r", "1.5"],
+        ),
+        ids=lambda a: a[0],
+    )
+    def test_noise_level_outside_unit_interval_is_one_error_line(self, args, capsys):
+        assert_one_line_error(args, "noise level must lie in [0, 1], got 1.5", capsys)
+
     @pytest.mark.parametrize(
         "text", ("0:nan:0.1", "nan:1:0.1", "0:0.1:inf", "-inf:0:0.1", "0:inf:0.1")
     )

@@ -10,7 +10,6 @@ from qbcsim import mcsim
 from qbcsim.attacks import (
     DistanceScenario,
     MultiPhotonMode,
-    faked_table,
     multiphoton_success,
 )
 from qbcsim.protocol import Variant, build_test, honest_table, pass_probability
@@ -198,6 +197,6 @@ class TestOracleAgreement:
         scenario = DistanceScenario(r_distant=0.1, r_near=0.0)
         strategy = mcsim.FakedDistance(scenario, 17.0, 0.2)
         cfg = config(strategy=strategy)
-        table = faked_table(TWO, 0, scenario, 17.0, 0.2)
+        table = strategy.table(TWO, 0, 0.1)
         analytic = pass_probability(build_test(TWO, 0, 0.1, 50, 3.0), table)
         assert_within_3se(mcsim.run(cfg), analytic)

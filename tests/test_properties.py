@@ -6,12 +6,14 @@ gives the same examples on every run.
 """
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbcsim.attacks import DistanceScenario, FakedDistance
+from qbcsim.attacks import DistanceScenario, FakedDistance, max_safe_distance
 from qbcsim.protocol import (
     Variant,
     build_test,
@@ -27,8 +29,6 @@ from qbcsim.strategy import (
     Honest,
     IdealMultiPhoton,
     LogObjective,
-    MultiPhotonIdeal,
-    SinglePhoton,
     optimize,
 )
 
@@ -39,7 +39,7 @@ SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples
 
 unit = st.floats(0.0, 1.0)
 objectives = st.one_of(
-    st.just(SinglePhoton()), st.sampled_from((0.05, 0.2, 1.0)).map(MultiPhotonIdeal)
+    st.just(BreidbartFlips()), st.sampled_from((0.05, 0.2, 1.0)).map(IdealMultiPhoton)
 )
 
 
@@ -103,6 +103,27 @@ def test_derivatives_match_central_differences(case):
 
 
 @SETTINGS
+@given(
+    windows(),
+    st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(0.0, 1e-200, exclude_min=True),
+        st.floats(2.0**-53, 1e-13).map(lambda x: 1.0 - x),
+    ),
+)
+def test_derivatives_are_finite_or_their_limit_anywhere_inside(window, p):
+    # subnormal p included; next to 0 and 1 the terms of d2 overflow
+    n, lo, hi = window
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_f, d1, d2 = map(float, log_binomial_window_derivatives(n, np.array(p), lo, hi))
+    assert math.isfinite(log_f)
+    assert not math.isnan(d1)
+    # log F is concave, so d2 is finite or -inf, and not above rounding of 0
+    assert -math.inf <= d2 <= 1e-9 * (1.0 + d1 * d1)
+
+
+@SETTINGS
 @given(windows())
 def test_derivatives_at_zero_and_one_are_the_one_sided_limits(window):
     n, lo, hi = window
@@ -148,7 +169,7 @@ def test_tables_are_affine_in_the_flips(variant, claimed, r, objective, x, y):
     # the kernel's coefficients come from the corners; a party whose table
     # is not affine in (p01, p10) would break it
     def table(a, b):
-        return objective.at(FlipParams(a, b)).table(variant, claimed, r)
+        return replace(objective, flips=FlipParams(a, b)).table(variant, claimed, r)
 
     t00, t10, t01, txy = table(0.0, 0.0), table(1.0, 0.0), table(0.0, 1.0), table(x, y)
     for s in variant.states:
@@ -200,6 +221,42 @@ def test_log_pass_probability_is_the_log_of_the_scalar_path(
     p = pass_probability(test, table)
     if p > 1e-300:
         assert abs(log_pass_probability(test, table) - math.log(p)) <= 1e-12
+
+
+@st.composite
+def any_parties(draw):
+    """Any of the five party types, with ``mu`` in (0, 20], ``r_near <= r``
+    and a length at or past the 50%-loss distance; and ``r``."""
+    r = draw(unit)
+    flips = draw(flip_pairs)
+    mu = draw(st.floats(0.0, 20.0, exclude_min=True))
+    alpha = draw(st.floats(0.0, 1.0, exclude_min=True))
+    stretch = draw(st.one_of(st.just(1.0), st.floats(1.0, 10.0), st.just(math.inf)))
+    party = draw(
+        st.sampled_from((
+            Honest(),
+            BreidbartFlips(flips),
+            IdealMultiPhoton(mu, flips),
+            BeamSplitter(mu),
+            FakedDistance(
+                DistanceScenario(r, draw(st.floats(0.0, r))),
+                stretch * max_safe_distance(alpha),
+                alpha,
+            ),
+        ))
+    )
+    return party, r
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.sampled_from((TWO, FOUR)), st.sampled_from((0, 1)), any_parties())
+def test_table_rows_are_normalised(variant, claimed, party_and_r):
+    party, r = party_and_r
+    table = party.table(variant, claimed, r)
+    for s in variant.states:
+        p0, p1 = table.prob(s, 0), table.prob(s, 1)
+        assert 0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0, (s, p0, p1)
+        assert abs(p0 + p1 - 1.0) <= 1e-15, (s, p0 + p1)
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from qbcsim.protocol import (
     binomial_window_probability,
     build_test,
     log_binomial_window,
+    log_binomial_window_derivatives,
     commit_observable,
     counted_outcomes,
     honest_table,
@@ -291,6 +293,37 @@ class TestLogBinomialWindow:
         assert log_binomial_window(10, np.full((3, 2), 0.5), lo, hi).shape == (3, 2)
         with pytest.raises(ValueError, match="one entry per window"):
             log_binomial_window(10, np.full(4, 0.5), lo, hi)
+
+
+class TestLogBinomialWindowDerivativesNearTheEdges:
+    def derivatives(self, n, p, lo, hi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return map(float, log_binomial_window_derivatives(n, np.array(p), lo, hi))
+
+    @pytest.mark.parametrize(
+        "n, lo, hi, p, d1_want",
+        (
+            # F ~ C(n, lo) p**lo, so d1 ~ lo/p and d2 ~ -lo/p**2, past the float range
+            (180, 167, 167, 2.5e-232, 167 / 2.5e-232),
+            # at a subnormal p, d1 is past the float range too
+            (140, 13, 114, 2.2e-311, math.inf),
+        ),
+    )
+    def test_overflowing_derivatives_are_their_limits(self, n, lo, hi, p, d1_want):
+        log_f, d1, d2 = self.derivatives(n, p, lo, hi)
+        assert math.isfinite(log_f)
+        assert d1 == pytest.approx(d1_want, rel=1e-9)
+        assert d2 == -math.inf
+
+    def test_d2_stays_finite_where_only_its_terms_overflow(self):
+        # F = p**n on the window [n, n]: d1 = n/p, d2 = -n/p**2, while d1**2
+        # and the F''/F term are both past the float range
+        n, p = 1000, 7e-152
+        log_f, d1, d2 = self.derivatives(n, p, n, n)
+        assert log_f == pytest.approx(n * math.log(p), rel=1e-12)
+        assert d1 == pytest.approx(n / p, rel=1e-9)
+        assert d2 == pytest.approx(-n / p / p, rel=1e-6)
 
 
 class TestIncompleteBetaCrossCheck:

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qbcsim import attacks
+from qbcsim import attacks, strategy
 from qbcsim.protocol import (
     ConditionalTable,
     Variant,
@@ -18,9 +19,7 @@ from qbcsim.strategy import (
     Honest,
     IdealMultiPhoton,
     LogObjective,
-    MultiPhotonIdeal,
     OptimizationResult,
-    SinglePhoton,
     apply_flips,
     breidbart_table,
     cheat_success,
@@ -192,12 +191,12 @@ class TestOptimize:
         assert abs(res.best.p10 - 0.0658591) <= 0.01
 
     def test_multiphoton_objective_reference_optimum(self):
-        res = optimize(TWO, 0, 0.1, 50, 3.0, objective=MultiPhotonIdeal(0.2))
+        res = optimize(TWO, 0, 0.1, 50, 3.0, objective=IdealMultiPhoton(0.2))
         assert abs(res.best.p01 - 0.0) <= 0.01
         assert abs(res.best.p10 - 0.492572) <= 0.01
 
     def test_multiphoton_objective_matches_public_path(self):
-        res = optimize(TWO, 0, 0.1, 50, 3.0, objective=MultiPhotonIdeal(0.2))
+        res = optimize(TWO, 0, 0.1, 50, 3.0, objective=IdealMultiPhoton(0.2))
         direct = attacks.multiphoton_success(
             TWO, 0, 0.1, 50, 3.0, 0.2, res.best, attacks.MultiPhotonMode.IDEAL
         )
@@ -214,29 +213,31 @@ class TestOptimize:
         assert values[1] < values[0]
 
     def test_step_limit_raises_naming_the_configuration(self, monkeypatch):
-        from qbcsim import strategy
-
         monkeypatch.setattr(strategy, "_MAX_STEPS", 1)
-        with pytest.raises(ValueError, match=r"two-state .*r=0\.1, n_per_state=50"):
+        with pytest.raises(
+            ValueError,
+            match=r"two-state .*r=0\.1, n_per_state=50, .*"
+            r"objective=BreidbartFlips\(flips=FlipParams\(p01=0\.0, p10=0\.0\)\)",
+        ):
             optimize(TWO, 0, 0.1, 50, 3.0)
 
     @pytest.mark.parametrize("variant", (TWO, FOUR))
     def test_only_the_four_state_optimum_is_on_the_diagonal(self, variant):
         for r in (0.05, 0.1, 0.3):
-            res = optimize(variant, 1, r, 100, 3.0, objective=MultiPhotonIdeal(0.2))
+            res = optimize(variant, 1, r, 100, 3.0, objective=IdealMultiPhoton(0.2))
             assert (res.best.p01 == res.best.p10) is (variant is FOUR)
             assert res.gap <= ATOL
 
     def test_multiphoton_mu_validated(self):
         with pytest.raises(ValueError):
-            MultiPhotonIdeal(0.0)
+            IdealMultiPhoton(0.0)
 
     def test_multiphoton_mu_rejects_nan(self):
         with pytest.raises(ValueError, match="mu"):
-            MultiPhotonIdeal(math.nan)
+            IdealMultiPhoton(math.nan)
 
     def test_log_value_is_the_kernel_at_the_optimum(self):
-        for objective in (SinglePhoton(), MultiPhotonIdeal(0.2)):
+        for objective in (BreidbartFlips(), IdealMultiPhoton(0.2)):
             res = optimize(FOUR, 0, 0.1, 50, 3.0, objective=objective)
             kernel = LogObjective(FOUR, 0, 0.1, 50, 3.0, objective)
             assert res.log_value == float(kernel(res.best.p01, res.best.p10))
@@ -261,7 +262,7 @@ class TestLogObjective:
         for r, n in ((0.0, 25), (0.1, 50), (0.3, 200), (0.16, 500)):
             p01, p10 = rng.uniform(0.0, 1.0, (2, 40))
             p01[:3], p10[:3] = (0.0, 1.0, 1.0), (0.0, 0.0, 1.0)
-            objective = SinglePhoton() if mu is None else MultiPhotonIdeal(mu)
+            objective = BreidbartFlips() if mu is None else IdealMultiPhoton(mu)
             got = LogObjective(variant, 0, r, n, 3.0, objective)(p01, p10)
             for x, y, g in zip(p01.tolist(), p10.tolist(), got.tolist()):
                 f = FlipParams(x, y)
@@ -283,7 +284,7 @@ class TestLogObjective:
         assert grid[1, 2] == kernel(0.5, 2.0 / 3.0)
 
     def test_block_size_does_not_change_values(self, monkeypatch):
-        from qbcsim import protocol, strategy
+        from qbcsim import protocol
 
         p01, p10 = strategy.flip_grid(0.05)
         kernel = LogObjective(FOUR, 0, 0.2, 100, 3.0)
@@ -326,8 +327,10 @@ PARTIES = (
     ),
     (
         attacks.FakedDistance(SCENARIO, 17.0, 0.2),
+        # the scenario's noise levels set the table, whatever ``r`` is
         lambda v, c, r, n: pass_probability(
-            build_test(v, c, r, n), attacks.faked_table(v, c, SCENARIO, 17.0, 0.2)
+            build_test(v, c, r, n),
+            attacks.FakedDistance(SCENARIO, 17.0, 0.2).table(v, c, 0.3),
         ),
     ),
 )
@@ -347,16 +350,25 @@ class TestStrategyTable:
 
     @pytest.mark.parametrize("variant", (TWO, FOUR))
     @pytest.mark.parametrize(
-        "objective", (SinglePhoton(), MultiPhotonIdeal(0.2)), ids=("single", "ideal")
+        "objective", (BreidbartFlips(), IdealMultiPhoton(0.2)), ids=("single", "ideal")
     )
     def test_optimize_value_is_table_of_optimum(self, variant, objective):
         res = optimize(variant, 0, 0.1, 50, 3.0, objective=objective)
-        table = objective.at(res.best).table(variant, 0, 0.1)
+        table = replace(objective, flips=res.best).table(variant, 0, 0.1)
         assert res.value == pass_probability(build_test(variant, 0, 0.1, 50), table)
 
     def test_objectives_name_their_party(self):
-        assert SinglePhoton().at(FLIPS) == BreidbartFlips(FLIPS)
-        assert MultiPhotonIdeal(0.3).at(FLIPS) == IdealMultiPhoton(0.3, FLIPS)
+        # the old objective names are the party types themselves
+        assert strategy.SinglePhoton is BreidbartFlips
+        assert strategy.MultiPhotonIdeal is IdealMultiPhoton
+        assert BreidbartFlips() == BreidbartFlips(FlipParams(0.0, 0.0))
+        assert IdealMultiPhoton(0.3) == IdealMultiPhoton(0.3, FlipParams(0.0, 0.0))
+
+    @pytest.mark.parametrize("variant", (TWO, FOUR))
+    def test_optimize_ignores_the_flips_the_party_was_built_with(self, variant):
+        for party in (BreidbartFlips, lambda f: IdealMultiPhoton(0.2, f)):
+            res = optimize(variant, 0, 0.1, 50, 3.0, objective=party(FLIPS))
+            assert res == optimize(variant, 0, 0.1, 50, 3.0, objective=party(FlipParams(0, 0)))
 
 
 class TestPhotonWeights:
@@ -366,6 +378,21 @@ class TestPhotonWeights:
         assert single == mu * math.exp(-mu)
         assert abs(single + multi - norm) <= ATOL
         assert norm == 1.0 - math.exp(-mu)
+
+    @pytest.mark.parametrize("mu", (5e-324, 1e-17, 1e-12, 1e-9, 1e-6, 9.99e-4))
+    def test_weights_of_a_faint_source_keep_their_digits(self, mu):
+        # 1 - exp(-mu) cancels here; the multi-photon share is about mu/2
+        single, multi, norm = photon_weights(mu)
+        assert multi >= 0.0 and single + multi == norm
+        assert abs(multi / norm - mu / 2.0) <= 1e-15 + mu * mu
+
+    @pytest.mark.parametrize("mu", (1e-17, 1e-12))
+    def test_faint_source_tables_are_valid(self, mu):
+        # all flips to 1 leave only the multi-photon share on outcome 0 of |0>
+        table = IdealMultiPhoton(mu, FlipParams(1.0, 0.0)).table(TWO, 0, 0.0)
+        assert 0.0 <= table.prob("0", 0) <= mu
+        # a single photon lands on the wrong observable half the time
+        assert abs(BeamSplitter(mu).table(TWO, 0, 0.0).prob("0", 0) - 0.75) <= mu
 
     def test_beam_splitter_weight_is_bit_equal_to_closed_form(self):
         # halving is exact, so factoring out the 0.5 changes no bit

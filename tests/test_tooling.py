@@ -1,9 +1,12 @@
 """The traced benchmark stays runnable: every function ``perfbench/run.py``
 wraps in a ``--trace 1`` run exists on ``qbcsim``, and the CLI reaches its
-CSV writer through the module global the tracer replaces."""
+CSV writer through the module global the tracer replaces.  The README's
+Python API example runs as written."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
@@ -11,7 +14,8 @@ import pytest
 
 from qbcsim import cli
 
-RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+ROOT = Path(__file__).resolve().parent.parent
+RUN = ROOT / "perfbench" / "run.py"
 
 
 def load_run():
@@ -44,3 +48,17 @@ def test_main_writes_csv_through_the_module_global(monkeypatch, capsys):
     assert [a.columns for a in seen] == [
         ("alpha", "rd", "rn", "max_safe_km", "max_safe_noisy_km")
     ]
+
+
+def test_readme_python_example_runs_and_its_check_prints_true():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Python API", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    check = next(i for i, line in enumerate(prints) if "== best.value" in line)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    lines = out.getvalue().splitlines()
+    assert len(lines) == len(prints)
+    assert lines[check] == "True"
