@@ -1,20 +1,25 @@
 """Monte Carlo cross-check of the analytic acceptance probabilities.
 
-Full protocol runs are sampled for a configurable party, any
-:data:`Strategy` (honest, flipped mid-basis, beam-splitter, ideal
-multi-photon, or faking-distance), from its ``table()`` rows and pushed
-through the verifier's windows, giving an empirical acceptance rate to
-compare against the closed-form results.
+Full protocol runs are sampled for any :data:`Strategy` (honest, flipped
+mid-basis, beam-splitter, ideal multi-photon, or faking-distance) and
+pushed through the verifier's windows, giving an empirical acceptance
+rate to compare against the closed-form results.
 
-Trials are sampled in chunks of ``_CHUNK`` trials.  Chunk ``i`` draws
-from its own counter-based stream, ``Philox(seed).jumped(i)``, in a
-fixed draw order, and the chunks' accepted counts and histograms are
-summed as integers in chunk order.  The chunks run on one thread per
-available core, but a given :class:`TrialConfig` always produces a
-bit-identical :class:`TrialReport`, whatever the number of cores.
-Since ``jumped(0)`` is ``Philox(seed)`` itself, a run of at most
-``_CHUNK`` (131,072) trials draws the same numbers as one
-``Philox(seed)`` stream.
+One rule samples every party: each sent state's tallied count is
+``Binomial(n_per_state, p)``, with ``p`` the tallied entry of the
+party's ``table()`` row.  It is exact because each particle is tallied
+independently with that probability; for the photon sources the row is
+already the photon-number mixture, so first drawing how many pulses
+carried one photon would give the same distribution.
+
+Chunk ``i`` of ``_CHUNK`` trials draws from its own counter-based
+stream, ``Philox(seed).jumped(i)``, one binomial per sent state in state
+order; the chunks run on one thread per available core, and their
+accepted counts and histograms are summed as integers in chunk order.
+So a :class:`TrialConfig` always gives a bit-identical
+:class:`TrialReport`, whatever the number of cores, and since
+``jumped(0)`` is ``Philox(seed)``, a run of at most ``_CHUNK`` (131,072)
+trials draws the same numbers as one ``Philox(seed)`` stream.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import FakedDistance
-from .protocol import AcceptanceTest, Variant, build_test
-from .strategy import BeamSplitter, BreidbartFlips, Honest, IdealMultiPhoton, photon_weights
+from .protocol import Variant, build_test
+from .strategy import BeamSplitter, BreidbartFlips, Honest, IdealMultiPhoton
 
 #: Trials per chunk; each chunk has its own random stream.
 _CHUNK = 1 << 17
@@ -56,6 +61,8 @@ class TrialConfig:
             raise ValueError(f"trials must be at least 1, got {self.trials!r}")
         if self.trials > MAX_TRIALS:
             raise ValueError(f"trials must be at most {MAX_TRIALS}, got {self.trials!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -70,43 +77,6 @@ class TrialReport:
     standard_error: float
     trials: int
     per_state_count_histograms: dict[str, np.ndarray]
-
-
-def _sampler(
-    config: TrialConfig, test: AcceptanceTest, state: str
-) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """``draw(rng, size)``: the tallied outcome counts of ``state`` in
-    ``size`` trials.  The table lookups happen here, once per run."""
-    strategy, n = config.strategy, config.n_per_state
-
-    def prob(party: Strategy) -> float:
-        return test.tallied(party.table(config.variant, config.claimed, config.r))[state]
-
-    if not isinstance(strategy, (IdealMultiPhoton, BeamSplitter)):
-        p = prob(strategy)
-        return lambda rng, size: rng.binomial(n, p, size=size)
-    p_honest = prob(Honest())
-    single, _, norm = photon_weights(strategy.mu)
-    w_single = single / norm  # P(one photon | at least one)
-    if isinstance(strategy, IdealMultiPhoton):
-        p_flip = prob(BreidbartFlips(strategy.flips))
-
-        def draw_ideal(rng: np.random.Generator, size: int) -> np.ndarray:
-            n_single = rng.binomial(n, w_single, size=size)
-            return rng.binomial(n_single, p_flip) + rng.binomial(n - n_single, p_honest)
-
-        return draw_ideal
-
-    def draw_split(rng: np.random.Generator, size: int) -> np.ndarray:
-        n_single = rng.binomial(n, w_single, size=size)
-        n_wrong = rng.binomial(n_single, 0.5)
-        return (
-            rng.binomial(n - n_single, p_honest)
-            + rng.binomial(n_single - n_wrong, p_honest)
-            + rng.binomial(n_wrong, 0.5)
-        )
-
-    return draw_split
 
 
 def _in_order(job: Callable[[int], tuple], count: int, workers: int) -> Iterator[tuple]:
@@ -131,20 +101,19 @@ def _in_order(job: Callable[[int], tuple], count: int, workers: int) -> Iterator
 def run(config: TrialConfig) -> TrialReport:
     """Estimate the acceptance probability of ``config.strategy``.
 
-    Each trial draws the tallied outcome count for every sent state
-    (directly from the strategy's conditional table, or, for the photon
-    source modes, by first drawing how many of the ``n_per_state``
-    successful measurements came from single-photon pulses and branching
-    the outcome distribution accordingly), then applies the verifier's
-    windows.  Empty pulses never contribute: counts are per successful
-    measurement, which is exactly the at-least-one-photon conditioning.
+    Each trial draws every sent state's tallied count as
+    ``Binomial(n_per_state, p)``, ``p`` read once per run by
+    ``test.tallied`` from the party's table, and applies the verifier's
+    windows.  Counts are per successful measurement, which is exactly
+    the photon-source tables' at-least-one-photon conditioning.
     """
     test = build_test(
         config.variant, config.claimed, config.r, config.n_per_state, config.sigma_factor
     )
     n = config.n_per_state
     states = config.variant.states
-    samplers = [_sampler(config, test, s) for s in states]
+    tallied = test.tallied(config.strategy.table(config.variant, config.claimed, config.r))
+    probs = [tallied[s] for s in states]
     windows = [test.windows[s] for s in states]
 
     def chunk(i: int) -> tuple[int, list[np.ndarray]]:
@@ -152,8 +121,8 @@ def run(config: TrialConfig) -> TrialReport:
         rng = np.random.Generator(np.random.Philox(config.seed).jumped(i))
         accept = np.ones(size, dtype=bool)
         histograms = []
-        for draw, (lo, hi) in zip(samplers, windows):
-            counts = draw(rng, size)
+        for p, (lo, hi) in zip(probs, windows):
+            counts = rng.binomial(n, p, size=size)
             accept &= (counts >= lo) & (counts <= hi)
             histograms.append(np.bincount(counts, minlength=n + 1))
         return int(np.count_nonzero(accept)), histograms

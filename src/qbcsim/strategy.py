@@ -147,11 +147,12 @@ class IdealMultiPhoton:
         photon_weights(self.mu)
 
     def table(self, variant: Variant, claimed: int, r: float) -> ConditionalTable:
-        w_single, w_multi, norm = photon_weights(self.mu)
+        single, multi, norm = photon_weights(self.mu)
+        w_single, w_multi = single / norm, multi / norm  # no subnormal products
         flipped = BreidbartFlips(self.flips).table(variant, claimed, r)
         honest = honest_table(variant, claimed, r)
         entries = {
-            (s, o): (w_single * flipped.prob(s, o) + w_multi * honest.prob(s, o)) / norm
+            (s, o): w_single * flipped.prob(s, o) + w_multi * honest.prob(s, o)
             for s in variant.states
             for o in (0, 1)
         }

@@ -588,6 +588,16 @@ class TestInputLimits:
             capsys,
         )
 
+    @pytest.mark.parametrize("step", ("5e-324", "5e-309"))
+    def test_surface_step_whose_inverse_overflows_is_one_error_line(self, step, capsys):
+        # 1 / step is inf here, which round() cannot take
+        assert_one_line_error(
+            ["cheat-surface", "--r", "0.1", "--grid-step", step],
+            f"--grid-step {float(step)!r} gives more than {cli.MAX_SWEEP_POINTS} "
+            "surface points",
+            capsys,
+        )
+
     def test_surface_cap_is_inclusive(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 121)
         code, out, _ = run_cli(["cheat-surface", "--r", "0.1", "--grid-step", "0.1"], capsys)
@@ -622,6 +632,17 @@ class TestConfigPrecedence:
             capsys,
         )
         assert flagged == default
+
+    def test_negative_seed_rejected_by_name(self, tmp_path, capsys):
+        mc = ["mc", "--strategy", "honest", "--r", "0.1", "--trials", "100"]
+        assert_one_line_error(
+            mc + ["--seed", "-1"], "seed must be non-negative, got -1", capsys
+        )
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed=-1\n")
+        assert_one_line_error(
+            mc + ["--config", str(cfg)], "seed must be non-negative, got -1", capsys
+        )
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -1,12 +1,14 @@
 """The traced benchmark stays runnable: every function ``perfbench/run.py``
 wraps in a ``--trace 1`` run exists on ``qbcsim``, and the CLI reaches its
 CSV writer through the module global the tracer replaces.  The README's
-Python API example runs as written."""
+commands and its Python API example run as written."""
 
 import contextlib
 import importlib
 import importlib.util
+import csv
 import io
+import shlex
 import sys
 from pathlib import Path
 
@@ -62,3 +64,27 @@ def test_readme_python_example_runs_and_its_check_prints_true():
     lines = out.getvalue().splitlines()
     assert len(lines) == len(prints)
     assert lines[check] == "True"
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every ``qbcsim ...`` line of the README's ``sh`` blocks."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = [part.split("```", 1)[0] for part in readme.split("```sh\n")[1:]]
+    lines = [line for block in blocks for line in block.splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("qbcsim ")]
+
+
+def test_readme_commands_run_and_write_csv(tmp_path, capsys):
+    commands = readme_commands()
+    assert len(commands) == 8
+    for args in commands:
+        out = None
+        if "--out" in args:
+            i = args.index("--out") + 1
+            out = args[i] = str(tmp_path / Path(args[i]).name)
+        assert cli.main(args) == 0, args
+        text = capsys.readouterr().out if out is None else Path(out).read_text()
+        header, first_row = list(csv.reader(io.StringIO(text)))[:2]
+        # column names, not numbers, and a row of the same width
+        assert all(name[:1].isalpha() for name in header), args
+        assert len(first_row) == len(header), args
