@@ -209,9 +209,8 @@ def cmd_binding_failure(args: argparse.Namespace) -> Artifact:
     rows = []
     for r in rs:
         test = protocol.build_test(variant, 0, r, n, args.sigma_factor)
-        committed_one = protocol.honest_table(variant, 1, r)
-        log_p = protocol.log_pass_probability(test, committed_one)
-        rows.append([r, protocol.pass_probability(test, committed_one), _log10(log_p)])
+        log_p = protocol.log_pass_probability(test, protocol.honest_table(variant, 1, r))
+        rows.append([r, math.exp(log_p), _log10(log_p)])
     return Artifact(("r", "probability", "log10_probability"), rows)
 
 

@@ -4,7 +4,9 @@ The committer measures one of two observables on every particle the
 verifier sends and later reveals the outcomes.  The verifier checks,
 separately for each sent state, that the tallied outcome count falls
 inside a ``mu +/- k*sigma`` window of the honest binomial distribution,
-and accepts only if every window test passes.
+and accepts only if every window test passes.  Every window probability
+is the exp of :func:`log_binomial_window`, the one window sum, taken for
+all of a test's states in one stacked call.
 
 Two protocol variants are supported: the two-state one (verifier sends
 ``|0>`` or ``|+>``) and the four-state one (``|0>``, ``|1>``, ``|+>``,
@@ -230,39 +232,12 @@ def build_test(
 _BLOCK = 1 << 14
 
 
-@lru_cache(maxsize=256)
-def _log_binomial_coefficients(n: int, lo: int, hi: int) -> np.ndarray:
-    """``log C(n, k)`` for ``k = lo..hi``; read-only, as callers share it."""
-    lg = math.lgamma
-    lg_n1 = lg(n + 1)
-    out = np.array([lg_n1 - lg(k + 1) - lg(n - k + 1) for k in range(lo, hi + 1)])
-    out.flags.writeable = False
-    return out
-
-
 def binomial_window_probability(n: int, p: float, lo: int, hi: int) -> float:
-    """``P(lo <= X <= hi)`` for ``X ~ Binomial(n, p)``.
-
-    Terms are formed in the log domain (log-gamma coefficients) and
-    accumulated with compensated summation, so the sum stays accurate up
-    to ``n ~ 1e5`` where naive factorials overflow.
-    """
+    """``P(lo <= X <= hi)`` for ``X ~ Binomial(n, p)``: the exp of a
+    one-window :func:`log_binomial_window` call."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {p!r}")
-    lo, hi = max(lo, 0), min(hi, n)
-    if lo > hi:
-        return 0.0
-    if p == 0.0:
-        return 1.0 if lo == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if hi == n else 0.0
-    k = np.arange(lo, hi + 1, dtype=np.float64)
-    logs = (
-        _log_binomial_coefficients(n, lo, hi)
-        + k * math.log(p)
-        + (n - k) * math.log1p(-p)
-    )
-    return min(1.0, math.fsum(np.exp(logs).tolist()))
+    return math.exp(float(log_binomial_window(n, p, lo, hi)))
 
 
 def log_binomial_window(n: int, p: np.ndarray, lo, hi) -> np.ndarray:
@@ -271,12 +246,12 @@ def log_binomial_window(n: int, p: np.ndarray, lo, hi) -> np.ndarray:
 
     ``lo`` and ``hi`` are integers, or integer arrays of one window per
     entry of ``p``'s last axis, so every sent state's window is summed in
-    one call.  The log terms are those of :func:`binomial_window_probability`;
-    they are combined by a log-sum-exp shifted by the largest term in the
-    window (the binomial mode ``floor((n + 1) p)`` clipped into it), so the
-    result stays finite where the probability itself underflows.  ``p`` of
-    exactly 0 or 1 puts all mass on ``k = 0`` or ``k = n`` and is handled
-    without forming ``0 * log(0)``.
+    one call.  The terms ``log C(n, k) + k log p + (n - k) log(1 - p)``, with
+    log-gamma coefficients, are combined by a log-sum-exp shifted by the
+    largest term in the window (the binomial mode ``floor((n + 1) p)``
+    clipped into it), so the result stays finite where the probability
+    itself underflows.  ``p`` of exactly 0 or 1 puts all mass on ``k = 0``
+    or ``k = n`` and is handled without forming ``0 * log(0)``.
     """
     shape, p, w = _stacked(n, p, lo, hi)
     inner, q, log_q, log_1mq = _interior_points(p, w)
@@ -303,18 +278,17 @@ class _Windows(NamedTuple):
 
 @lru_cache(maxsize=256)
 def _windows(n: int, lo: tuple[int, ...], hi: tuple[int, ...]) -> _Windows:
-    """The :class:`_Windows` of ``Binomial(n)`` windows ``[lo[i], hi[i]]``,
-    built from :func:`_log_binomial_coefficients`."""
+    """The :class:`_Windows` of ``Binomial(n)`` windows ``[lo[i], hi[i]]``."""
     lo = [max(a, 0) for a in lo]
     hi = [min(b, n) for b in hi]
     filled = [a <= b for a, b in zip(lo, hi)]
     lo, hi = ([x if f else 0 for x, f in zip(v, filled)] for v in (lo, hi))
     width = max(b - a for a, b in zip(lo, hi)) + 1
+    lg = math.lgamma
     logc = np.full((len(lo), width), -np.inf)
     for row, a, b in zip(logc, lo, hi):
-        row[: b - a + 1] = _log_binomial_coefficients(n, a, b)
+        row[: b - a + 1] = [lg(n + 1) - lg(k + 1) - lg(n - k + 1) for k in range(a, b + 1)]
     ends = np.array([[a - 1 for a in lo], hi])
-    lg = math.lgamma
     log_below = [
         [lg(n) - lg(j + 1) - lg(n - j) if 0 <= j <= n - 1 else -np.inf for j in row]
         for row in ends.tolist()
@@ -441,31 +415,36 @@ def log_binomial_window_derivatives(
     )
 
 
+def _log_pass_factors(test: AcceptanceTest, actual: ConditionalTable) -> np.ndarray:
+    """Every window state's log window probability, in window order, when
+    the revealed outcomes are distributed per ``actual``: one stacked
+    :func:`log_binomial_window` call."""
+    p = np.array(list(test.tallied(actual).values()))
+    lo, hi = np.array(list(test.windows.values())).T
+    return log_binomial_window(test.n_per_state, p, lo, hi)
+
+
 def pass_factors(test: AcceptanceTest, actual: ConditionalTable) -> dict[str, float]:
     """Per-state probability that the tallied count lands in its window,
     when the revealed outcomes are distributed per ``actual``."""
-    return {
-        s: binomial_window_probability(test.n_per_state, p, *test.windows[s])
-        for s, p in test.tallied(actual).items()
-    }
+    return dict(zip(test.windows, np.exp(_log_pass_factors(test, actual)).tolist()))
 
 
 def pass_probability(test: AcceptanceTest, actual: ConditionalTable) -> float:
     """Probability of passing every window test: the product of the
-    per-state factors (counts for different sent states are independent).
+    per-state factors (counts for different sent states are independent),
+    taken as the exp of :func:`log_pass_probability`.
 
     ``actual`` must cover every state the test windows refer to.
     """
-    return math.prod(pass_factors(test, actual).values())
+    return math.exp(log_pass_probability(test, actual))
 
 
 def log_pass_probability(test: AcceptanceTest, actual: ConditionalTable) -> float:
     """Natural log of :func:`pass_probability`: the sum of every state's
-    :func:`log_binomial_window`, taken in one call, which stays finite
-    where the product underflows to 0."""
-    p = np.array(list(test.tallied(actual).values()))
-    lo, hi = np.array(list(test.windows.values())).T
-    return float(log_binomial_window(test.n_per_state, p, lo, hi).sum())
+    log window probability, which stays finite where the product
+    underflows to 0."""
+    return float(_log_pass_factors(test, actual).sum())
 
 
 def binding_failure(

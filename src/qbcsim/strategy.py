@@ -321,10 +321,10 @@ def optimize(
     objective is swap-symmetric, so a concave maximum lies on the
     diagonal, and the search there runs on ``p01 = p10`` alone.
 
-    ``value`` is recomputed at the optimum by the public scalar path, the
-    table of ``replace(objective, flips=best)``; ``log_value`` is the
-    kernel's log value there, which stays finite where ``value`` underflows
-    to zero.
+    ``value`` is :func:`~qbcsim.protocol.pass_probability` of the table of
+    ``replace(objective, flips=best)``, so it equals what any command
+    reports for that party; ``log_value`` is the kernel's log value there,
+    which stays finite where ``value`` underflows to zero.
     """
     fn = LogObjective(variant, claimed, r, n_per_state, sigma_factor, objective)
     # search coordinates z in [0, 1]^d map to the flip pair basis @ z

@@ -210,6 +210,27 @@ class TestBindingFailure:
                 want = math.log10(probability)
                 assert abs(log10_probability - want) <= 1e-8 * (1.0 + abs(want))
 
+    @pytest.mark.parametrize("variant", ("two", "four"))
+    @pytest.mark.parametrize("m", ("100", "3200"))
+    def test_probability_is_the_exp_of_the_log_column(self, variant, m):
+        # the README sweep, at full precision: one kernel call gives both
+        # columns, so they agree wherever the probability does not underflow
+        args = ["binding-failure", "--variant", variant, "--m", m,
+                "--r-range", "0:0.5:0.01"]
+        parsed = cli.build_parser().parse_args(args)
+        cli._resolve(parsed)
+        rows = cli._COMMANDS[parsed.command](parsed).rows
+        assert len(rows) == 51
+        # exp rounds to 0 below ln(2**-1075), a log10 of about -323.606
+        for r, probability, log10_probability in rows:
+            if log10_probability < -323.61:
+                assert probability == 0.0, r
+            else:
+                assert log10_probability > -323.6 and probability > 0.0, r
+            if probability > 0.0:
+                want = 10.0**log10_probability
+                assert abs(probability - want) <= 1e-8 * want + 1e-320, r
+
 
 class TestCheatSurface:
     def test_grid_size_and_optimizer_dominance(self, capsys):

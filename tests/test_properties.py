@@ -1,5 +1,5 @@
-"""Property tests of the log-domain kernel, the scalar pass probability
-and the Newton optimiser.
+"""Property tests of the log-domain kernel, the pass probability (against
+a scalar ``fsum`` reference) and the Newton optimiser.
 
 Every property is drawn by ``hypothesis`` from a fixed seed, so the suite
 gives the same examples on every run.
@@ -20,6 +20,7 @@ from qbcsim.protocol import (
     log_binomial_window,
     log_binomial_window_derivatives,
     log_pass_probability,
+    pass_factors,
     pass_probability,
 )
 from qbcsim.strategy import (
@@ -31,6 +32,7 @@ from qbcsim.strategy import (
     LogObjective,
     optimize,
 )
+from test_protocol import fsum_window
 
 TWO = Variant.TWO_STATE
 FOUR = Variant.FOUR_STATE
@@ -215,12 +217,19 @@ parties = st.one_of(
 def test_log_pass_probability_is_the_log_of_the_scalar_path(
     variant, claimed, table_claim, r, n, party
 ):
-    # the party may reveal for either bit, so binding failures are covered
+    # the party may reveal for either bit, so binding failures are covered;
+    # the kernel's sums are checked against the scalar fsum reference
     test = build_test(variant, claimed, r, n, 3.0)
     table = party.table(variant, table_claim, r)
-    p = pass_probability(test, table)
+    want = {s: fsum_window(n, p, *test.windows[s]) for s, p in test.tallied(table).items()}
+    p = math.prod(want.values())
     if p > 1e-300:
         assert abs(log_pass_probability(test, table) - math.log(p)) <= 1e-12
+    assert abs(pass_probability(test, table) - p) <= 1e-12 * p + 1e-300
+    factors = pass_factors(test, table)
+    assert list(factors) == list(test.windows)
+    for s, got in factors.items():
+        assert abs(got - want[s]) <= 1e-12 * want[s] + 1e-300, (s, got, want[s])
 
 
 @st.composite

@@ -1,17 +1,20 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from qbcsim import attacks, strategy
 from qbcsim.protocol import (
+    STATE_VECTORS,
     ConditionalTable,
     Variant,
     build_test,
     honest_table,
+    log_pass_probability,
     pass_probability,
 )
+from qbcsim.qcore import basis_at_angle, born
 from qbcsim.strategy import (
     BeamSplitter,
     BreidbartFlips,
@@ -400,3 +403,68 @@ class TestPhotonWeights:
             single, _, norm = photon_weights(mu)
             want = 0.5 * mu * math.exp(-mu) / (1.0 - math.exp(-mu))
             assert 0.5 * (single / norm) == want, mu
+
+
+@dataclass(frozen=True)
+class RotatedFlips:
+    """Measure every particle in the basis ``theta`` radians from the
+    computational one, then flip outcomes as :class:`BreidbartFlips` does,
+    which is this party at ``theta = -pi/8``.  Its table is affine in the
+    flips, so :func:`optimize` tunes it as it is."""
+
+    theta: float
+    flips: FlipParams = FlipParams(0.0, 0.0)
+
+    def table(self, variant: Variant, claimed: int, r: float) -> ConditionalTable:
+        basis = basis_at_angle(self.theta)
+        p_zero = {s: born(basis, STATE_VECTORS[s], r) for s in variant.states}
+        return apply_flips(ConditionalTable.from_zero_probs(variant.states, p_zero), self.flips)
+
+
+class TestPaperClaims:
+    """The abstract's two measurement claims: (a) inferring the states with
+    the Breidbart basis is not by itself an optimal cheat, as flipping its
+    outcomes does better; (b) no other projective basis does better than
+    Breidbart's once its flips are tuned too.  Measurements with three or
+    more outcomes, coarse-grained differently for each bit, are another
+    attack family, which neither claim covers."""
+
+    #: log10 of the two-state pass probability at n = 50, direct and optimised
+    TWO_STATE_MARGINS = {0.0: (-5.815, -1.399), 0.1: (-2.078, -0.054), 0.2: (-1.188, -0.012)}
+
+    @pytest.mark.parametrize("r", (0.0, 0.1, 0.2))
+    @pytest.mark.parametrize("claimed", (0, 1))
+    @pytest.mark.parametrize("variant, n", ((TWO, 50), (FOUR, 25)), ids=("two", "four"))
+    def test_flips_beat_the_direct_breidbart_attack(self, variant, n, claimed, r):
+        test = build_test(variant, claimed, r, n, 3.0)
+        direct = log_pass_probability(test, BreidbartFlips().table(variant, claimed, r))
+        best = optimize(variant, claimed, r, n, 3.0).log_value
+        assert best >= direct - 1e-12
+        if variant is TWO:
+            # the gain is large here; for the four-state protocol it is small
+            # or, at r = 0, none
+            want = self.TWO_STATE_MARGINS[r]
+            got = (direct / math.log(10.0), best / math.log(10.0))
+            assert all(abs(g - w) <= 5e-4 for g, w in zip(got, want)), got
+
+    @staticmethod
+    def score(variant, r, n, degrees):
+        # the cheater must be able to open either bit
+        party = RotatedFlips(math.radians(degrees))
+        return min(optimize(variant, c, r, n, 3.0, objective=party).log_value for c in (0, 1))
+
+    @pytest.mark.parametrize(
+        "variant, r, n",
+        ((TWO, 0.1, 50), (TWO, 0.2, 25), (FOUR, 0.1, 50), (FOUR, 0.2, 25)),
+        ids=("two-0.1-50", "two-0.2-25", "four-0.1-50", "four-0.2-25"),
+    )
+    def test_no_rotated_basis_beats_breidbart(self, variant, r, n):
+        breidbart = self.score(variant, r, n, -22.5)
+        angles = [5.0 * k for k in range(-18, 18)]
+        angles += [a + d for a in (-22.5, -67.5) for d in (-1.0, -0.1, 0.1, 1.0)]
+        for degrees in angles:
+            assert self.score(variant, r, n, degrees) <= breidbart + 1e-12, degrees
+        # -67.5 degrees mirrors Breidbart's basis in the |+> axis, which swaps
+        # |0> and |1>: a tie where the sent states are that mirror's own
+        if variant is FOUR:
+            assert abs(self.score(variant, r, n, -67.5) - breidbart) <= 1e-12
