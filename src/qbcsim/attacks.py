@@ -5,6 +5,8 @@ expected fibre loss: a committer sitting next to the verifier while
 claiming a remote location measures both observables on disjoint halves
 of the pulses and later reveals whichever half suits her, padding with
 random outcomes where needed; its strategy type is :class:`FakedDistance`.
+Her padding flips her low-noise honest outcomes symmetrically, through
+:func:`~qbcsim.strategy.apply_flips`, the one flip kernel of every party.
 The multi-photon attacks exploit a weak Poisson source: pulses carrying
 two or more photons can be split and measured in both observables at
 once, pinning down the sent state.  Their strategy types live in
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .protocol import ConditionalTable, Variant, build_test, honest_table, pass_probability
-from .strategy import BeamSplitter, FlipParams, IdealMultiPhoton
+from .strategy import BeamSplitter, FlipParams, IdealMultiPhoton, apply_flips
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,9 @@ class FakedDistance:
         The cheater fills half of the expected tally with her own low-noise
         (``r_near``) measurements and pads the remaining fraction
         ``delta = 1/2 - 10**(-alpha*L/10)`` with fair coin flips, giving each
-        row ``(p_near/2 + delta/2) / (1/2 + delta)``.
+        row ``(p_near/2 + delta/2) / (1/2 + delta)``: the ``r_near`` honest
+        row through symmetric flips with probability
+        ``delta / (2*(1/2 + delta))``.
 
         Raises ``ValueError`` when ``delta < 0`` (claimed distance short of
         the 50%-loss length): the cheater cannot even fill the expected count
@@ -102,13 +106,9 @@ class FakedDistance:
                 f"{max_safe_distance(alpha)!r} km; the attack does not apply"
             )
         delta = max(delta, 0.0)  # length exactly at the boundary rounds to zero padding
+        w = delta / (2.0 * (0.5 + delta))
         near = honest_table(variant, claimed, self.scenario.r_near)
-        entries: dict[tuple[str, int], float] = {}
-        for s in variant.states:
-            for outcome in (0, 1):
-                good = 0.5 * near.prob(s, outcome)
-                entries[(s, outcome)] = (good + delta * 0.5) / (0.5 + delta)
-        return ConditionalTable(variant.states, entries)
+        return apply_flips(near, FlipParams(w, w))
 
 
 class MultiPhotonMode(Enum):

@@ -28,14 +28,9 @@ from .strategy import BeamSplitter, FlipParams, IdealMultiPhoton
 #: (1,002,001 points) fits.
 MAX_SWEEP_POINTS = 2**20
 
-DEFAULTS = {"sigma_factor": 3.0, "grid_step": 0.01, "trials": 100_000, "seed": 0}
-
-_CONFIG_KEYS = {
-    "sigma-factor": ("sigma_factor", float),
-    "grid-step": ("grid_step", float),
-    "trials": ("trials", int),
-    "seed": ("seed", int),
-}
+#: The settings a ``--config`` file may set, by flag spelling, with their
+#: built-in defaults; a file's value is read with its default's type.
+DEFAULTS = {"sigma-factor": 3.0, "grid-step": 0.01, "trials": 100_000, "seed": 0}
 
 
 class CliError(Exception):
@@ -148,11 +143,10 @@ def _read_config(path: str) -> dict:
                     raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if key not in _CONFIG_KEYS:
+                if key not in DEFAULTS:
                     raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
-                dest, conv = _CONFIG_KEYS[key]
                 try:
-                    values[dest] = conv(value.strip())
+                    values[key] = type(DEFAULTS[key])(value.strip())
                 except ValueError:
                     raise CliError(
                         f"{path}:{lineno}: bad value for {key!r}: {value.strip()!r}"
@@ -164,27 +158,27 @@ def _read_config(path: str) -> dict:
 
 def _resolve(args: argparse.Namespace) -> None:
     """Fill `None` defaults from the config file, then the built-ins."""
-    config = _read_config(args.config) if getattr(args, "config", None) else {}
+    config = _read_config(args.config) if args.config else {}
     for key, default in DEFAULTS.items():
-        if getattr(args, key, None) is None and hasattr(args, key):
-            setattr(args, key, config.get(key, default))
+        dest = key.replace("-", "_")
+        if dest in vars(args) and getattr(args, dest) is None:
+            setattr(args, dest, config.get(key, default))
 
 
-def _r_values(args: argparse.Namespace, default: str | None = None) -> list[float]:
-    if getattr(args, "r", None) is not None and getattr(args, "r_range", None) is not None:
-        raise CliError("give either --r or --r-range, not both")
-    if getattr(args, "r", None) is not None:
-        return [args.r]
-    if getattr(args, "r_range", None) is not None:
-        return parse_range(args.r_range, "--r-range")
-    if default is not None:
-        return parse_range(default, "--r-range")
-    raise CliError("one of --r or --r-range is required")
+def _values(args: argparse.Namespace, name: str, default: str) -> list[float]:
+    """The value of ``--name``, or the sweep of ``--name-range``, which is
+    ``default`` when neither flag is given."""
+    value, sweep = getattr(args, name), getattr(args, f"{name}_range")
+    if value is not None and sweep is not None:
+        raise CliError(f"give either --{name} or --{name}-range, not both")
+    if value is not None:
+        return [value]
+    return parse_range(default if sweep is None else sweep, f"--{name}-range")
 
 
 def cmd_honest(args: argparse.Namespace) -> Artifact:
     variant = Variant(args.variant)
-    rs = _r_values(args, default="0:0.5:0.1")
+    rs = _values(args, "r", "0:0.5:0.1")
     n = derive_n(args.m, variant)
     columns = ["r"]
     for s in variant.states:
@@ -204,7 +198,7 @@ def cmd_honest(args: argparse.Namespace) -> Artifact:
 
 def cmd_binding_failure(args: argparse.Namespace) -> Artifact:
     variant = Variant(args.variant)
-    rs = _r_values(args, default="0:0.5:0.01")
+    rs = _values(args, "r", "0:0.5:0.01")
     n = derive_n(args.m, variant)
     rows = []
     for r in rs:
@@ -237,7 +231,7 @@ def cmd_cheat_surface(args: argparse.Namespace) -> Artifact:
 
 def cmd_cheat_max(args: argparse.Namespace) -> Artifact:
     variant = Variant(args.variant)
-    rs = _r_values(args, default="0:0.5:0.05")
+    rs = _values(args, "r", "0:0.5:0.05")
     rows = []
     for m in sorted(parse_m_list(args.m)):
         n = derive_n(m, variant)
@@ -295,13 +289,8 @@ def cmd_distance(args: argparse.Namespace) -> Artifact:
 
 def cmd_multiphoton(args: argparse.Namespace) -> Artifact:
     variant = Variant(args.variant)
-    rs = _r_values(args, default="0:0.2:0.1")
-    if args.mu is not None and args.mu_range is not None:
-        raise CliError("give either --mu or --mu-range, not both")
-    if args.mu is not None:
-        mus = [args.mu]
-    else:
-        mus = parse_range(args.mu_range or "0.1:1:0.1", "--mu-range")
+    rs = _values(args, "r", "0:0.2:0.1")
+    mus = _values(args, "mu", "0.1:1:0.1")
     if not all(0.0 < mu < math.inf for mu in mus):
         raise CliError("--mu values must be positive and finite")
     fixed = _optional_flips(args)

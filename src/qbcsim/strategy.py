@@ -163,8 +163,8 @@ class IdealMultiPhoton:
 class BeamSplitter:
     """Split every pulse between both observables; a single photon lands
     on the wrong one half the time, and coin flips replace those outcomes.
-    Each row is the honest row mixed with weight
-    ``w = mu*exp(-mu) / (2*(1 - exp(-mu)))`` of uniform noise."""
+    Each honest row goes through symmetric flips with probability ``w/2``,
+    ``w = mu*exp(-mu) / (2*(1 - exp(-mu)))``."""
 
     mu: float
 
@@ -172,15 +172,9 @@ class BeamSplitter:
         photon_weights(self.mu)
 
     def table(self, variant: Variant, claimed: int, r: float) -> ConditionalTable:
-        w_single, _, norm = photon_weights(self.mu)
-        w = 0.5 * (w_single / norm)
-        honest = honest_table(variant, claimed, r)
-        entries = {
-            (s, o): (1.0 - w) * honest.prob(s, o) + w * 0.5
-            for s in variant.states
-            for o in (0, 1)
-        }
-        return ConditionalTable(variant.states, entries)
+        single, _, norm = photon_weights(self.mu)
+        w = single / (4.0 * norm)
+        return apply_flips(honest_table(variant, claimed, r), FlipParams(w, w))
 
 
 #: Other names of the two flip parties, which ``perfbench/workloads.py``

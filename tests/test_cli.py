@@ -395,6 +395,17 @@ class TestMultiphoton:
         )
         assert code != 0
 
+    @pytest.mark.parametrize(
+        "flags",
+        (["--r", "0.1", "--mu-range", ""], ["--mu", "0.2", "--r-range", ""]),
+        ids=("mu-range", "r-range"),
+    )
+    def test_rejects_an_empty_range(self, flags, capsys):
+        assert_one_line_error(
+            ["multiphoton", "--m", "100"] + flags,
+            f"{flags[2]} must look like a:b:step, got ''", capsys,
+        )
+
 
 class TestMc:
     def test_honest_run_matches_analytic_column(self, capsys):
@@ -596,6 +607,34 @@ class TestInputLimits:
             f"--r-range {text!r} has more than {cli.MAX_SWEEP_POINTS} values", capsys,
         )
 
+    @pytest.mark.parametrize(
+        "args, subject",
+        (
+            (
+                ["honest", "--r-range", "0:0.1"],
+                "--r-range must look like a:b:step, got '0:0.1'",
+            ),
+            (["honest", "--r-range", "0:x:0.1"], "--r-range has non-numeric parts: '0:x:0.1'"),
+            (
+                ["multiphoton", "--r", "0.1", "--mu-range", "1:0:0.1"],
+                "--mu-range upper end 0.0 is below lower end 1.0",
+            ),
+            (
+                ["cheat-max", "--m", "1,x", "--r", "0.1"],
+                "--m must be an integer or comma list, got '1,x'",
+            ),
+            (["cheat-max", "--m", "0", "--r", "0.1"], "--m values must be positive, got '0'"),
+            (
+                ["cheat-surface", "--r", "0.1", "--grid-step", "0.6"],
+                "--grid-step must lie in (0, 0.5], got 0.6",
+            ),
+        ),
+        ids=("range-parts", "range-numbers", "range-order", "m-integers", "m-positive",
+             "grid-step"),
+    )
+    def test_malformed_flag_is_one_error_line(self, args, subject, capsys):
+        assert_one_line_error(args, subject, capsys)
+
     def test_range_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 11)
         assert len(cli.parse_range("0:1:0.1", "--r-range")) == 11
@@ -673,6 +712,30 @@ class TestConfigPrecedence:
         )
         assert code != 0
         assert "unknown config key" in err
+
+    @pytest.mark.parametrize(
+        "text, subject",
+        (
+            # a file spells its keys as the flags do
+            ("sigma_factor=3\n", ":1: unknown config key 'sigma_factor'"),
+            ("# seed\n\nseed\n", ":3: expected key=value, got 'seed'"),
+            ("trials=abc\n", ":1: bad value for 'trials': 'abc'"),
+            ("seed=1.5\n", ":1: bad value for 'seed': '1.5'"),
+        ),
+        ids=("underscore-key", "no-equals", "bad-int", "float-for-int"),
+    )
+    def test_bad_config_line_is_one_error_line(self, text, subject, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        mc = ["mc", "--strategy", "honest", "--r", "0.1", "--config", str(cfg)]
+        assert_one_line_error(mc, f"{cfg}{subject}", capsys)
+
+    def test_unreadable_config_file_is_one_error_line(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert_one_line_error(
+            ["honest", "--r", "0.1", "--config", str(missing)],
+            "cannot read config file: ", capsys,
+        )
 
 
 class TestDeterminism:

@@ -17,6 +17,7 @@ from qbcsim.attacks import DistanceScenario, FakedDistance, max_safe_distance
 from qbcsim.protocol import (
     Variant,
     build_test,
+    honest_table,
     log_binomial_window,
     log_binomial_window_derivatives,
     log_pass_probability,
@@ -266,6 +267,30 @@ def test_table_rows_are_normalised(variant, claimed, party_and_r):
         p0, p1 = table.prob(s, 0), table.prob(s, 1)
         assert 0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0, (s, p0, p1)
         assert abs(p0 + p1 - 1.0) <= 1e-15, (s, p0 + p1)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(
+    st.sampled_from((TWO, FOUR)),
+    st.sampled_from((0, 1)),
+    unit,
+    unit,
+    st.floats(1e-3, 5.0),
+    st.one_of(st.just(1.0), st.floats(1.0, 100.0), st.just(math.inf)),
+)
+def test_faked_table_is_the_padded_closed_form(variant, claimed, x, y, alpha, stretch):
+    # half the tally from the r_near measurements, the fraction delta of
+    # coin flips: each entry is (p_near/2 + delta/2) / (1/2 + delta)
+    r_near, r_distant = sorted((x, y))
+    length = stretch * max_safe_distance(alpha)
+    party = FakedDistance(DistanceScenario(r_distant, r_near), length, alpha)
+    table = party.table(variant, claimed, r_distant)
+    near = honest_table(variant, claimed, r_near)
+    delta = max(0.5 - 10.0 ** (-alpha * length / 10.0), 0.0)
+    for s in variant.states:
+        for o in (0, 1):
+            want = (near.prob(s, o) / 2.0 + delta / 2.0) / (0.5 + delta)
+            assert abs(table.prob(s, o) - want) <= 1e-15, (s, o, table.prob(s, o), want)
 
 
 @st.composite

@@ -199,6 +199,8 @@ class TestBuildTest:
             AcceptanceTest(10, {"0": (5, 11)}, {"0": 0})
         with pytest.raises(ValueError):
             AcceptanceTest(10, {"0": (6, 5)}, {"0": 0})
+        with pytest.raises(ValueError, match=r"missing counted outcome for state '\+'"):
+            AcceptanceTest(10, {"0": (0, 5), "+": (2, 8)}, {"0": 0})
 
     def test_empty_window_is_an_input_error(self):
         # at n = 1 and r = 0.1 the '+' tally has mean 0.5 and sigma 0.5, so
@@ -252,6 +254,10 @@ class TestBinomialWindowProbability:
 
     def test_empty_window(self):
         assert binomial_window_probability(10, 0.5, 7, 3) == 0.0
+
+    def test_rejects_out_of_range_probability(self):
+        with pytest.raises(ValueError, match=r"probability must lie in \[0, 1\], got 1\.5"):
+            binomial_window_probability(10, 1.5, 0, 5)
 
     def test_full_support_is_one(self):
         for n in (1, 17, 1000, 100_000):
