@@ -218,7 +218,7 @@ def cmd_cheat_surface(args: argparse.Namespace) -> Artifact:
     step = args.grid_step
     if not 0.0 < step <= 0.5:
         raise CliError(f"--grid-step must lie in (0, 0.5], got {step!r}")
-    if 1.0 / step > MAX_SWEEP_POINTS or (round(1.0 / step) + 1) ** 2 > MAX_SWEEP_POINTS:
+    if 1.0 / step > MAX_SWEEP_POINTS or strategy.flip_axis_size(step) ** 2 > MAX_SWEEP_POINTS:
         raise CliError(
             f"--grid-step {step!r} gives more than {MAX_SWEEP_POINTS} surface points"
         )

@@ -265,10 +265,11 @@ class _Windows(NamedTuple):
     ``[0, 0]``, and its limits make it ``-inf``."""
 
     filled: np.ndarray  # the window is not empty
-    lo: np.ndarray  # (S, 1)
-    hi: np.ndarray  # (S, 1)
+    lo: np.ndarray  # (S, 1), as floats
+    hi: np.ndarray  # (S, 1), as floats
     logc: np.ndarray  # (S, W): log C(n, k), padded with -inf to the widest window
     k: np.ndarray  # (S, W): the counts k of logc
+    rest_k: np.ndarray  # (S, W): n - k
     offset: np.ndarray  # (S, 1): log C(n, k) is logc.flat[k + offset]
     ends: np.ndarray  # (2, 1, S): k = lo - 1 and k = hi
     rest: np.ndarray  # (2, 1, S): n - 1 - ends
@@ -308,10 +309,11 @@ def _windows(n: int, lo: tuple[int, ...], hi: tuple[int, ...]) -> _Windows:
     ]
     table = _Windows(
         filled=np.array(filled),
-        lo=np.array(lo)[:, None],
-        hi=np.array(hi)[:, None],
+        lo=np.array(lo, dtype=np.float64)[:, None],
+        hi=np.array(hi, dtype=np.float64)[:, None],
         logc=logc,
         k=np.add.outer(lo, np.arange(width)).astype(np.float64),
+        rest_k=(n - np.add.outer(lo, np.arange(width))).astype(np.float64),
         offset=(np.arange(len(lo)) * width - np.array(lo))[:, None],
         ends=ends[:, None, :].astype(np.float64),
         rest=(n - 1 - ends)[:, None, :].astype(np.float64),
@@ -355,18 +357,17 @@ def _log_window_interior(n: int, q, log_q, log_1mq, w: _Windows) -> np.ndarray:
         block = slice(a, a + rows)
         lq, l1q = log_q[block, :, None], log_1mq[block, :, None]
         mode = np.minimum(np.maximum(np.floor((n + 1) * q[block, :, None]), w.lo), w.hi)
-        mode = mode.astype(np.intp)
-        shift = flat[mode + w.offset] + mode * lq + (n - mode) * l1q
+        shift = flat[mode.astype(np.intp) + w.offset] + mode * lq + (n - mode) * l1q
         total = 0.0
         for c in range(0, width, chunk):
             t = slice(c, c + chunk)
             terms = w.logc[:, t] + w.k[:, t] * lq
-            terms += (n - w.k[:, t]) * l1q
+            terms += w.rest_k[:, t] * l1q
             terms -= shift
             np.exp(terms, out=terms)
             total = total + terms.sum(axis=-1)
-        out[block] = shift[..., 0] + np.log(total)
-    return np.minimum(0.0, out)
+        np.minimum(0.0, shift[..., 0] + np.log(total), out=out[block])
+    return out
 
 
 def log_binomial_window_derivatives(
@@ -402,17 +403,15 @@ def log_binomial_window_derivatives(
         d1 = n * (ratio[0] - ratio[1])
         ru = np.where(ratio == 0.0, 0.0, ratio * u)
         d2 = n * (ru[0] - ru[1]) - d1 * d1
-        lost = ~np.isfinite(d2)
-        if lost.any():
+        finite = np.isfinite(d2)
+        if not finite.all():
             s = q * (1.0 - q)
             ratio_s = np.exp(log_ratio + log_q + log_1mq)
             d1_s = n * (ratio_s[0] - ratio_s[1])
             ru_s = ratio_s * (w.ends - (n - 1) * q)
-            d2 = np.where(lost, (n * (ru_s[0] - ru_s[1]) - d1_s * d1_s) / s / s, d2)
+            d2 = np.where(finite, d2, (n * (ru_s[0] - ru_s[1]) - d1_s * d1_s) / s / s)
     edge = np.where(p == 0.0, *w.limits)
-    return tuple(
-        np.where(inner, v, e).reshape(shape) for v, e in zip((log_f, d1, d2), edge)
-    )
+    return tuple(np.where(inner, (log_f, d1, d2), edge).reshape((3, *shape)))
 
 
 def _log_pass_factors(test: AcceptanceTest, actual: ConditionalTable) -> np.ndarray:

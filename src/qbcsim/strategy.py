@@ -231,6 +231,8 @@ class LogObjective:
         self.n = n_per_state
         #: per state, in window order: c, and the coefficients (a, b) as a 2 x S matrix
         self.c, self.ab = c, np.stack((t10 - c, t01 - c))
+        #: the same coefficients as one float triple (c, a, b) per state
+        self.coefficients = list(zip(c.tolist(), *self.ab.tolist()))
         self.lo, self.hi = np.array(list(self.test.windows.values())).T
 
     def _tallied(self, p01, p10, s=slice(None)) -> np.ndarray:
@@ -256,39 +258,94 @@ class LogObjective:
             total += log_binomial_window(self.n, self._tallied(p01, p10, s), lo, hi)
         return total.reshape(p01.shape)
 
-    def derivatives(
-        self, p01: float, p10: float
-    ) -> tuple[float, np.ndarray, np.ndarray]:
+    def stacked(self, p01: np.ndarray, p10: np.ndarray) -> np.ndarray:
+        """Log pass probability at the pairs of the 1-D arrays ``p01`` and
+        ``p10``, unchecked, from one window call for all states: for the
+        few points of a start scan the fixed cost of a call outweighs the
+        ``exp`` terms of padding every state to the widest window.  Values
+        match :meth:`__call__`'s to 1e-12, not bit for bit."""
+        return log_binomial_window(
+            self.n, self._tallied(p01, p10).T, self.lo, self.hi
+        ).sum(axis=-1)
+
+    def derivatives(self, p01: float, p10: float) -> tuple[
+        float, tuple[float, float], tuple[tuple[float, float], tuple[float, float]]
+    ]:
         """Log pass probability at one pair, with its gradient and Hessian in
-        ``(p01, p10)``, from one window call for all states: each state adds
-        ``d1*(a, b)`` and ``d2*(a, b)(a, b)^T``.  The value matches this
-        kernel's to 1e-12, not bit for bit, as the states' windows are
-        padded to one width."""
+        ``(p01, p10)`` as Python floats, from one window call for all
+        states: each state adds ``d1*(a, b)`` and ``d2*(a, b)(a, b)^T``.
+        The value matches :meth:`__call__`'s to 1e-12, not bit for bit, as
+        the states' windows are padded to one width."""
+        p = [min(max(c + a * p01 + b * p10, 0.0), 1.0) for c, a, b in self.coefficients]
         log_f, d1, d2 = log_binomial_window_derivatives(
-            self.n, self._tallied(p01, p10)[:, 0], self.lo, self.hi
+            self.n, np.array(p), self.lo, self.hi
         )
-        return float(log_f.sum()), self.ab @ d1, (self.ab * d2) @ self.ab.T
+        g01 = g10 = h00 = h01 = h11 = 0.0
+        for (_, a, b), e1, e2 in zip(self.coefficients, d1.tolist(), d2.tolist()):
+            g01 += a * e1
+            g10 += b * e1
+            h00 += a * e2 * a
+            h01 += a * e2 * b
+            h11 += b * e2 * b
+        return float(log_f.sum()), (g01, g10), ((h00, h01), (h01, h11))
+
+
+def flip_axis_size(step: float) -> int:
+    """How many points one axis of the ``step`` grid has: the multiples of
+    ``step`` below 1, where a multiple within 1e-9 of 1 counts as 1, and 1."""
+    return math.ceil((1.0 - 1e-9) / step) + 1
 
 
 def flip_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
     """The ``(p01, p10)`` points of the ``step`` grid over ``[0, 1]^2``,
-    in scan order: ``p01`` major, ``p10`` minor."""
-    points = round(1.0 / step) + 1
-    axis = np.minimum(1.0, np.arange(points) * step)
+    in scan order: ``p01`` major, ``p10`` minor.  Each axis is the
+    multiples of ``step`` below 1, then exactly 1."""
+    points = flip_axis_size(step)
+    axis = np.append(np.arange(points - 1) * step, 1.0)
     return np.repeat(axis, points), np.tile(axis, points)
 
 
-def _newton_step(grad: np.ndarray, hess: np.ndarray, free: np.ndarray):
+def _eigenpairs(a: float, b: float, c: float):
+    """Unit eigenvectors and eigenvalues of the symmetric ``[[a, b], [b, c]]``
+    in closed form, largest first.  The eigenvalues are ``max(a, c)`` and
+    ``min(a, c)`` moved apart by ``radius - |half|``, taken as a quotient so
+    that nothing cancels; a diagonal matrix gives its entries exactly."""
+    half = 0.5 * (a - c)
+    radius = math.hypot(half, b)
+    if b:
+        shrink = b * (b / (radius + abs(half)))
+        # of the two forms of the top eigenvector, the one with no cancellation
+        x, y = (radius + half, b) if half >= 0.0 else (b, radius - half)
+        norm = math.hypot(x, y)
+        x, y = x / norm, y / norm
+    else:
+        shrink, (x, y) = 0.0, ((1.0, 0.0) if half >= 0.0 else (0.0, 1.0))
+    return [((x, y), max(a, c) + shrink), ((-y, x), min(a, c) - shrink)]
+
+
+def _newton_step(grad, hess, free) -> tuple[tuple[float, ...], float]:
     """The Newton step that maximises over the ``free`` coordinates, and
-    the Newton decrement ``g.(-H)^+.g``; directions in which ``-H`` has no
-    curvature are left out."""
-    step = np.zeros(grad.size)
-    w, vecs = np.linalg.eigh(-hess[np.ix_(free, free)])
-    curved = w > 1e-12 * w.max(initial=0.0)
-    coef = vecs[:, curved].T @ grad[free]
-    scaled = coef / w[curved]
-    step[free] = vecs[:, curved] @ scaled
-    return step, float(coef @ scaled)
+    the Newton decrement ``g.(-H)^+.g``, for a gradient of one or two
+    floats, their Hessian as nested tuples, and one bool per coordinate.
+    ``-H`` on the free coordinates is diagonalised in closed form (1x1 or
+    2x2), and directions whose curvature is at most 1e-12 of the largest
+    are left out."""
+    idx = [i for i, f in enumerate(free) if f]
+    g = [grad[i] for i in idx]
+    if len(idx) == 2:
+        pairs = _eigenpairs(-hess[0][0], -hess[0][1], -hess[1][1])
+    else:
+        pairs = [((1.0,), -hess[i][i]) for i in idx]
+    cut = 1e-12 * max([w for _, w in pairs] + [0.0])
+    step, decrement = [0.0] * len(grad), 0.0
+    for v, w in pairs:
+        if w > cut:
+            coef = sum(vi * gi for vi, gi in zip(v, g))
+            scaled = coef / w
+            for i, vi in zip(idx, v):
+                step[i] += vi * scaled
+            decrement += coef * scaled
+    return tuple(step), decrement
 
 
 def optimize(
@@ -304,16 +361,19 @@ def optimize(
     Any party whose table is affine in the flips can be tuned.
 
     The log objective is concave on ``[0, 1]^2``, so a local maximum is
-    the global one.  One :class:`LogObjective` call scans the 0.1 grid;
-    its first point in scan order within ``1e-12`` of the maximum starts
-    projected Newton steps on the coordinates not held at a bound (a
-    coordinate is held at 0 while its gradient is negative, at 1 while it
-    is positive), each projected onto the box and backtracked until it
-    meets the Armijo rule (1e-4).  The search stops when the Newton
-    decrement is at most ``2e-12``, or when a step gains nothing, and
-    raises ``ValueError`` after ``_MAX_STEPS`` steps.  The four-state
+    the global one.  One stacked window call, :meth:`LogObjective.stacked`,
+    scans the 0.1 grid; its first point in scan order within ``1e-12`` of
+    the maximum starts projected Newton steps on the coordinates not held
+    at a bound (a coordinate is held at 0 while its gradient is negative,
+    at 1 while it is positive), each projected onto the box and
+    backtracked until it meets the Armijo rule (1e-4).  The search stops
+    when the Newton decrement is at most ``2e-12``, or when a step gains
+    nothing, and raises ``ValueError`` after ``_MAX_STEPS`` steps.  The four-state
     objective is swap-symmetric, so a concave maximum lies on the
-    diagonal, and the search there runs on ``p01 = p10`` alone.
+    diagonal, and the scan and the search there run on ``p01 = p10`` alone.
+    The search runs on Python floats: each step is one
+    :meth:`LogObjective.derivatives` call and a closed-form 1x1 or 2x2
+    :func:`_newton_step`.
 
     ``value`` is :func:`~qbcsim.protocol.pass_probability` of the table of
     ``replace(objective, flips=best)``, so it equals what any command
@@ -321,30 +381,40 @@ def optimize(
     which stays finite where ``value`` underflows to zero.
     """
     fn = LogObjective(variant, claimed, r, n_per_state, sigma_factor, objective)
-    # search coordinates z in [0, 1]^d map to the flip pair basis @ z
     xs, ys = flip_grid(0.1)
-    if variant is Variant.FOUR_STATE:
-        basis, starts = np.ones((2, 1)), xs[xs == ys][None]
-    else:
-        basis, starts = np.eye(2), np.stack((xs, ys))
-    values = fn(*(basis @ starts))
-    z = starts[:, int(np.argmax(values >= values.max() - _TIE_LOG))]
-    v, grad, hess = fn.derivatives(*(basis @ z))
-    evaluations = values.size + 1
+    diagonal = variant is Variant.FOUR_STATE
+    if diagonal:
+        xs = ys = xs[xs == ys]
+    values = fn.stacked(xs, ys)
+    i = int(np.argmax(values >= values.max() - _TIE_LOG))
+    # search coordinates z in [0, 1]^d: the flip pair (z[0], z[-1])
+    z = (float(xs[i]),) if diagonal else (float(xs[i]), float(ys[i]))
 
+    def at(z: tuple[float, ...]):
+        v, grad, hess = fn.derivatives(z[0], z[-1])
+        if diagonal:  # derivatives of f(z, z)
+            (g0, g1), ((h00, h01), (_, h11)) = grad, hess
+            grad, hess = (g0 + g1,), (((h00 + h01) + (h01 + h11),),)
+        return v, grad, hess
+
+    v, grad, hess = at(z)
+    evaluations = values.size + 1
     for _ in range(_MAX_STEPS):
-        grad, hess = basis.T @ grad, basis.T @ hess @ basis
-        held = ((z <= 0.0) & (grad < 0.0)) | ((z >= 1.0) & (grad > 0.0))
-        step, decrement = _newton_step(grad, hess, ~held)
+        free = [not ((x <= 0.0 and g < 0.0) or (x >= 1.0 and g > 0.0))
+                for x, g in zip(z, grad)]
+        step, decrement = _newton_step(grad, hess, free)
         if decrement <= _DECREMENT:
             break
-        for t in 0.5 ** np.arange(40):
-            trial = np.clip(z + t * step, 0.0, 1.0)
-            tv, t_grad, t_hess = fn.derivatives(*(basis @ trial))
+        t = 1.0
+        for _ in range(40):
+            trial = tuple(min(max(x + t * s, 0.0), 1.0) for x, s in zip(z, step))
+            tv, t_grad, t_hess = at(trial)
             evaluations += 1
-            if tv > v and tv - v >= 1e-4 * float(grad @ (trial - z)):
+            ascent = sum(g * (y - x) for g, x, y in zip(grad, z, trial))
+            if tv > v and tv - v >= 1e-4 * ascent:
                 z, v, grad, hess = trial, tv, t_grad, t_hess
                 break
+            t *= 0.5
         else:
             break  # no step along the Newton direction gains anything
     else:
@@ -355,7 +425,7 @@ def optimize(
             f"objective={objective!r}"
         )
 
-    flips = FlipParams(*(float(p) for p in basis @ z))
+    flips = FlipParams(z[0], z[-1])
     return OptimizationResult(
         best=flips,
         value=pass_probability(

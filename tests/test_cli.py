@@ -1,11 +1,12 @@
 import csv
+import hashlib
 import io
 import json
 import math
 
 import pytest
 
-from qbcsim import cli
+from qbcsim import cli, strategy
 from qbcsim.attacks import MultiPhotonMode, multiphoton_success
 from qbcsim.protocol import Variant, honest_table
 from qbcsim.strategy import FlipParams, cheat_success, optimize
@@ -255,6 +256,19 @@ class TestCheatSurface:
         header, rows = parse_csv(out)
         best_row = max(rows, key=lambda row: float(row[2]))
         assert float(best_row[0]) == 0.0
+
+    @pytest.mark.parametrize(
+        "step, multiples", (("0.3", 4), ("0.4", 3), ("0.07", 15), ("0.35", 3))
+    )
+    def test_axis_is_the_multiples_below_one_then_one(self, step, multiples, capsys):
+        # a step that does not divide 1 still ends each axis at exactly 1
+        _, out, _ = run_cli(
+            ["cheat-surface", "--r", "0.1", "--m", "100", "--grid-step", step], capsys
+        )
+        _, rows = parse_csv(out)
+        axis = [f"{k * float(step):.9g}" for k in range(multiples)] + ["1"]
+        assert [row[0] for row in rows] == [x for x in axis for _ in axis]
+        assert [row[1] for row in rows] == axis * len(axis)
 
 
 class TestTables:
@@ -668,7 +682,8 @@ class TestInputLimits:
 
     def test_the_finest_documented_grid_fits_the_cap(self):
         # 0.001 gives 1001 x 1001 points; checked by arithmetic, never built
-        assert (round(1.0 / 0.001) + 1) ** 2 <= cli.MAX_SWEEP_POINTS
+        assert strategy.flip_axis_size(0.001) == 1001
+        assert strategy.flip_axis_size(0.001) ** 2 <= cli.MAX_SWEEP_POINTS
 
 
 class TestConfigPrecedence:
@@ -762,6 +777,28 @@ class TestDeterminism:
         assert cli.main(args + ["--format", fmt, "--out", str(first)]) == 0
         assert cli.main(args + ["--format", fmt, "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        (
+            (["tables", "--variant", "two"],
+             "c6c938ee122aeb97996e0e49f61e13bcce9f93ee8811d6478a0b6546ad678dbe"),
+            (["tables", "--variant", "four"],
+             "597c6d5fd7d8b82351c82488c0350baa570e53da9194fea20adc64048111691a"),
+            (["cheat-max", "--m", "100,10000", "--r-range", "0:0.5:0.05", "--variant", "two"],
+             "82e4e99c4e1006e81ccf53acdb86f656749f2134b71e01991fea885beeb55ba6"),
+            (["cheat-max", "--m", "100,10000", "--r-range", "0:0.5:0.05", "--variant", "four"],
+             "0d7dce1491a6da96ff1d448c4d206131f5fd6dc8423c6e0453c7a950a1fa1735"),
+            (["multiphoton", "--m", "100"],
+             "99d35a16e305bcb8b24eb7bff9f1af0faee82a59ace62213d60608e3d0c70b4d"),
+        ),
+        ids=("tables-two", "tables-four", "cheat-max-two", "cheat-max-four", "multiphoton"),
+    )
+    def test_optimizer_artifacts_are_pinned(self, args, digest, capsys):
+        # every optimum of the paper's tables and sweeps, byte for byte
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_stdout_mirrors_file(self, tmp_path, capsys):
         args = ["distance", "--alpha", "0.2"]

@@ -31,6 +31,7 @@ from qbcsim.strategy import (
     Honest,
     IdealMultiPhoton,
     LogObjective,
+    _newton_step,
     optimize,
 )
 from test_protocol import fsum_window
@@ -360,3 +361,72 @@ def test_one_stacked_window_is_the_scalar_window(case):
         assert np.array_equal(got[:, 0], want, equal_nan=True)
     got = log_binomial_window(n, column, lo[:1], hi[:1])[:, 0]
     assert np.array_equal(got, log_binomial_window(n, column[:, 0], int(lo[0]), int(hi[0])))
+
+
+def eigh_newton_step(grad, hess, free):
+    """The Newton step and decrement by ``numpy.linalg.eigh``, and the
+    largest curvature: the reference for the closed form of ``_newton_step``."""
+    grad, hess, free = np.array(grad), np.array(hess), np.array(free)
+    step = np.zeros(grad.size)
+    w, vecs = np.linalg.eigh(-hess[np.ix_(free, free)])
+    curved = w > 1e-12 * w.max(initial=0.0)
+    coef = vecs[:, curved].T @ grad[free]
+    scaled = coef / w[curved]
+    step[free] = vecs[:, curved] @ scaled
+    return step, float(coef @ scaled), w.max(initial=0.0)
+
+
+@st.composite
+def newton_problems(draw):
+    """A gradient, a negative-semidefinite Hessian ``-R diag(top, low) R^T``
+    and a free mask, in one or two coordinates.  ``low`` is ``top``, 0, well
+    off the 1e-12 cut or at it; near the cut, where one rounding of rotated
+    entries would decide which side ``low`` falls, the Hessian is diagonal."""
+    top = draw(st.sampled_from((0.0, 1.0, 10.0 ** draw(st.floats(-6.0, 6.0)))))
+    component = st.floats(-1.0, 1.0)
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    if draw(st.sampled_from((1, 2, 2, 2))) == 1:
+        grad = (draw(component) * scale,)
+        hess = ((-top,),)
+        free = (draw(st.sampled_from((True, True, False))),)
+    else:
+        grad = (draw(component) * scale, draw(component) * scale)
+        kind = draw(st.sampled_from(("equal", "singular", "well", "below", "above", "at")))
+        low = top * draw({
+            "equal": st.just(1.0),
+            "singular": st.just(0.0),
+            "well": st.floats(1e-3, 1.0),
+            "below": st.floats(1e-14, 0.5e-12),
+            "above": st.floats(2e-12, 1e-10),
+            "at": st.just(1e-12),
+        }[kind])
+        if kind in ("above", "at"):
+            cos, sin = draw(st.sampled_from(((1.0, 0.0), (0.0, 1.0))))
+        else:
+            # near pi/2 the top eigenvector's first entry is all cancellation
+            near_axis = st.floats(-1e-6, 1e-6).map(lambda e: 0.5 * math.pi + e)
+            angle = draw(st.one_of(st.floats(0.0, math.pi), near_axis))
+            cos, sin = math.cos(angle), math.sin(angle)
+        h01 = -(top - low) * cos * sin
+        hess = ((-(top * cos * cos + low * sin * sin), h01),
+                (h01, -(top * sin * sin + low * cos * cos)))
+        free = draw(st.sampled_from(
+            ((True, True),) * 3 + ((True, False), (False, True), (False, False))
+        ))
+    return grad, hess, free
+
+
+@settings(SETTINGS, max_examples=400)
+@given(newton_problems())
+def test_closed_form_newton_step_matches_eigh(problem):
+    grad, hess, free = problem
+    step, decrement = _newton_step(grad, hess, free)
+    want_step, want_decrement, top = eigh_newton_step(grad, hess, free)
+    # rounding of a projection that cancels is relative to |g| / top
+    g = math.hypot(*(x for x, f in zip(grad, free) if f))
+    unit = g / top if top > 0.0 else 0.0
+    assert len(step) == len(grad)
+    gap = float(np.max(np.abs(np.array(step) - want_step)))
+    assert gap <= 1e-12 * (float(np.max(np.abs(want_step))) + unit), (step, want_step)
+    assert abs(decrement - want_decrement) <= 1e-12 * (abs(want_decrement) + g * unit)
+    assert decrement >= 0.0
