@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 from itertools import repeat
 from typing import Sequence
 
@@ -417,7 +418,10 @@ def _add_common(p: argparse.ArgumentParser, *, variant=True, commit=False) -> No
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every :func:`main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="qbcsim",
         description="Bit-commitment protocol sweeps: honest statistics, "

@@ -16,6 +16,7 @@ Two protocol variants are supported: the two-state one (verifier sends
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -83,38 +84,25 @@ def commit_observable(claimed: int) -> Basis:
 class ConditionalTable:
     """Outcome probabilities ``p(outcome | sent state)`` for one strategy.
 
-    ``entries`` maps ``(state label, outcome)`` to a probability; the two
-    entries of every state sum to one.
+    The committer's measurements have two outcomes, so a row is one
+    number: ``p_zero[s]`` is ``p(0 | s)`` and ``p(1 | s)`` is
+    ``1 - p_zero[s]``.
     """
 
     states: tuple[str, ...]
-    entries: Mapping[tuple[str, int], float]
+    p_zero: Mapping[str, float]
 
     def __post_init__(self) -> None:
         for s in self.states:
-            if (s, 0) not in self.entries or (s, 1) not in self.entries:
-                raise ValueError(f"missing entries for state {s!r}")
-            p0, p1 = self.entries[(s, 0)], self.entries[(s, 1)]
-            for p in (p0, p1):
-                if not -_ATOL <= p <= 1.0 + _ATOL:
-                    raise ValueError(f"probability out of range for state {s!r}: {p!r}")
-            if abs(p0 + p1 - 1.0) > _ATOL:
-                raise ValueError(f"row for state {s!r} does not sum to 1: {p0 + p1!r}")
-
-    @classmethod
-    def from_zero_probs(
-        cls, states: tuple[str, ...], p_zero: Mapping[str, float]
-    ) -> ConditionalTable:
-        """Build a table from the outcome-0 probability of each state."""
-        entries: dict[tuple[str, int], float] = {}
-        for s in states:
-            p0 = p_zero[s]
-            entries[(s, 0)] = p0
-            entries[(s, 1)] = 1.0 - p0
-        return cls(tuple(states), entries)
+            if s not in self.p_zero:
+                raise ValueError(f"missing entry for state {s!r}")
+            p = self.p_zero[s]
+            if not -_ATOL <= p <= 1.0 + _ATOL:
+                raise ValueError(f"probability out of range for state {s!r}: {p!r}")
 
     def prob(self, state: str, outcome: int) -> float:
-        return self.entries[(state, outcome)]
+        p0 = self.p_zero[state]
+        return {0: p0, 1: 1.0 - p0}[outcome]
 
 
 def honest_table(variant: Variant, claimed: int, r: float) -> ConditionalTable:
@@ -130,8 +118,9 @@ def honest_table(variant: Variant, claimed: int, r: float) -> ConditionalTable:
         Depolarizing-noise level in ``[0, 1]``.
     """
     obs = commit_observable(claimed)
-    p_zero = {s: born(obs, STATE_VECTORS[s], r) for s in variant.states}
-    return ConditionalTable.from_zero_probs(variant.states, p_zero)
+    return ConditionalTable(
+        variant.states, {s: born(obs, STATE_VECTORS[s], r) for s in variant.states}
+    )
 
 
 def counted_outcomes(variant: Variant, claimed: int) -> dict[str, int]:
@@ -327,11 +316,18 @@ def _windows(n: int, lo: tuple[int, ...], hi: tuple[int, ...]) -> _Windows:
 
 def _stacked(n: int, p, lo, hi) -> tuple[tuple[int, ...], np.ndarray, _Windows]:
     """The shape of ``p``, ``p`` as a (points, windows) array, and the
-    windows' constants."""
+    windows' constants; the arguments are checked before anything is sized
+    by them."""
+    if not (isinstance(n, numbers.Integral) and 0 <= n <= MAX_N_PER_STATE):
+        raise ValueError(f"n must be an integer in [0, {MAX_N_PER_STATE}], got {n!r}")
+    ends = np.ravel(lo), np.ravel(hi)
+    for name, e in zip(("lo", "hi"), ends):
+        if e.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be an integer or integer array, got {e.dtype}")
     p = np.asarray(p, dtype=np.float64)
     if not ((p >= 0.0) & (p <= 1.0)).all():
         raise ValueError("probabilities must lie in [0, 1]")
-    w = _windows(n, tuple(np.ravel(lo).tolist()), tuple(np.ravel(hi).tolist()))
+    w = _windows(n, *(tuple(e.tolist()) for e in ends))
     if np.ndim(lo) and p.shape[-1:] != w.filled.shape:
         raise ValueError(f"p needs one entry per window on its last axis, has shape {p.shape}")
     return p.shape, p.reshape(-1, w.filled.size), w

@@ -82,20 +82,20 @@ class OptimizationResult:
 def breidbart_table(variant: Variant, r: float) -> ConditionalTable:
     """Raw outcome statistics of the mid-basis measurement at noise ``r``."""
     basis = breidbart()
-    p_zero = {s: born(basis, STATE_VECTORS[s], r) for s in variant.states}
-    return ConditionalTable.from_zero_probs(variant.states, p_zero)
+    return ConditionalTable(
+        variant.states, {s: born(basis, STATE_VECTORS[s], r) for s in variant.states}
+    )
 
 
 def apply_flips(table: ConditionalTable, flips: FlipParams) -> ConditionalTable:
     """Post-process a conditional table with the 2x2 stochastic flip
-    kernel; rows stay normalised."""
-    p01, p10 = flips.p01, flips.p10
-    entries: dict[tuple[str, int], float] = {}
-    for s in table.states:
-        p0, p1 = table.prob(s, 0), table.prob(s, 1)
-        entries[(s, 0)] = p0 * (1.0 - p01) + p1 * p10
-        entries[(s, 1)] = p1 * (1.0 - p10) + p0 * p01
-    return ConditionalTable(table.states, entries)
+    kernel: a 0 stays a 0 with probability ``1 - p01`` and a 1 becomes a 0
+    with probability ``p10``, so each row's ``p(0|s)`` is
+    ``p0*(1 - p01) + (1 - p0)*p10``."""
+    p01, p10, p = flips.p01, flips.p10, table.p_zero
+    return ConditionalTable(
+        table.states, {s: p[s] * (1.0 - p01) + (1.0 - p[s]) * p10 for s in table.states}
+    )
 
 
 def photon_weights(mu: float) -> tuple[float, float, float]:
@@ -138,7 +138,8 @@ class IdealMultiPhoton:
     """Photon-number-resolved splitting of a Poisson source with mean
     ``mu``: multi-photon pulses yield honest outcomes (she learns the
     state), single-photon pulses fall back to the flipped mid-basis
-    strategy."""
+    strategy.  Each row's ``p(0|s)`` mixes the two parties' by photon
+    number."""
 
     mu: float
     flips: FlipParams = FlipParams(0.0, 0.0)
@@ -149,14 +150,12 @@ class IdealMultiPhoton:
     def table(self, variant: Variant, claimed: int, r: float) -> ConditionalTable:
         single, multi, norm = photon_weights(self.mu)
         w_single, w_multi = single / norm, multi / norm  # no subnormal products
-        flipped = BreidbartFlips(self.flips).table(variant, claimed, r)
-        honest = honest_table(variant, claimed, r)
-        entries = {
-            (s, o): w_single * flipped.prob(s, o) + w_multi * honest.prob(s, o)
-            for s in variant.states
-            for o in (0, 1)
-        }
-        return ConditionalTable(variant.states, entries)
+        flipped = BreidbartFlips(self.flips).table(variant, claimed, r).p_zero
+        honest = honest_table(variant, claimed, r).p_zero
+        return ConditionalTable(
+            variant.states,
+            {s: w_single * flipped[s] + w_multi * honest[s] for s in variant.states},
+        )
 
 
 @dataclass(frozen=True)

@@ -800,6 +800,50 @@ class TestDeterminism:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "args, digest",
+        (
+            (["honest", "--variant", "two", "--commit", "0"],
+             "4fe2486cce9776ae522c9aee49c3205f25d643047c2743690c5104c3ef567419"),
+            (["honest", "--variant", "two", "--commit", "1"],
+             "eef190842dfb7c07adb73a7b3ca2d69b140e1a92fd2e0e36690d4957facd256d"),
+            (["honest", "--variant", "four", "--commit", "0"],
+             "ea315abeef4cdac7a3af66dab77015e07581bcdff196b2071f1b1f5d33facfa3"),
+            (["honest", "--variant", "four", "--commit", "1"],
+             "4e57c6e5e3bbaa27e8e2b45303def80a8b8389b6ec704bec1fc37e5f930c9e3b"),
+            (["mc", "--strategy", "honest", "--r", "0.1"],
+             "b25de8c342a164cfc8c8c9760cdde8f993cdb97ee561c3b9955a72e5ff4932bc"),
+            (["mc", "--strategy", "breidbart", "--r", "0.1", "--p01", "0", "--p10", "0.49"],
+             "20436b7eb028b4b127454a66504c7a5a1993e594f891b2152161d7a3640ebc66"),
+            (["mc", "--strategy", "beam-splitter", "--r", "0.1", "--mu", "0.2"],
+             "61f36f99a5310d271269bc6258c8ce889b1ca3e3d71723ad854a52ecfe960d3c"),
+            (["mc", "--strategy", "ideal", "--r", "0.1", "--mu", "0.2",
+              "--p01", "0", "--p10", "0.4926"],
+             "2cf62b1e233dd98988cdafa3b23a55a5d1f00dd1cbcf0e786e5486d68367bef3"),
+            (["mc", "--strategy", "faked", "--r", "0.1", "--rd", "0.1", "--rn", "0",
+              "--length-km", "17", "--alpha", "0.2"],
+             "ee5989d0b3d3f3bcd42383a7cedce593f1878979698261512df5306c079cecf5"),
+        ),
+        ids=("honest-two-0", "honest-two-1", "honest-four-0", "honest-four-1",
+             "mc-honest", "mc-breidbart", "mc-beam-splitter", "mc-ideal", "mc-faked"),
+    )
+    def test_table_reading_artifacts_are_pinned(self, args, digest, capsys):
+        # both entries of every honest row, and every party's Monte Carlo
+        # draws and analytic value at the default trial count, byte for byte
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_parser_is_built_once_per_process(self, capsys):
+        commands = (["distance", "--alpha", "0.2"], ["honest", "--r", "0.1"])
+        cli.build_parser.cache_clear()
+        shared = [run_cli(args, capsys) for args in commands]
+        assert cli.build_parser.cache_info().misses == 1
+        for args, got in zip(commands, shared):
+            cli.build_parser.cache_clear()
+            assert got == run_cli(args, capsys)
+            assert got[0] == 0 and got[1]
+
     def test_stdout_mirrors_file(self, tmp_path, capsys):
         args = ["distance", "--alpha", "0.2"]
         path = tmp_path / "out.csv"

@@ -15,8 +15,11 @@ from hypothesis import strategies as st
 
 from qbcsim.attacks import DistanceScenario, FakedDistance, max_safe_distance
 from qbcsim.protocol import (
+    STATE_VECTORS,
+    ConditionalTable,
     Variant,
     build_test,
+    commit_observable,
     honest_table,
     log_binomial_window,
     log_binomial_window_derivatives,
@@ -32,8 +35,11 @@ from qbcsim.strategy import (
     IdealMultiPhoton,
     LogObjective,
     _newton_step,
+    apply_flips,
     optimize,
+    photon_weights,
 )
+from qbcsim.qcore import born, breidbart
 from test_protocol import fsum_window
 
 TWO = Variant.TWO_STATE
@@ -268,6 +274,69 @@ def test_table_rows_are_normalised(variant, claimed, party_and_r):
         p0, p1 = table.prob(s, 0), table.prob(s, 1)
         assert 0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0, (s, p0, p1)
         assert abs(p0 + p1 - 1.0) <= 1e-15, (s, p0 + p1)
+
+
+def _two_entry_flips(rows, p01, p10):
+    """The flip kernel on rows ``{s: (p(0|s), p(1|s))}``, each outcome
+    formed on its own: the arithmetic of tables that stored both entries."""
+    return {
+        s: (p0 * (1.0 - p01) + p1 * p10, p1 * (1.0 - p10) + p0 * p01)
+        for s, (p0, p1) in rows.items()
+    }
+
+
+def _born_rows(basis, variant, r):
+    born_zero = {s: born(basis, STATE_VECTORS[s], r) for s in variant.states}
+    return {s: (p, 1.0 - p) for s, p in born_zero.items()}
+
+
+def _two_entry_rows(party, variant, claimed, r):
+    """Both entries of every row of ``party``'s table, from the Born rule
+    and the two-entry flip and photon-number mixture arithmetic."""
+    honest = _born_rows(commit_observable(claimed), variant, r)
+    if isinstance(party, Honest):
+        return honest
+    if isinstance(party, BreidbartFlips):
+        raw = _born_rows(breidbart(), variant, r)
+        return _two_entry_flips(raw, party.flips.p01, party.flips.p10)
+    if isinstance(party, IdealMultiPhoton):
+        single, multi, norm = photon_weights(party.mu)
+        flipped = _two_entry_rows(BreidbartFlips(party.flips), variant, claimed, r)
+        return {
+            s: tuple(single / norm * f + multi / norm * h for f, h in zip(flipped[s], honest[s]))
+            for s in variant.states
+        }
+    if isinstance(party, BeamSplitter):
+        single, _, norm = photon_weights(party.mu)
+        w = single / (4.0 * norm)
+        return _two_entry_flips(honest, w, w)
+    near = _born_rows(commit_observable(claimed), variant, party.scenario.r_near)
+    delta = max(0.5 - 10.0 ** (-party.alpha * party.length_km / 10.0), 0.0)
+    w = delta / (2.0 * (0.5 + delta))
+    return _two_entry_flips(near, w, w)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(
+    st.sampled_from((TWO, FOUR)),
+    st.sampled_from((0, 1)),
+    any_parties(),
+    st.lists(unit, min_size=4, max_size=4),
+    flip_pairs,
+)
+def test_one_number_rows_match_the_two_entry_reference(
+    variant, claimed, party_and_r, p_zero, flips
+):
+    # a random table through the flip kernel, and every party type's table
+    table = ConditionalTable(variant.states, dict(zip(variant.states, p_zero)))
+    rows = {s: (p, 1.0 - p) for s, p in table.p_zero.items()}
+    cases = [(apply_flips(table, flips), _two_entry_flips(rows, flips.p01, flips.p10))]
+    party, r = party_and_r
+    cases.append((party.table(variant, claimed, r), _two_entry_rows(party, variant, claimed, r)))
+    for got, want in cases:
+        for s in variant.states:
+            for o in (0, 1):
+                assert abs(got.prob(s, o) - want[s][o]) <= 1e-15, (party, s, o)
 
 
 @settings(SETTINGS, max_examples=200)

@@ -101,17 +101,22 @@ class TestHonestTable:
 
 
 class TestConditionalTable:
-    def test_rejects_unnormalised_row(self):
-        with pytest.raises(ValueError):
-            ConditionalTable(("0",), {("0", 0): 0.6, ("0", 1): 0.6})
-
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            ConditionalTable(("0",), {("0", 0): 1.2, ("0", 1): -0.2})
+        for p in (1.2, -0.2, math.nan):
+            with pytest.raises(ValueError, match="out of range for state '0'"):
+                ConditionalTable(("0",), {"0": p})
 
     def test_rejects_missing_state(self):
-        with pytest.raises(ValueError):
-            ConditionalTable(("0", "+"), {("0", 0): 1.0, ("0", 1): 0.0})
+        with pytest.raises(ValueError, match="missing entry for state '\\+'"):
+            ConditionalTable(("0", "+"), {"0": 1.0})
+
+    def test_outcome_one_is_the_complement(self):
+        t = ConditionalTable(("0", "+"), {"0": 0.25, "+": 1.0})
+        assert (t.prob("0", 0), t.prob("0", 1), t.prob("+", 0), t.prob("+", 1)) == (
+            0.25, 0.75, 1.0, 0.0
+        )
+        with pytest.raises(KeyError):
+            t.prob("0", 2)
 
 
 class TestCountedOutcomes:
@@ -213,7 +218,7 @@ class TestTallied:
     def test_reads_the_counted_outcome_of_each_state(self):
         for variant in (TWO, FOUR):
             # a distinct outcome-0 probability per state
-            table = ConditionalTable.from_zero_probs(
+            table = ConditionalTable(
                 variant.states, {s: 0.1 + 0.2 * i for i, s in enumerate(variant.states)}
             )
             for claimed in (0, 1):
@@ -226,7 +231,7 @@ class TestTallied:
 
     def test_clips_an_ulp_outside_the_unit_interval(self):
         one_up = math.nextafter(1.0, 2.0)
-        table = ConditionalTable.from_zero_probs(("0", "+"), {"0": one_up, "+": one_up})
+        table = ConditionalTable(("0", "+"), {"0": one_up, "+": one_up})
         assert table.prob("+", 1) < 0.0
         # claim 0 of the two-state protocol tallies 0s for |0> and 1s for |+>
         tallied = build_test(TWO, 0, 0.1, 50, 3.0).tallied(table)
@@ -315,6 +320,27 @@ class TestLogBinomialWindow:
         assert log_binomial_window(10, np.full((3, 2), 0.5), lo, hi).shape == (3, 2)
         with pytest.raises(ValueError, match="one entry per window"):
             log_binomial_window(10, np.full(4, 0.5), lo, hi)
+
+    def test_rejects_a_bad_n_or_window_end_by_name(self):
+        for args, name in (
+            ((-3, 0.5, 0, 2), "n"),
+            ((5.0, 0.5, 0, 2), "n"),
+            ((5, 0.5, 2.0, 3), "lo"),
+            ((5, 0.5, 2, 3.0), "hi"),
+            ((10, np.full(2, 0.5), np.array([0, 2]), np.array([5.0, 7.0])), "hi"),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                log_binomial_window(*args)
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                log_binomial_window_derivatives(*args)
+
+    def test_rejects_n_above_the_cap_before_sizing_a_window(self, monkeypatch):
+        from qbcsim import protocol
+
+        monkeypatch.setattr(protocol, "MAX_N_PER_STATE", 20)
+        assert binomial_window_probability(20, 0.5, 0, 20) == 1.0
+        with pytest.raises(ValueError, match=r"^n must be an integer in \[0, 20\], got 21"):
+            log_binomial_window(21, 0.5, 0, 21)
 
 
 class TestLogBinomialWindowDerivativesNearTheEdges:
