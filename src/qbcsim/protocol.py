@@ -217,7 +217,8 @@ def build_test(
 
 #: Elements of the (points x terms) block that one step of
 #: :func:`log_binomial_window` works on, so its scratch memory stays fixed
-#: whatever the window width.
+#: whatever the window width; a stacked call past one block sums each
+#: window alone.
 _BLOCK = 1 << 14
 
 
@@ -233,16 +234,26 @@ def log_binomial_window(n: int, p: np.ndarray, lo, hi) -> np.ndarray:
     """``log P(lo <= X <= hi)`` for ``X ~ Binomial(n, p)``, elementwise over
     the array ``p``.
 
-    ``lo`` and ``hi`` are integers, or integer arrays of one window per
-    entry of ``p``'s last axis, so every sent state's window is summed in
-    one call.  The terms ``log C(n, k) + k log p + (n - k) log(1 - p)``, with
-    log-gamma coefficients, are combined by a log-sum-exp shifted by the
-    largest term in the window (the binomial mode ``floor((n + 1) p)``
-    clipped into it), so the result stays finite where the probability
-    itself underflows.  ``p`` of exactly 0 or 1 puts all mass on ``k = 0``
-    or ``k = n`` and is handled without forming ``0 * log(0)``.
+    ``lo`` and ``hi`` are integers, or integer arrays that broadcast to one
+    window per entry of ``p``'s last axis, so every sent state's window is
+    summed in one call.  While the terms, padded to the widest window, fit
+    in one ``_BLOCK`` (points x windows x widest window) they are summed
+    together, as a block's fixed cost outweighs the padding; past one block
+    each window is summed alone at its own width, where padding would only
+    add ``exp`` terms.  The terms ``log C(n, k) + k log p + (n - k)
+    log(1 - p)``, with log-gamma coefficients, are combined by a
+    log-sum-exp shifted by the largest term in the window (the binomial
+    mode ``floor((n + 1) p)`` clipped into it), so the result stays finite
+    where the probability itself underflows.  ``p`` of exactly 0 or 1 puts
+    all mass on ``k = 0`` or ``k = n`` and is handled without forming
+    ``0 * log(0)``.
     """
-    shape, p, w = _stacked(n, p, lo, hi)
+    shape, p, w, ends = _stacked(n, p, lo, hi)
+    if w.filled.size > 1 and p.size * w.logc.shape[1] > _BLOCK:
+        log_f = np.empty_like(p)
+        for s, (a, b) in enumerate(zip(*(e.ravel().tolist() for e in ends))):
+            log_f[:, s] = log_binomial_window(n, p[:, s], a, b)
+        return log_f.reshape(shape)
     inner, q, log_q, log_1mq = _interior_points(p, w)
     log_f = _log_window_interior(n, q, log_q, log_1mq, w)
     return np.where(inner, log_f, np.where(p == 0.0, *w.limits[:, 0])).reshape(shape)
@@ -314,23 +325,26 @@ def _windows(n: int, lo: tuple[int, ...], hi: tuple[int, ...]) -> _Windows:
     return table
 
 
-def _stacked(n: int, p, lo, hi) -> tuple[tuple[int, ...], np.ndarray, _Windows]:
-    """The shape of ``p``, ``p`` as a (points, windows) array, and the
-    windows' constants; the arguments are checked before anything is sized
-    by them."""
+def _stacked(n: int, p, lo, hi) -> tuple[tuple[int, ...], np.ndarray, _Windows, tuple]:
+    """The shape of ``p``, ``p`` as a (points, windows) array, the
+    windows' constants, and ``lo`` and ``hi`` broadcast together; the
+    arguments are checked before anything is sized by them."""
     if not (isinstance(n, numbers.Integral) and 0 <= n <= MAX_N_PER_STATE):
         raise ValueError(f"n must be an integer in [0, {MAX_N_PER_STATE}], got {n!r}")
-    ends = np.ravel(lo), np.ravel(hi)
+    try:
+        ends = np.broadcast_arrays(lo, hi)
+    except ValueError:
+        raise ValueError(f"lo and hi must broadcast, got shapes {np.shape(lo)}, {np.shape(hi)}")
     for name, e in zip(("lo", "hi"), ends):
         if e.dtype.kind not in "iu":
             raise ValueError(f"{name} must be an integer or integer array, got {e.dtype}")
     p = np.asarray(p, dtype=np.float64)
     if not ((p >= 0.0) & (p <= 1.0)).all():
         raise ValueError("probabilities must lie in [0, 1]")
-    w = _windows(n, *(tuple(e.tolist()) for e in ends))
-    if np.ndim(lo) and p.shape[-1:] != w.filled.shape:
+    w = _windows(n, *(tuple(e.ravel().tolist()) for e in ends))
+    if ends[0].ndim and p.shape[-1:] != w.filled.shape:
         raise ValueError(f"p needs one entry per window on its last axis, has shape {p.shape}")
-    return p.shape, p.reshape(-1, w.filled.size), w
+    return p.shape, p.reshape(-1, w.filled.size), w, ends
 
 
 def _interior_points(p: np.ndarray, w: _Windows):
@@ -371,7 +385,8 @@ def log_binomial_window_derivatives(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`log_binomial_window` and its first and second derivatives in
     ``p``, as ``(log_f, d1, d2)``; ``lo`` and ``hi`` are integers or one
-    window per entry of ``p``'s last axis, as there.
+    window per entry of ``p``'s last axis, as there, but every window is
+    summed in one call whatever its size, as a Newton step needs one point.
 
     With ``F`` the window probability, ``F' = n*(b(lo-1) - b(hi))`` for the
     ``Binomial(n - 1, p)`` masses ``b``, and ``b'(k) = b(k)*u(k)`` with
@@ -388,7 +403,7 @@ def log_binomial_window_derivatives(
     its limit: ``+-inf`` for ``d1``, and ``-inf`` for ``d2`` as ``log F``
     is concave.
     """
-    shape, p, w = _stacked(n, p, lo, hi)
+    shape, p, w, _ = _stacked(n, p, lo, hi)
     inner, q, log_q, log_1mq = _interior_points(p, w)
     log_f = _log_window_interior(n, q, log_q, log_1mq, w)
     # b(k; n-1, q)/F and u(k) at k = lo - 1 and k = hi; b is 0 off 0..n-1

@@ -205,9 +205,10 @@ class LogObjective:
     p10))`` is affine in ``(p01, p10)``; its coefficients ``c + a*p01 +
     b*p10`` are the test's ``tallied()`` of that party's ``table()`` at the
     corners (0, 0), (1, 0) and (0, 1), so any party with an affine table
-    works unchanged.  Each state's log window probability comes from
-    :func:`~qbcsim.protocol.log_binomial_window`, and the states' logs add.  Nothing underflows: the four-state optimum
-    at ``n = 5000`` per state has a log value near -2490.
+    works unchanged.  Every state's log window probability comes from one
+    :func:`~qbcsim.protocol.log_binomial_window` call, and the states' logs
+    add.  Nothing underflows: the four-state optimum at ``n = 5000`` per
+    state has a log value near -2490.
     """
 
     def __init__(
@@ -234,38 +235,19 @@ class LogObjective:
         self.coefficients = list(zip(c.tolist(), *self.ab.tolist()))
         self.lo, self.hi = np.array(list(self.test.windows.values())).T
 
-    def _tallied(self, p01, p10, s=slice(None)) -> np.ndarray:
-        """The tallied probability at the flattened pairs of state ``s``, or
-        of every state with one row each."""
-        a, b = self.ab[:, s, None]
-        p = self.c[s, None] + a * np.ravel(p01) + b * np.ravel(p10)
-        return np.minimum(np.maximum(p, 0.0), 1.0)
-
     def __call__(self, p01, p10) -> np.ndarray:
-        """Log pass probability at each pair of the broadcast arrays, one
-        window call per state: padding every state to the widest window
-        would cost more ``exp`` terms than the calls save, and one state's
-        points at a time measured faster than every state's at once."""
+        """Log pass probability at each pair of the broadcast arrays, from
+        one window call for all states."""
         p01, p10 = np.broadcast_arrays(
             np.asarray(p01, dtype=np.float64), np.asarray(p10, dtype=np.float64)
         )
         for name, p in (("p01", p01), ("p10", p10)):
             if not np.all((p >= 0.0) & (p <= 1.0)):
                 raise ValueError(f"{name} must lie in [0, 1]")
-        total = np.zeros(p01.size)
-        for s, (lo, hi) in enumerate(zip(self.lo.tolist(), self.hi.tolist())):
-            total += log_binomial_window(self.n, self._tallied(p01, p10, s), lo, hi)
-        return total.reshape(p01.shape)
-
-    def stacked(self, p01: np.ndarray, p10: np.ndarray) -> np.ndarray:
-        """Log pass probability at the pairs of the 1-D arrays ``p01`` and
-        ``p10``, unchecked, from one window call for all states: for the
-        few points of a start scan the fixed cost of a call outweighs the
-        ``exp`` terms of padding every state to the widest window.  Values
-        match :meth:`__call__`'s to 1e-12, not bit for bit."""
-        return log_binomial_window(
-            self.n, self._tallied(p01, p10).T, self.lo, self.hi
-        ).sum(axis=-1)
+        a, b = self.ab[:, :, None]
+        p = self.c[:, None] + a * p01.ravel() + b * p10.ravel()
+        p = np.minimum(np.maximum(p, 0.0), 1.0)
+        return log_binomial_window(self.n, p.T, self.lo, self.hi).sum(axis=-1).reshape(p01.shape)
 
     def derivatives(self, p01: float, p10: float) -> tuple[
         float, tuple[float, float], tuple[tuple[float, float], tuple[float, float]]
@@ -273,8 +255,9 @@ class LogObjective:
         """Log pass probability at one pair, with its gradient and Hessian in
         ``(p01, p10)`` as Python floats, from one window call for all
         states: each state adds ``d1*(a, b)`` and ``d2*(a, b)(a, b)^T``.
-        The value matches :meth:`__call__`'s to 1e-12, not bit for bit, as
-        the states' windows are padded to one width."""
+        The value is :meth:`__call__`'s at the same pair, bit for bit, unless
+        one pair's windows pass a kernel block (windows thousands of counts
+        wide); there the two agree to 1e-12."""
         p = [min(max(c + a * p01 + b * p10, 0.0), 1.0) for c, a, b in self.coefficients]
         log_f, d1, d2 = log_binomial_window_derivatives(
             self.n, np.array(p), self.lo, self.hi
@@ -360,14 +343,14 @@ def optimize(
     Any party whose table is affine in the flips can be tuned.
 
     The log objective is concave on ``[0, 1]^2``, so a local maximum is
-    the global one.  One stacked window call, :meth:`LogObjective.stacked`,
-    scans the 0.1 grid; its first point in scan order within ``1e-12`` of
-    the maximum starts projected Newton steps on the coordinates not held
-    at a bound (a coordinate is held at 0 while its gradient is negative,
-    at 1 while it is positive), each projected onto the box and
-    backtracked until it meets the Armijo rule (1e-4).  The search stops
-    when the Newton decrement is at most ``2e-12``, or when a step gains
-    nothing, and raises ``ValueError`` after ``_MAX_STEPS`` steps.  The four-state
+    the global one.  One :class:`LogObjective` call scans the 0.1 grid;
+    its first point in scan order within ``1e-12`` of the maximum starts
+    projected Newton steps on the coordinates not held at a bound (a
+    coordinate is held at 0 while its gradient is negative, at 1 while it
+    is positive), each projected onto the box and backtracked until it
+    meets the Armijo rule (1e-4).  The search stops when the Newton
+    decrement is at most ``2e-12``, or when a step gains nothing, and
+    raises ``ValueError`` after ``_MAX_STEPS`` steps.  The four-state
     objective is swap-symmetric, so a concave maximum lies on the
     diagonal, and the scan and the search there run on ``p01 = p10`` alone.
     The search runs on Python floats: each step is one
@@ -384,7 +367,7 @@ def optimize(
     diagonal = variant is Variant.FOUR_STATE
     if diagonal:
         xs = ys = xs[xs == ys]
-    values = fn.stacked(xs, ys)
+    values = fn(xs, ys)
     i = int(np.argmax(values >= values.max() - _TIE_LOG))
     # search coordinates z in [0, 1]^d: the flip pair (z[0], z[-1])
     z = (float(xs[i]),) if diagonal else (float(xs[i]), float(ys[i]))

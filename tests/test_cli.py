@@ -803,6 +803,26 @@ class TestDeterminism:
     @pytest.mark.parametrize(
         "args, digest",
         (
+            (["cheat-surface", "--r", "0.16", "--m", "100", "--grid-step", "0.01"],
+             "fa7d8e37f624263fc75c16c8c05c4f1045779a7ecb2a636c941bd666c12e46f0"),
+            (["cheat-surface", "--r", "0.16", "--m", "100", "--grid-step", "0.01",
+              "--variant", "four"],
+             "367803e712d688342cf15746b902f1198363ba774906b953df22d8ed5fe218a1"),
+            (["cheat-surface", "--r", "0.1", "--m", "10000", "--grid-step", "0.01"],
+             "0cb13caa125d7b7d2865cb266d050ce71cc970867b0cb42104ee6b7af6bb687d"),
+        ),
+        ids=("surface-two", "surface-four", "surface-two-wide"),
+    )
+    def test_surface_artifacts_are_pinned(self, args, digest, capsys):
+        # every cell of a 10,201-point surface, byte for byte; the last one's
+        # windows are 93 and 213 counts wide
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        (
             (["honest", "--variant", "two", "--commit", "0"],
              "4fe2486cce9776ae522c9aee49c3205f25d643047c2743690c5104c3ef567419"),
             (["honest", "--variant", "two", "--commit", "1"],

@@ -8,11 +8,13 @@ gives the same examples on every run.
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbcsim import protocol
 from qbcsim.attacks import DistanceScenario, FakedDistance, max_safe_distance
 from qbcsim.protocol import (
     STATE_VECTORS,
@@ -417,6 +419,22 @@ def test_stacked_windows_match_one_call_per_window(case):
     assert_close(stacked[1], d1, rtol=1e-9)
     assert_close(stacked[2], d2, rtol=1e-9)
     assert_close(log_binomial_window(n, p, lo, hi), log_f, atol=1e-12)
+
+
+@SETTINGS
+@given(stacked_windows())
+def test_windows_past_one_block_are_summed_one_at_a_time(case):
+    # padded terms that fit in one block are summed together, as with the
+    # default block; past it the stacked call is one call per window
+    n, lo, hi, p = case
+    padded = p.size * int((hi - lo).max() + 1)
+    whole = log_binomial_window(n, p, lo, hi)
+    with mock.patch.object(protocol, "_BLOCK", padded):
+        assert np.array_equal(log_binomial_window(n, p, lo, hi), whole)
+    with mock.patch.object(protocol, "_BLOCK", padded - 1):
+        got = log_binomial_window(n, p, lo, hi)
+        single = [log_binomial_window(n, p[:, s], int(lo[s]), int(hi[s])) for s in range(lo.size)]
+    assert np.array_equal(got, np.stack(single, axis=-1))
 
 
 @SETTINGS

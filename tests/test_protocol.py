@@ -321,6 +321,36 @@ class TestLogBinomialWindow:
         with pytest.raises(ValueError, match="one entry per window"):
             log_binomial_window(10, np.full(4, 0.5), lo, hi)
 
+    def test_a_call_past_one_block_is_one_call_per_window(self):
+        # the two-state start scan at n = 5000: 121 points x 2 windows x 213
+        # counts of padded terms pass one block
+        lo, hi = np.array(list(build_test(Variant.TWO_STATE, 0, 0.1, 5000).windows.values())).T
+        p = np.random.default_rng(53).uniform(lo / 5000, hi / 5000, (121, 2))
+        single = [log_binomial_window(5000, p[:, s], int(lo[s]), int(hi[s])) for s in range(2)]
+        assert np.array_equal(log_binomial_window(5000, p, lo, hi), np.stack(single, axis=-1))
+
+    def test_a_scalar_end_gives_one_window_per_entry_of_the_other(self):
+        p, hi = np.full((2, 2), 0.5), np.array([5, 9])
+        for kernel in (log_binomial_window, log_binomial_window_derivatives):
+            got = kernel(10, p, 0, hi)
+            for s, b in enumerate(hi.tolist()):
+                want = kernel(10, p[:, s], 0, b)
+                assert np.allclose(np.asarray(got)[..., s], want, rtol=1e-12, atol=0.0)
+        want = [math.log(fsum_window(10, 0.5, 0, b)) for b in (5, 9)]
+        assert np.allclose(log_binomial_window(10, p, 0, hi), [want, want], rtol=1e-12)
+
+    def test_window_ends_that_disagree_are_rejected(self):
+        for kernel in (log_binomial_window, log_binomial_window_derivatives):
+            with pytest.raises(ValueError, match="^lo and hi must broadcast"):
+                kernel(10, np.full((3, 2), 0.5), np.array([0, 2]), np.array([5, 6, 7]))
+            # two windows, or one given as an array, for a single column of p
+            for p, lo, hi in (
+                (np.full((3, 1), 0.5), np.array([0, 2]), np.array([5])),
+                (np.full(2, 0.5), 0, np.array([5])),
+            ):
+                with pytest.raises(ValueError, match="one entry per window"):
+                    kernel(10, p, lo, hi)
+
     def test_rejects_a_bad_n_or_window_end_by_name(self):
         for args, name in (
             ((-3, 0.5, 0, 2), "n"),

@@ -278,6 +278,21 @@ class TestLogObjective:
                 else:
                     assert g < math.log(1e-300) + 1e-9
 
+    @pytest.mark.parametrize(
+        "variant, claimed, r, n, objective, p01, p10",
+        (
+            (TWO, 0, 0.2, 9, BreidbartFlips(), 0.04, 0.89),
+            (TWO, 1, 0.29, 143, BreidbartFlips(), 0.4, 0.03),
+            (TWO, 0, 0.18, 177, IdealMultiPhoton(0.2), 0.0, 0.38),
+            (FOUR, 0, 0.09, 28, BreidbartFlips(), 0.39, 0.66),
+            (FOUR, 0, 0.17, 84, IdealMultiPhoton(0.2), 0.11, 0.63),
+        ),
+    )
+    def test_one_pair_is_the_value_of_derivatives(self, variant, claimed, r, n, objective,
+                                                  p01, p10):
+        kernel = LogObjective(variant, claimed, r, n, 3.0, objective)
+        assert float(kernel(p01, p10)) == kernel.derivatives(p01, p10)[0]
+
     def test_broadcasts_and_keeps_shape(self):
         kernel = LogObjective(TWO, 1, 0.1, 50, 3.0)
         grid = kernel(np.linspace(0.0, 1.0, 3)[:, None], np.linspace(0.0, 1.0, 4))

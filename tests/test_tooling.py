@@ -1,12 +1,14 @@
 """The traced benchmark stays runnable: every function ``perfbench/run.py``
 wraps in a ``--trace 1`` run exists on ``qbcsim``, and the CLI reaches its
 CSV writer through the module global the tracer replaces.  The README's
-commands and its Python API example run as written."""
+commands and its Python API example run as written, and each command's
+artifact is pinned byte for byte."""
 
 import contextlib
+import csv
+import hashlib
 import importlib
 import importlib.util
-import csv
 import io
 import shlex
 import sys
@@ -74,17 +76,32 @@ def readme_commands() -> list[list[str]]:
     return [shlex.split(line)[1:] for line in lines if line.startswith("qbcsim ")]
 
 
+#: sha256 of each README command's artifact, by subcommand.  A change that
+#: alters an artifact on purpose updates its digest and says so.
+README_DIGESTS = {
+    "honest": "4fe2486cce9776ae522c9aee49c3205f25d643047c2743690c5104c3ef567419",
+    "binding-failure": "762f2585a80858f4f388a1af0a6348e0cf1b9fe2e539e08bb57587cf91bc9f97",
+    "cheat-surface": "4734f6927c8997466f8a8f2d9f6eace6c4786fa815aca80f06d19edb384c7375",
+    "cheat-max": "fb7ecac14ccdcc963c9402dcbb5cb8a0a273511162b75528f6677c85baafd77b",
+    "tables": "597c6d5fd7d8b82351c82488c0350baa570e53da9194fea20adc64048111691a",
+    "distance": "82067e5944666da9a0a13922bd3a546e25196dc8aac89f09643ac67e103c2f67",
+    "multiphoton": "33c63f927abdda6c2c0fab861b57a73fe905bb91f6030468c99af1a6150b789e",
+    "mc": "2cf62b1e233dd98988cdafa3b23a55a5d1f00dd1cbcf0e786e5486d68367bef3",
+}
+
+
 def test_readme_commands_run_and_write_csv(tmp_path, capsys):
     commands = readme_commands()
-    assert len(commands) == 8
+    assert sorted(args[0] for args in commands) == sorted(README_DIGESTS)
     for args in commands:
         out = None
         if "--out" in args:
             i = args.index("--out") + 1
             out = args[i] = str(tmp_path / Path(args[i]).name)
         assert cli.main(args) == 0, args
-        text = capsys.readouterr().out if out is None else Path(out).read_text()
-        header, first_row = list(csv.reader(io.StringIO(text)))[:2]
+        data = capsys.readouterr().out.encode() if out is None else Path(out).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == README_DIGESTS[args[0]], args
+        header, first_row = list(csv.reader(io.StringIO(data.decode())))[:2]
         # column names, not numbers, and a row of the same width
         assert all(name[:1].isalpha() for name in header), args
         assert len(first_row) == len(header), args
