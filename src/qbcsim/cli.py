@@ -124,6 +124,8 @@ def parse_m_list(text: str) -> list[int]:
 
 
 def derive_n(m: int, variant: Variant) -> int:
+    if m < 1:
+        raise CliError(f"--m must be positive, got {m}")
     if m % variant.state_count != 0:
         raise CliError(
             f"--m {m} is not divisible by the {variant.value}-state particle count "
@@ -277,14 +279,12 @@ def cmd_tables(args: argparse.Namespace) -> Artifact:
 def cmd_distance(args: argparse.Namespace) -> Artifact:
     if not args.alpha > 0.0:
         raise CliError(f"--alpha must be positive, got {args.alpha!r}")
-    rd = args.rd if args.rd is not None else 0.0
-    rn = args.rn if args.rn is not None else 0.0
-    scenario = DistanceScenario(r_distant=rd, r_near=rn)
+    scenario = DistanceScenario(r_distant=args.rd, r_near=args.rn)
     noiseless = attacks.max_safe_distance(args.alpha)
     noisy = attacks.max_safe_distance_noisy(args.alpha, scenario)
     return Artifact(
         ("alpha", "rd", "rn", "max_safe_km", "max_safe_noisy_km"),
-        [[args.alpha, rd, rn, noiseless, noisy]],
+        [[args.alpha, args.rd, args.rn, noiseless, noisy]],
     )
 
 
@@ -466,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", help="maximum safe fibre lengths")
     _add_common(p, variant=False)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--rd", type=float, default=None)
-    p.add_argument("--rn", type=float, default=None)
+    p.add_argument("--rd", type=float, default=0.0)
+    p.add_argument("--rn", type=float, default=0.0)
 
     p = sub.add_parser("multiphoton", help="photon-source attack success surfaces")
     _add_common(p, commit=True)

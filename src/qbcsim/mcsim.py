@@ -14,20 +14,21 @@ carried one photon would give the same distribution.
 
 Chunk ``i`` of ``_CHUNK`` trials draws from its own counter-based
 stream, ``Philox(seed).jumped(i)``, one binomial per sent state in state
-order; the chunks run on one thread per available core, and their
-accepted counts and histograms are summed as integers in chunk order.
-So a :class:`TrialConfig` always gives a bit-identical
-:class:`TrialReport`, whatever the number of cores, and since
-``jumped(0)`` is ``Philox(seed)``, a run of at most ``_CHUNK`` (131,072)
-trials draws the same numbers as one ``Philox(seed)`` stream.
+order; the chunks run on one thread per available core, and each adds
+its histograms into shared totals under a lock, in whatever order the
+chunks finish.  Integer sums are exact in any order and each chunk's
+numbers are fixed by its own stream, so a :class:`TrialConfig` always
+gives a bit-identical :class:`TrialReport`, whatever the number of
+cores or the order the chunks ran in.  Since ``jumped(0)`` is
+``Philox(seed)``, a run of at most ``_CHUNK`` (131,072) trials draws the
+same numbers as one ``Philox(seed)`` stream.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import deque
-from collections.abc import Callable, Iterator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,25 +80,6 @@ class TrialReport:
     per_state_count_histograms: dict[str, np.ndarray]
 
 
-def _in_order(job: Callable[[int], tuple], count: int, workers: int) -> Iterator[tuple]:
-    """``job(0), ..., job(count - 1)`` in index order, computed on
-    ``workers`` threads.  At most ``2 * workers`` jobs are submitted and
-    not yet yielded, so the bookkeeping does not grow with ``count``."""
-    if workers == 1:
-        yield from map(job, range(count))
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers) as pool:
-        pending: deque = deque()
-        for i in range(count):
-            pending.append(pool.submit(job, i))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
 def run(config: TrialConfig) -> TrialReport:
     """Estimate the acceptance probability of ``config.strategy``.
 
@@ -116,7 +98,10 @@ def run(config: TrialConfig) -> TrialReport:
     probs = [tallied[s] for s in states]
     windows = [test.windows[s] for s in states]
 
-    def chunk(i: int) -> tuple[int, list[np.ndarray]]:
+    totals = np.zeros((len(states), n + 1), dtype=np.int64)
+    lock = threading.Lock()
+
+    def chunk(i: int) -> int:
         size = min(_CHUNK, config.trials - i * _CHUNK)
         rng = np.random.Generator(np.random.Philox(config.seed).jumped(i))
         accept = np.ones(size, dtype=bool)
@@ -125,16 +110,19 @@ def run(config: TrialConfig) -> TrialReport:
             counts = rng.binomial(n, p, size=size)
             accept &= (counts >= lo) & (counts <= hi)
             histograms.append(np.bincount(counts, minlength=n + 1))
-        return int(np.count_nonzero(accept)), histograms
+        with lock:
+            np.add(totals, histograms, out=totals)
+        return int(np.count_nonzero(accept))
 
     chunks = -(-config.trials // _CHUNK)
     workers = min(len(os.sched_getaffinity(0)), chunks)
-    accepted = 0
-    totals = [np.zeros(n + 1, dtype=np.int64) for _ in states]
-    for chunk_accepted, histograms in _in_order(chunk, chunks, workers):
-        accepted += chunk_accepted
-        for total, histogram in zip(totals, histograms):
-            total += histogram
+    if workers == 1:
+        accepted = sum(map(chunk, range(chunks)))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            accepted = sum(pool.map(chunk, range(chunks)))
 
     rate = accepted / config.trials
     se = math.sqrt(rate * (1.0 - rate) / config.trials)

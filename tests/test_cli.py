@@ -638,13 +638,21 @@ class TestInputLimits:
                 "--m must be an integer or comma list, got '1,x'",
             ),
             (["cheat-max", "--m", "0", "--r", "0.1"], "--m values must be positive, got '0'"),
+            (["honest", "--m", "-4"], "--m must be positive, got -4"),
+            (["binding-failure", "--m", "-3"], "--m must be positive, got -3"),
+            (["cheat-surface", "--r", "0.1", "--m", "0"], "--m must be positive, got 0"),
+            (
+                ["mc", "--strategy", "honest", "--r", "0.1", "--m", "0"],
+                "--m must be positive, got 0",
+            ),
             (
                 ["cheat-surface", "--r", "0.1", "--grid-step", "0.6"],
                 "--grid-step must lie in (0, 0.5], got 0.6",
             ),
         ),
         ids=("range-parts", "range-numbers", "range-order", "m-integers", "m-positive",
-             "grid-step"),
+             "honest-m-negative", "binding-failure-m-odd-negative", "cheat-surface-m-zero",
+             "mc-m-zero", "grid-step"),
     )
     def test_malformed_flag_is_one_error_line(self, args, subject, capsys):
         assert_one_line_error(args, subject, capsys)

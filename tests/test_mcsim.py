@@ -229,7 +229,7 @@ class TestChunkedSampler:
         monkeypatch.setattr(mcsim, "_CHUNK", 1024)
         cfg = config(strategy=strategy, trials=10_001, seed=11)
         default = mcsim.run(cfg)
-        for cpus in ({0}, {0, 1, 2}):
+        for cpus in ({0}, {0, 1, 2}, set(range(16))):
             monkeypatch.setattr(mcsim.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
             report = mcsim.run(cfg)
             assert report.accept_rate == default.accept_rate
@@ -241,14 +241,48 @@ class TestChunkedSampler:
         for hist in default.per_state_count_histograms.values():
             assert hist.sum() == cfg.trials
 
+    @pytest.mark.parametrize("cpus", ({0}, {0, 1}), ids=("one-worker", "two-workers"))
+    def test_a_failing_chunk_stops_the_run(self, cpus, monkeypatch):
+        monkeypatch.setattr(mcsim, "_CHUNK", 1024)
+        monkeypatch.setattr(mcsim.os, "sched_getaffinity", lambda pid: cpus)
+        started = []
+        philox = np.random.Philox
+
+        class FailingPhilox:
+            def __init__(self, seed):
+                self.bit_generator = philox(seed)
+
+            def jumped(self, i):
+                started.append(i)
+                if i == 2:
+                    raise RuntimeError("chunk 2 failed")
+                return self.bit_generator.jumped(i)
+
+        monkeypatch.setattr(np.random, "Philox", FailingPhilox)
+        chunks = 200
+        with pytest.raises(RuntimeError, match="chunk 2 failed"):
+            mcsim.run(config(trials=chunks * 1024))
+        assert 2 in started
+        if len(cpus) == 1:
+            assert started == [0, 1, 2]
+        assert len(started) < chunks // 2, len(started)
+
     def test_cli_import_leaves_thread_pool_unloaded(self):
+        # a run of one chunk, like the README's mc command, needs no pool
         src = os.path.dirname(os.path.dirname(os.path.abspath(mcsim.__file__)))
-        code = "import sys, qbcsim.cli; print('concurrent.futures' in sys.modules)"
+        code = (
+            "import sys, qbcsim.cli\n"
+            "qbcsim.cli.main(['mc', '--strategy', 'ideal', '--r', '0.1', '--m', '100',\n"
+            "                 '--mu', '0.2', '--p01', '0', '--p10', '0.4926'])\n"
+            "print('concurrent.futures' in sys.modules)"
+        )
         out = subprocess.run(
             [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
             capture_output=True, text=True, timeout=60, check=True,
         )
-        assert out.stdout.strip() == "False"
+        lines = out.stdout.splitlines()
+        assert lines[0].startswith("strategy,") and len(lines) == 3
+        assert lines[-1] == "False"
 
 
 class TestOracleAgreement:
