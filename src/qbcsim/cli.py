@@ -14,7 +14,8 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache
-from itertools import repeat
+from itertools import product, repeat
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -40,8 +41,22 @@ class CliError(Exception):
 
 @dataclass(frozen=True)
 class Artifact:
+    """A command's table.  ``body`` holds its rows, except for a
+    ``cheat-surface`` artifact, which sets ``axis``: its table is that flip
+    axis crossed with itself, p01 major, and ``body`` holds the one
+    ``success`` value of each point."""
+
     columns: tuple[str, ...]
-    rows: list[Sequence]
+    body: list
+    axis: list[float] | None = None
+
+    @property
+    def rows(self) -> list[Sequence]:
+        """The table's rows; a surface's are built here, when something
+        iterates them."""
+        if self.axis is None:
+            return self.body
+        return [(*point, v) for point, v in zip(product(self.axis, repeat=2), self.body)]
 
 
 def _fmt(value) -> str:
@@ -63,9 +78,18 @@ def _field(value) -> str:
 
 def to_csv(artifact: Artifact) -> str:
     """The artifact as CSV, byte for byte what :mod:`csv` writes for the
-    cells of :func:`_fmt`, with one format operation per row: the row
-    template has ``%.9g`` for a column of floats and ``%s`` for any other
-    column, whose cells :func:`_field` renders first."""
+    cells of :func:`_fmt`.  A ``cheat-surface`` artifact is written from
+    its axis: each axis value is formatted once as ``"%.9g,"``, the
+    ``"p01,p10,"`` prefix of each point is two of those joined, and only
+    the success cells are formatted per row.  Every other artifact is
+    written with one format operation per row: the row template has
+    ``%.9g`` for a column of floats and ``%s`` for any other column, whose
+    cells :func:`_field` renders first."""
+    header = ",".join(map(_field, artifact.columns))
+    if artifact.axis is not None:
+        cells = ["%.9g," % x for x in artifact.axis]
+        prefixes = [a + b for a in cells for b in cells]
+        return header + "\n" + "".join(map(add, prefixes, map("%.9g\n".__mod__, artifact.body)))
     width = len(artifact.columns)
     columns = list(zip(*artifact.rows)) or [()] * width
     floats = [all(map(isinstance, column, repeat(float))) for column in columns]
@@ -76,8 +100,7 @@ def to_csv(artifact: Artifact) -> str:
         for column, f in zip(columns, floats)
     ]
     template = ",".join("%.9g" if f else "%s" for f in floats) + "\n"
-    header = ",".join(map(_field, artifact.columns)) or blank
-    return header + "\n" + "".join(map(template.__mod__, zip(*cells)))
+    return (header or blank) + "\n" + "".join(map(template.__mod__, zip(*cells)))
 
 
 def to_json(artifact: Artifact) -> str:
@@ -131,7 +154,18 @@ def derive_n(m: int, variant: Variant) -> int:
             f"--m {m} is not divisible by the {variant.value}-state particle count "
             f"{variant.state_count}"
         )
-    return m // variant.state_count
+    return _capped(m, m // variant.state_count)
+
+
+def _capped(m: int, n: int) -> int:
+    """``n``, the per-state count of ``--m m``, checked against the cap
+    before any test is sized by it."""
+    if n > protocol.MAX_N_PER_STATE:
+        raise CliError(
+            f"--m {m} gives {n} particles per state, more than "
+            f"{protocol.MAX_N_PER_STATE}"
+        )
+    return n
 
 
 def _read_config(path: str) -> dict:
@@ -187,14 +221,17 @@ def cmd_honest(args: argparse.Namespace) -> Artifact:
     for s in variant.states:
         columns += [f"p(0|{s})", f"p(1|{s})"]
     columns.append("pass_probability")
+    tables = [protocol.honest_table(variant, args.commit, r) for r in rs]
+    log_ps = protocol.log_pass_probabilities(
+        (protocol.build_test(variant, args.commit, r, n, args.sigma_factor), table)
+        for r, table in zip(rs, tables)
+    )
     rows = []
-    for r in rs:
-        table = protocol.honest_table(variant, args.commit, r)
-        test = protocol.build_test(variant, args.commit, r, n, args.sigma_factor)
+    for r, table, log_p in zip(rs, tables, log_ps):
         row: list = [r]
         for s in variant.states:
             row += [table.prob(s, 0), table.prob(s, 1)]
-        row.append(protocol.pass_probability(test, table))
+        row.append(math.exp(log_p))
         rows.append(row)
     return Artifact(tuple(columns), rows)
 
@@ -203,11 +240,12 @@ def cmd_binding_failure(args: argparse.Namespace) -> Artifact:
     variant = Variant(args.variant)
     rs = _values(args, "r", "0:0.5:0.01")
     n = derive_n(args.m, variant)
-    rows = []
-    for r in rs:
-        test = protocol.build_test(variant, 0, r, n, args.sigma_factor)
-        log_p = protocol.log_pass_probability(test, protocol.honest_table(variant, 1, r))
-        rows.append([r, math.exp(log_p), _log10(log_p)])
+    log_ps = protocol.log_pass_probabilities(
+        (protocol.build_test(variant, 0, r, n, args.sigma_factor),
+         protocol.honest_table(variant, 1, r))
+        for r in rs
+    )
+    rows = [[r, math.exp(log_p), _log10(log_p)] for r, log_p in zip(rs, log_ps)]
     return Artifact(("r", "probability", "log10_probability"), rows)
 
 
@@ -228,8 +266,8 @@ def cmd_cheat_surface(args: argparse.Namespace) -> Artifact:
     p01, p10 = strategy.flip_grid(step)
     kernel = strategy.LogObjective(variant, args.commit, args.r, n, args.sigma_factor)
     success = np.exp(kernel(p01, p10))
-    rows = list(zip(p01.tolist(), p10.tolist(), success.tolist()))
-    return Artifact(("p01", "p10", "success"), rows)
+    axis = p10[: strategy.flip_axis_size(step)].tolist()  # p10 is the axis, tiled
+    return Artifact(("p01", "p10", "success"), success.tolist(), axis=axis)
 
 
 def cmd_cheat_max(args: argparse.Namespace) -> Artifact:
@@ -259,7 +297,7 @@ def cmd_tables(args: argparse.Namespace) -> Artifact:
     for m in sorted(parse_m_list(args.m)):
         if m % 2 != 0:
             raise CliError(f"--m {m} must be even (per-state count is m/2)")
-        n = m // 2
+        n = _capped(m, m // 2)
         sp = strategy.optimize(variant, args.commit, args.r, n, args.sigma_factor)
         mp = strategy.optimize(
             variant, args.commit, args.r, n, args.sigma_factor,
@@ -298,18 +336,24 @@ def cmd_multiphoton(args: argparse.Namespace) -> Artifact:
     rows = []
     for m in sorted(parse_m_list(args.m)):
         n = derive_n(m, variant)
-        for mu in mus:
-            for r in rs:
-                test = protocol.build_test(variant, args.commit, r, n, args.sigma_factor)
-                flips = fixed or strategy.optimize(
-                    variant, args.commit, r, n, args.sigma_factor,
-                    objective=IdealMultiPhoton(mu),
-                ).best
-                ideal, bs = (
-                    protocol.pass_probability(test, party.table(variant, args.commit, r))
-                    for party in (IdealMultiPhoton(mu, flips), BeamSplitter(mu))
-                )
-                rows.append([m, mu, r, flips.p01, flips.p10, ideal, bs])
+        configs = [
+            (mu, r, fixed or strategy.optimize(
+                variant, args.commit, r, n, args.sigma_factor,
+                objective=IdealMultiPhoton(mu),
+            ).best)
+            for mu in mus
+            for r in rs
+        ]
+        pairs = []
+        for mu, r, flips in configs:
+            test = protocol.build_test(variant, args.commit, r, n, args.sigma_factor)
+            for party in (IdealMultiPhoton(mu, flips), BeamSplitter(mu)):
+                pairs.append((test, party.table(variant, args.commit, r)))
+        p = [math.exp(log_p) for log_p in protocol.log_pass_probabilities(pairs)]
+        rows += [
+            [m, mu, r, flips.p01, flips.p10, ideal, bs]
+            for (mu, r, flips), ideal, bs in zip(configs, p[::2], p[1::2])
+        ]
     return Artifact(
         ("m", "mu", "r", "ideal_p01", "ideal_p10", "ideal_success", "beam_splitter_success"),
         rows,

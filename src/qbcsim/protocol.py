@@ -6,7 +6,9 @@ separately for each sent state, that the tallied outcome count falls
 inside a ``mu +/- k*sigma`` window of the honest binomial distribution,
 and accepts only if every window test passes.  Every window probability
 is the exp of :func:`log_binomial_window`, the one window sum, taken for
-all of a test's states in one stacked call.
+all of a test's states in one stacked call; :func:`log_pass_probabilities`
+stacks the windows of many (test, table) pairs of one ``n`` the same way,
+and a single pair is its batch of one.
 
 Two protocol variants are supported: the two-state one (verifier sends
 ``|0>`` or ``|+>``) and the four-state one (``|0>``, ``|1>``, ``|+>``,
@@ -20,7 +22,8 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from itertools import accumulate
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -404,6 +407,13 @@ def log_binomial_window_derivatives(
     is concave.
     """
     shape, p, w, _ = _stacked(n, p, lo, hi)
+    return tuple(_log_window_derivatives(n, p, w).reshape((3, *shape)))
+
+
+def _log_window_derivatives(n: int, p: np.ndarray, w: _Windows) -> np.ndarray:
+    """:func:`log_binomial_window_derivatives` of the (points, windows) array
+    ``p`` in [0, 1], as one (3, points, windows) array, for windows ``w``
+    that are already resolved and checked."""
     inner, q, log_q, log_1mq = _interior_points(p, w)
     log_f = _log_window_interior(n, q, log_q, log_1mq, w)
     # b(k; n-1, q)/F and u(k) at k = lo - 1 and k = hi; b is 0 off 0..n-1
@@ -422,22 +432,54 @@ def log_binomial_window_derivatives(
             ru_s = ratio_s * (w.ends - (n - 1) * q)
             d2 = np.where(finite, d2, (n * (ru_s[0] - ru_s[1]) - d1_s * d1_s) / s / s)
     edge = np.where(p == 0.0, *w.limits)
-    return tuple(np.where(inner, (log_f, d1, d2), edge).reshape((3, *shape)))
+    return np.where(inner, (log_f, d1, d2), edge)
 
 
-def _log_pass_factors(test: AcceptanceTest, actual: ConditionalTable) -> np.ndarray:
-    """Every window state's log window probability, in window order, when
-    the revealed outcomes are distributed per ``actual``: one stacked
-    :func:`log_binomial_window` call."""
-    p = np.array(list(test.tallied(actual).values()))
-    lo, hi = np.array(list(test.windows.values())).T
-    return log_binomial_window(test.n_per_state, p, lo, hi)
+def _log_pass_factors(
+    pairs: Iterable[tuple[AcceptanceTest, ConditionalTable]],
+) -> Iterator[np.ndarray]:
+    """Each (test, table) pair's log window probabilities, in window order,
+    when the revealed outcomes are distributed per its table.
+
+    The pairs share one ``n_per_state``.  Their windows are stacked into
+    :func:`log_binomial_window` calls, each taking as many pairs in order
+    as fit in one ``_BLOCK`` of padded terms, and at least one; so a batch
+    of one pair is the one call of its own windows, and the pairs are read
+    one batch at a time."""
+    batch: list = []
+    count = width = n = 0
+    for test, table in pairs:
+        n = n or test.n_per_state
+        if test.n_per_state != n:
+            raise ValueError(
+                f"stacked tests must share n_per_state, got {n} and {test.n_per_state}"
+            )
+        w = max(b - a for a, b in test.windows.values()) + 1
+        if batch and (count + len(test.windows)) * max(width, w) > _BLOCK:
+            yield from _log_batch_factors(batch)
+            batch, count, width = [], 0, 0
+        batch.append((test, table))
+        count, width = count + len(test.windows), max(width, w)
+    if batch:
+        yield from _log_batch_factors(batch)
+
+
+def _log_batch_factors(
+    batch: list[tuple[AcceptanceTest, ConditionalTable]],
+) -> list[np.ndarray]:
+    """:func:`_log_pass_factors` of one batch, from one kernel call."""
+    p = [q for test, table in batch for q in test.tallied(table).values()]
+    lo, hi = np.array([w for test, _ in batch for w in test.windows.values()]).T
+    log_f = log_binomial_window(batch[0][0].n_per_state, np.array(p), lo, hi)
+    ends = list(accumulate(len(test.windows) for test, _ in batch))
+    return [log_f[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def pass_factors(test: AcceptanceTest, actual: ConditionalTable) -> dict[str, float]:
     """Per-state probability that the tallied count lands in its window,
     when the revealed outcomes are distributed per ``actual``."""
-    return dict(zip(test.windows, np.exp(_log_pass_factors(test, actual)).tolist()))
+    (log_f,) = _log_pass_factors([(test, actual)])
+    return dict(zip(test.windows, np.exp(log_f).tolist()))
 
 
 def pass_probability(test: AcceptanceTest, actual: ConditionalTable) -> float:
@@ -454,7 +496,18 @@ def log_pass_probability(test: AcceptanceTest, actual: ConditionalTable) -> floa
     """Natural log of :func:`pass_probability`: the sum of every state's
     log window probability, which stays finite where the product
     underflows to 0."""
-    return float(_log_pass_factors(test, actual).sum())
+    (log_p,) = log_pass_probabilities([(test, actual)])
+    return log_p
+
+
+def log_pass_probabilities(
+    pairs: Iterable[tuple[AcceptanceTest, ConditionalTable]],
+) -> list[float]:
+    """:func:`log_pass_probability` of each (test, table) pair, for pairs
+    of one ``n_per_state``, with the windows of many pairs summed in one
+    stacked kernel call.  A stacked value can differ from the one-pair
+    value in its last bits; a batch of one pair gives it exactly."""
+    return [float(log_f.sum()) for log_f in _log_pass_factors(pairs)]
 
 
 def binding_failure(

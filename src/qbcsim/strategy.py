@@ -3,7 +3,8 @@
 Each strategy is one frozen type whose ``table(variant, claimed, r)``
 gives its revealed-outcome statistics (the faking-distance one lives in
 :mod:`qbcsim.attacks`); a flip party is also its own objective for
-:func:`optimize`.  A mid-basis committer who wants to defer her
+:func:`optimize`, through ``tables``, its tables at several flip pairs
+from one base table.  A mid-basis committer who wants to defer her
 choice measures every particle in the basis halfway between the two
 commitment observables, then post-processes the raw outcomes: each 0 is
 flipped to 1 with probability ``p01`` and each 1 to 0 with probability
@@ -22,7 +23,8 @@ for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -30,10 +32,11 @@ from .protocol import (
     STATE_VECTORS,
     ConditionalTable,
     Variant,
+    _log_window_derivatives,
+    _stacked,
     build_test,
     honest_table,
     log_binomial_window,
-    log_binomial_window_derivatives,
     pass_probability,
 )
 from .qcore import born, breidbart
@@ -130,7 +133,15 @@ class BreidbartFlips:
     flips: FlipParams = FlipParams(0.0, 0.0)
 
     def table(self, variant: Variant, claimed: int, r: float) -> ConditionalTable:
-        return apply_flips(breidbart_table(variant, r), self.flips)
+        return self.tables(variant, claimed, r, (self.flips,))[0]
+
+    def tables(
+        self, variant: Variant, claimed: int, r: float, flips: Sequence[FlipParams]
+    ) -> list[ConditionalTable]:
+        """The table at each flip pair of ``flips``, which all flip one base
+        table: the raw mid-basis statistics, built once."""
+        base = breidbart_table(variant, r)
+        return [apply_flips(base, f) for f in flips]
 
 
 @dataclass(frozen=True)
@@ -148,14 +159,24 @@ class IdealMultiPhoton:
         photon_weights(self.mu)
 
     def table(self, variant: Variant, claimed: int, r: float) -> ConditionalTable:
+        return self.tables(variant, claimed, r, (self.flips,))[0]
+
+    def tables(
+        self, variant: Variant, claimed: int, r: float, flips: Sequence[FlipParams]
+    ) -> list[ConditionalTable]:
+        """The table at each flip pair of ``flips``: the mid-basis base
+        table, the honest rows and the weights are built once."""
         single, multi, norm = photon_weights(self.mu)
         w_single, w_multi = single / norm, multi / norm  # no subnormal products
-        flipped = BreidbartFlips(self.flips).table(variant, claimed, r).p_zero
         honest = honest_table(variant, claimed, r).p_zero
-        return ConditionalTable(
-            variant.states,
-            {s: w_single * flipped[s] + w_multi * honest[s] for s in variant.states},
-        )
+        return [
+            ConditionalTable(
+                variant.states,
+                {s: w_single * flipped.p_zero[s] + w_multi * honest[s]
+                 for s in variant.states},
+            )
+            for flipped in BreidbartFlips().tables(variant, claimed, r, flips)
+        ]
 
 
 @dataclass(frozen=True)
@@ -195,17 +216,23 @@ def cheat_success(
     return pass_probability(test, BreidbartFlips(flips).table(variant, claimed, r))
 
 
+#: The flip pairs at which :class:`LogObjective` reads a party's tables.
+_CORNERS = (FlipParams(0.0, 0.0), FlipParams(1.0, 0.0), FlipParams(0.0, 1.0))
+
+
 class LogObjective:
     """Log pass probability of a flip party, batched over arrays of flip
     pairs, with its gradient and Hessian at a pair.
 
-    ``objective`` is the party, a frozen type with a ``flips`` field; the
-    flips it was built with are ignored.  For each sent state the
-    tallied-outcome probability of ``replace(objective, flips=FlipParams(p01,
-    p10))`` is affine in ``(p01, p10)``; its coefficients ``c + a*p01 +
-    b*p10`` are the test's ``tallied()`` of that party's ``table()`` at the
-    corners (0, 0), (1, 0) and (0, 1), so any party with an affine table
-    works unchanged.  Every state's log window probability comes from one
+    ``objective`` is the party: a type whose ``tables(variant, claimed, r,
+    flips)`` gives its table at each flip pair of ``flips``, all from one
+    base table; the flips it was built with are ignored.  For each sent
+    state the tallied-outcome probability at flips ``(p01, p10)`` is affine
+    in them; its coefficients ``c + a*p01 + b*p10`` are the test's
+    ``tallied()`` of the party's tables at the corners (0, 0), (1, 0) and
+    (0, 1), from one ``tables`` call, so any party with affine tables works
+    unchanged.  The test's windows are resolved and checked once, here.
+    Every state's log window probability comes from one
     :func:`~qbcsim.protocol.log_binomial_window` call, and the states' logs
     add.  Nothing underflows: the four-state optimum at ``n = 5000`` per
     state has a log value near -2490.
@@ -221,19 +248,18 @@ class LogObjective:
         objective: BreidbartFlips | IdealMultiPhoton = BreidbartFlips(),
     ) -> None:
         self.test = build_test(variant, claimed, r, n_per_state, sigma_factor)
-        corners = (
-            self.test.tallied(
-                replace(objective, flips=FlipParams(x, y)).table(variant, claimed, r)
-            )
-            for x, y in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+        c, t10, t01 = (
+            np.array(list(self.test.tallied(t).values()))
+            for t in objective.tables(variant, claimed, r, _CORNERS)
         )
-        c, t10, t01 = (np.array(list(t.values())) for t in corners)
         self.n = n_per_state
         #: per state, in window order: c, and the coefficients (a, b) as a 2 x S matrix
         self.c, self.ab = c, np.stack((t10 - c, t01 - c))
         #: the same coefficients as one float triple (c, a, b) per state
         self.coefficients = list(zip(c.tolist(), *self.ab.tolist()))
         self.lo, self.hi = np.array(list(self.test.windows.values())).T
+        # the kernel's checks, made once on c, which tallied() clipped into [0, 1]
+        self._windows = _stacked(n_per_state, c, self.lo, self.hi)[2]
 
     def __call__(self, p01, p10) -> np.ndarray:
         """Log pass probability at each pair of the broadcast arrays, from
@@ -252,16 +278,19 @@ class LogObjective:
     def derivatives(self, p01: float, p10: float) -> tuple[
         float, tuple[float, float], tuple[tuple[float, float], tuple[float, float]]
     ]:
-        """Log pass probability at one pair, with its gradient and Hessian in
-        ``(p01, p10)`` as Python floats, from one window call for all
-        states: each state adds ``d1*(a, b)`` and ``d2*(a, b)(a, b)^T``.
-        The value is :meth:`__call__`'s at the same pair, bit for bit, unless
-        one pair's windows pass a kernel block (windows thousands of counts
-        wide); there the two agree to 1e-12."""
+        """Log pass probability at one pair in ``[0, 1]^2``, with its gradient
+        and Hessian in ``(p01, p10)`` as Python floats, from one call of the
+        kernel's value-and-derivative interior on the windows resolved at
+        construction: each state adds ``d1*(a, b)`` and ``d2*(a, b)(a, b)^T``.
+        It is :func:`~qbcsim.protocol.log_binomial_window_derivatives` of the
+        clipped tallied probabilities, bit for bit.  The value is
+        :meth:`__call__`'s at the same pair, bit for bit, unless one pair's
+        windows pass a kernel block (windows thousands of counts wide);
+        there the two agree to 1e-12."""
+        if not (0.0 <= p01 <= 1.0 and 0.0 <= p10 <= 1.0):
+            raise ValueError(f"flips must lie in [0, 1], got ({p01!r}, {p10!r})")
         p = [min(max(c + a * p01 + b * p10, 0.0), 1.0) for c, a, b in self.coefficients]
-        log_f, d1, d2 = log_binomial_window_derivatives(
-            self.n, np.array(p), self.lo, self.hi
-        )
+        log_f, d1, d2 = _log_window_derivatives(self.n, np.array([p]), self._windows)[:, 0]
         g01 = g10 = h00 = h01 = h11 = 0.0
         for (_, a, b), e1, e2 in zip(self.coefficients, d1.tolist(), d2.tolist()):
             g01 += a * e1
@@ -285,6 +314,12 @@ def flip_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
     points = flip_axis_size(step)
     axis = np.append(np.arange(points - 1) * step, 1.0)
     return np.repeat(axis, points), np.tile(axis, points)
+
+
+#: :func:`optimize`'s start scan: the 0.1 grid, and its diagonal, which the
+#: swap-symmetric four-state objective scans alone.
+_START = flip_grid(0.1)
+_START_DIAGONAL = (_START[0][_START[0] == _START[1]],) * 2
 
 
 def _eigenpairs(a: float, b: float, c: float):
@@ -363,10 +398,8 @@ def optimize(
     which stays finite where ``value`` underflows to zero.
     """
     fn = LogObjective(variant, claimed, r, n_per_state, sigma_factor, objective)
-    xs, ys = flip_grid(0.1)
     diagonal = variant is Variant.FOUR_STATE
-    if diagonal:
-        xs = ys = xs[xs == ys]
+    xs, ys = _START_DIAGONAL if diagonal else _START
     values = fn(xs, ys)
     i = int(np.argmax(values >= values.max() - _TIE_LOG))
     # search coordinates z in [0, 1]^d: the flip pair (z[0], z[-1])
@@ -410,9 +443,7 @@ def optimize(
     flips = FlipParams(z[0], z[-1])
     return OptimizationResult(
         best=flips,
-        value=pass_probability(
-            fn.test, replace(objective, flips=flips).table(variant, claimed, r)
-        ),
+        value=pass_probability(fn.test, objective.tables(variant, claimed, r, (flips,))[0]),
         log_value=v,
         evaluations=evaluations,
         gap=decrement / 2.0,

@@ -24,6 +24,10 @@ def assert_one_line_error(args, subject, capsys):
     assert err.startswith(f"error: {subject}") and err.count("\n") == 1, err
 
 
+#: The one-line error of an ``--m`` of 2,000,002 where the per-state count is m/2.
+ABOVE_CAP = "--m 2000002 gives 1000001 particles per state, more than 1000000"
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
@@ -82,13 +86,21 @@ class TestToCsv:
             ["honest", "--variant", "four", "--r-range", "0:0.3:0.1", "--m", "100"],
             ["binding-failure", "--m", "100", "--r-range", "0:0.2:0.02"],
             ["cheat-surface", "--r", "0.1", "--m", "100", "--grid-step", "0.05"],
+            *(
+                ["cheat-surface", "--r", "0.16", "--m", "100", "--grid-step", step,
+                 "--variant", variant, "--commit", claimed]
+                # 0.3 gives an axis whose last step, to exactly 1, is shorter
+                for step in ("0.5", "0.3", "0.05", "0.01")
+                for variant in ("two", "four")
+                for claimed in ("0", "1")
+            ),
             ["cheat-max", "--m", "100", "--r-range", "0:0.2:0.1"],
             ["tables", "--m", "100,200"],
             ["distance", "--alpha", "0.2", "--rd", "0.6", "--rn", "0"],
             ["multiphoton", "--m", "100", "--mu", "0.2", "--r", "0.1"],
             ["mc", "--strategy", "honest", "--r", "0.1", "--m", "100", "--trials", "1000"],
         ),
-        ids=lambda a: a[0],
+        ids=lambda a: "-".join((a[0], a[8], a[10], a[6])) if a[2] == "0.16" else a[0],
     )
     def test_every_command_artifact_matches_a_csv_writer_per_row(self, args):
         parsed = cli.build_parser().parse_args(args)
@@ -483,10 +495,10 @@ class TestMc:
         )
 
     def test_rejects_budget_above_particle_cap(self, capsys):
-        # 1,000,001 per state: rejected while building the test, before sampling
+        # 1,000,001 per state: rejected by the flag that set it, before sampling
         assert_one_line_error(
             ["mc", "--strategy", "honest", "--r", "0.1", "--m", "2000002", "--trials", "1"],
-            "n_per_state", capsys,
+            ABOVE_CAP, capsys,
         )
 
     @pytest.mark.parametrize(
@@ -649,10 +661,25 @@ class TestInputLimits:
                 ["cheat-surface", "--r", "0.1", "--grid-step", "0.6"],
                 "--grid-step must lie in (0, 0.5], got 0.6",
             ),
+            (["honest", "--m", "2000002"], ABOVE_CAP),
+            (["cheat-max", "--m", "2000002", "--r", "0.1"], ABOVE_CAP),
+            (["tables", "--m", "2000002"], ABOVE_CAP),
+            (["mc", "--strategy", "honest", "--r", "0.1", "--m", "2000002"], ABOVE_CAP),
+            (
+                ["multiphoton", "--m", "2000002", "--r", "0.1", "--mu", "0.2",
+                 "--p01", "0", "--p10", "0.4"],
+                ABOVE_CAP,
+            ),
+            (
+                ["binding-failure", "--m", "4000004", "--r", "0.1"],
+                "--m 4000004 gives 2000002 particles per state, more than 1000000",
+            ),
         ),
         ids=("range-parts", "range-numbers", "range-order", "m-integers", "m-positive",
              "honest-m-negative", "binding-failure-m-odd-negative", "cheat-surface-m-zero",
-             "mc-m-zero", "grid-step"),
+             "mc-m-zero", "grid-step", "honest-m-above-cap", "cheat-max-m-above-cap",
+             "tables-m-above-cap", "mc-m-above-cap", "multiphoton-m-above-cap",
+             "binding-failure-m-above-cap"),
     )
     def test_malformed_flag_is_one_error_line(self, args, subject, capsys):
         assert_one_line_error(args, subject, capsys)
@@ -818,8 +845,11 @@ class TestDeterminism:
              "367803e712d688342cf15746b902f1198363ba774906b953df22d8ed5fe218a1"),
             (["cheat-surface", "--r", "0.1", "--m", "10000", "--grid-step", "0.01"],
              "0cb13caa125d7b7d2865cb266d050ce71cc970867b0cb42104ee6b7af6bb687d"),
+            (["cheat-surface", "--r", "0.16", "--m", "100", "--grid-step", "0.05",
+              "--variant", "four", "--commit", "1", "--format", "json"],
+             "11c8d80c867a63a77023340d6c8107c608dda8a6ac46b717976e9263aefdc4bc"),
         ),
-        ids=("surface-two", "surface-four", "surface-two-wide"),
+        ids=("surface-two", "surface-four", "surface-two-wide", "surface-four-json"),
     )
     def test_surface_artifacts_are_pinned(self, args, digest, capsys):
         # every cell of a 10,201-point surface, byte for byte; the last one's

@@ -11,6 +11,7 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -448,6 +449,59 @@ def test_one_stacked_window_is_the_scalar_window(case):
         assert np.array_equal(got[:, 0], want, equal_nan=True)
     got = log_binomial_window(n, column, lo[:1], hi[:1])[:, 0]
     assert np.array_equal(got, log_binomial_window(n, column[:, 0], int(lo[0]), int(hi[0])))
+
+
+@st.composite
+def stacked_pairs(draw):
+    """A list of (test, table) pairs of one ``n``: tests of either variant
+    and bit, with windows of mixed widths (``r = 0`` gives ``[n, n]``
+    windows), and tables that are any party's or put ``p`` at exactly 0 or 1."""
+    n = draw(st.integers(1, 300))
+    pairs = []
+    for _ in range(draw(st.integers(1, 30))):
+        variant = draw(st.sampled_from((TWO, FOUR)))
+        claimed = draw(st.sampled_from((0, 1)))
+        r = draw(st.one_of(st.just(0.0), unit))
+        sigma = draw(st.sampled_from((3.0, 10.0, 1e308)))
+        test = build_test(variant, claimed, r, n, sigma)
+        party, party_r = draw(any_parties())
+        extreme = ConditionalTable(
+            variant.states, {s: draw(st.sampled_from((0.0, 1.0))) for s in variant.states}
+        )
+        table = draw(st.sampled_from((party.table(variant, claimed, party_r), extreme)))
+        pairs.append((test, table))
+    return pairs
+
+
+@SETTINGS
+@given(stacked_pairs(), st.sampled_from((protocol._BLOCK, 256, 1)))
+def test_stacked_scoring_matches_one_pair_at_a_time(pairs, block):
+    # a smaller block splits the stack into more calls, down to one per pair
+    with mock.patch.object(protocol, "_BLOCK", block):
+        stacked = protocol.log_pass_probabilities(pairs)
+    assert len(stacked) == len(pairs)
+    for (test, table), got in zip(pairs, stacked):
+        want = log_pass_probability(test, table)
+        # a batch of one is the one-pair call itself
+        assert protocol.log_pass_probabilities([(test, table)]) == [want]
+        if want == -math.inf:
+            assert got == want
+        else:
+            # relative in the log, and so in the probability where the log is near 0
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+
+@SETTINGS
+@given(st.integers(1, 300), st.integers(1, 3), st.integers(0, 3),
+       st.sampled_from((protocol._BLOCK, 1)))
+def test_stacked_scoring_needs_one_n(n, shift, at, block):
+    # with a block of 1 every pair is its own call, and n must still agree
+    table = honest_table(TWO, 0, 0.1)
+    pairs = [(build_test(TWO, 0, 0.1, n), table)] * 4
+    pairs[at] = (build_test(TWO, 0, 0.1, n + shift), table)
+    with mock.patch.object(protocol, "_BLOCK", block):
+        with pytest.raises(ValueError, match="must share n_per_state"):
+            protocol.log_pass_probabilities(pairs)
 
 
 def eigh_newton_step(grad, hess, free):

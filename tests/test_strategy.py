@@ -11,6 +11,7 @@ from qbcsim.protocol import (
     Variant,
     build_test,
     honest_table,
+    log_binomial_window_derivatives,
     log_pass_probability,
     pass_probability,
 )
@@ -293,6 +294,60 @@ class TestLogObjective:
         kernel = LogObjective(variant, claimed, r, n, 3.0, objective)
         assert float(kernel(p01, p10)) == kernel.derivatives(p01, p10)[0]
 
+    PINS = pytest.mark.parametrize(
+        "objective",
+        (BreidbartFlips(), IdealMultiPhoton(0.2), IdealMultiPhoton(1e-9), IdealMultiPhoton(2.0)),
+        ids=("breidbart", "ideal-0.2", "ideal-1e-9", "ideal-2"),
+    )
+
+    @PINS
+    @pytest.mark.parametrize("n", (5, 50, 5000))
+    @pytest.mark.parametrize("claimed", (0, 1))
+    @pytest.mark.parametrize("variant", (TWO, FOUR))
+    def test_coefficients_are_the_tallied_corner_tables(self, variant, claimed, n, objective):
+        # the reference: the party's table() rebuilt at each corner
+        for r in (0.0, 0.1, 0.37, 1.0):
+            kernel = LogObjective(variant, claimed, r, n, 3.0, objective)
+            corners = (
+                kernel.test.tallied(
+                    replace(objective, flips=FlipParams(x, y)).table(variant, claimed, r)
+                )
+                for x, y in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+            )
+            c, t10, t01 = (np.array(list(t.values())) for t in corners)
+            want = list(zip(c.tolist(), (t10 - c).tolist(), (t01 - c).tolist()))
+            assert kernel.coefficients == want, r
+
+    @PINS
+    @pytest.mark.parametrize("n", (5, 50, 5000))
+    @pytest.mark.parametrize("claimed", (0, 1))
+    @pytest.mark.parametrize("variant", (TWO, FOUR))
+    def test_derivatives_are_the_public_kernel(self, variant, claimed, n, objective):
+        # the public kernel on the same clipped p, summed as derivatives() sums
+        def dot(*columns):
+            return sum(map(math.prod, zip(*columns)))
+
+        for r in (0.0, 0.1, 0.37):
+            kernel = LogObjective(variant, claimed, r, n, 3.0, objective)
+            a, b = ([row[k] for row in kernel.coefficients] for k in (1, 2))
+            for x, y in ((0.0, 0.0), (1.0, 1.0), (0.0, 0.49), (0.07, 0.07), (0.61, 0.23)):
+                p = [min(max(c + a * x + b * y, 0.0), 1.0) for c, a, b in kernel.coefficients]
+                log_f, d1, d2 = log_binomial_window_derivatives(
+                    n, np.array(p), kernel.lo, kernel.hi
+                )
+                d1, d2 = d1.tolist(), d2.tolist()
+                want = (float(log_f.sum()), dot(a, d1), dot(b, d1),
+                        dot(a, d2, a), dot(a, d2, b), dot(a, d2, b), dot(b, d2, b))
+                value, grad, hess = kernel.derivatives(x, y)
+                got = (value, *grad, *hess[0], *hess[1])
+                assert np.array_equal(got, want, equal_nan=True), (r, x, y)
+
+    def test_derivatives_reject_flips_outside_unit_interval(self):
+        kernel = LogObjective(TWO, 0, 0.1, 50, 3.0)
+        for x, y in ((math.nan, 0.5), (0.5, 1.5), (-0.1, 0.0)):
+            with pytest.raises(ValueError, match="flips must lie in"):
+                kernel.derivatives(x, y)
+
     def test_broadcasts_and_keeps_shape(self):
         kernel = LogObjective(TWO, 1, 0.1, 50, 3.0)
         grid = kernel(np.linspace(0.0, 1.0, 3)[:, None], np.linspace(0.0, 1.0, 4))
@@ -422,16 +477,19 @@ class TestPhotonWeights:
 class RotatedFlips:
     """Measure every particle in the basis ``theta`` radians from the
     computational one, then flip outcomes as :class:`BreidbartFlips` does,
-    which is this party at ``theta = -pi/8``.  Its table is affine in the
+    which is this party at ``theta = -pi/8``.  Its tables are affine in the
     flips, so :func:`optimize` tunes it as it is."""
 
     theta: float
     flips: FlipParams = FlipParams(0.0, 0.0)
 
     def table(self, variant: Variant, claimed: int, r: float) -> ConditionalTable:
+        return self.tables(variant, claimed, r, (self.flips,))[0]
+
+    def tables(self, variant, claimed, r, flips):
         basis = basis_at_angle(self.theta)
         p_zero = {s: born(basis, STATE_VECTORS[s], r) for s in variant.states}
-        return apply_flips(ConditionalTable(variant.states, p_zero), self.flips)
+        return [apply_flips(ConditionalTable(variant.states, p_zero), f) for f in flips]
 
 
 class TestPaperClaims:
