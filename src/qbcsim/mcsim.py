@@ -12,6 +12,26 @@ independently with that probability; for the photon sources the row is
 already the photon-number mixture, so first drawing how many pulses
 carried one photon would give the same distribution.
 
+The counts come from an inversion table built once per run for each
+sent state (:func:`_inversion_table`): the cumulative probabilities that
+NumPy's own inversion sampler walks from ``k = 0`` for every draw of
+``Generator.binomial(n, p)``.  Looking the uniforms up in it gives
+every count of a chunk, bit-identical to ``Generator.binomial``'s and
+leaving the stream where it would; a guide over equal cells of
+``[0, 1)`` (:func:`_sampler`) answers most uniforms with one gather,
+and ``searchsorted`` answers the rest.  Two
+kinds of draw still go to ``Generator.binomial``:
+
+- those NumPy does not sample by inversion: ``n * min(p, 1 - p) > 30``,
+  where it uses BTPE, and ``p = 0``, where it draws no uniform;
+- one state's draws in a chunk in which some uniform lies within
+  ``_MARGIN`` of a cumulative probability, where the rounding of NumPy's
+  walk may decide the count, or past the walk's bound, where NumPy draws
+  a new uniform.  The chunk restores the stream state saved before its
+  uniforms and lets ``Generator.binomial`` draw them all.  At ``n <= 60``
+  these bands around the cumulative probabilities cover about 1e-10 of
+  ``[0, 1)``, so few chunks ever do.
+
 Chunk ``i`` of ``_CHUNK`` trials draws from its own counter-based
 stream, ``Philox(seed).jumped(i)``, one binomial per sent state in state
 order; the chunks run on one thread per available core, and each adds
@@ -29,6 +49,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +62,17 @@ from .strategy import BeamSplitter, BreidbartFlips, Honest, IdealMultiPhoton
 _CHUNK = 1 << 17
 #: Largest accepted ``TrialConfig.trials``, checked before any sampling.
 MAX_TRIALS = 10**9
+#: Uniforms drawn at a time, which keeps a draw's scratch small.
+_BLOCK = 1 << 14
+#: Equal cells of ``[0, 1)`` in a sampler's guide; ``u * _CELLS`` is
+#: exact for a power of two, so a uniform's cell is ``int(u * _CELLS)``.
+_CELLS = 1 << 12
+#: Guide entry of a cell that holds a band edge.
+_EDGE = -2
+#: Half-width of the band around each cumulative probability of an
+#: inversion table; the rounding of NumPy's walk of at most ~90 steps, and
+#: of our sums, moves ``U - C_k`` by at most ~1e-14.
+_MARGIN = 1e-12
 
 
 Strategy = Honest | BreidbartFlips | BeamSplitter | IdealMultiPhoton | FakedDistance
@@ -80,6 +112,85 @@ class TrialReport:
     per_state_count_histograms: dict[str, np.ndarray]
 
 
+def _inversion_table(n: int, p: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """The inversion table of ``Generator.binomial(n, p)``, or None where
+    NumPy does not sample it by inversion.
+
+    NumPy inverts on ``p`` if ``p <= 0.5`` and ``n * p <= 30``, and on
+    ``q = 1 - p`` if ``n * q <= 30``, returning ``n - X``.  Its walk
+    subtracts ``px_0 = exp(n * log1p(-p))``, ``px_1``, ... from one uniform
+    ``U`` and returns the first ``X`` with ``U <= C_X = px_0 + ... + px_X``;
+    past ``X = bound`` it starts again with a new uniform.  Its rounding,
+    and ours of ``C_X``, stay far inside ``_MARGIN``, so a uniform outside
+    every band ``C_X -+ _MARGIN`` gets NumPy's count.
+
+    Returns the sorted band edges, overlapping bands merged, and the count
+    for each ``searchsorted`` index into them, the mirror folded in; -1
+    marks an index inside a band or past the last band.
+    """
+    if n == 0 or p == 0.0:
+        return None
+    mirrored = p > 0.5
+    if mirrored:
+        p = 1.0 - p
+    if p * n > 30.0:
+        return None
+    q = 1.0 - p
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    px = cdf = math.exp(n * math.log1p(-p))
+    edges: list[float] = []
+    below = [0]  # per gap, the number of C_X below it
+    for x in range(bound + 1):
+        if x:
+            px = (n - x + 1) * p * px / (x * q)
+            cdf += px
+        if edges and cdf - _MARGIN <= edges[-1]:
+            edges[-1] = cdf + _MARGIN
+            below[-1] = x + 1
+        else:
+            edges += [cdf - _MARGIN, cdf + _MARGIN]
+            below.append(x + 1)
+    lookup = np.full(len(edges) + 1, -1, dtype=np.int64)
+    lookup[0:-1:2] = below[:-1]
+    if mirrored:
+        lookup[0:-1:2] = n - lookup[0:-1:2]
+    return np.array(edges), lookup
+
+
+def _sampler(n: int, p: float) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """``draw(rng, size)``, equal to ``rng.binomial(n, p, size)`` bit for
+    bit and leaving ``rng`` in the same state, from a table built here.
+
+    A guide gives the count of every one of ``_CELLS`` equal cells of
+    ``[0, 1)`` that holds no band edge, so ``searchsorted`` runs only on
+    the uniforms in the few cells that hold one.
+    """
+    table = _inversion_table(n, p)
+    if table is None:
+        return lambda rng, size: rng.binomial(n, p, size=size)
+    edges, lookup = table
+    # cell c holds the uniforms whose searchsorted index lies in [ends[c], ends[c + 1]]
+    ends = np.searchsorted(edges, np.arange(_CELLS + 1) / _CELLS)
+    guide = np.where(ends[:-1] == ends[1:], lookup[ends[:-1]], _EDGE)
+
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
+        saved = rng.bit_generator.state
+        counts = np.empty(size, dtype=np.int64)
+        for start in range(0, size, _BLOCK):
+            u = rng.random(min(_BLOCK, size - start))
+            block = guide[(u * _CELLS).astype(np.intp)]
+            edge = block == _EDGE
+            block[edge] = lookup[np.searchsorted(edges, u[edge])]
+            counts[start:start + len(u)] = block
+        if counts.min() < 0:
+            rng.bit_generator.state = saved
+            counts = rng.binomial(n, p, size=size)
+        return counts
+
+    return draw
+
+
 def run(config: TrialConfig) -> TrialReport:
     """Estimate the acceptance probability of ``config.strategy``.
 
@@ -87,7 +198,11 @@ def run(config: TrialConfig) -> TrialReport:
     ``Binomial(n_per_state, p)``, ``p`` read once per run by
     ``test.tallied`` from the party's table, and applies the verifier's
     windows.  Counts are per successful measurement, which is exactly
-    the photon-source tables' at-least-one-photon conditioning.
+    the photon-source tables' at-least-one-photon conditioning.  They
+    are read from one inversion table per sent state, built here and
+    bit-identical to ``Generator.binomial``, which still draws where NumPy
+    would not invert and where a uniform falls too close to the table's
+    edges (see the module docstring).
     """
     test = build_test(
         config.variant, config.claimed, config.r, config.n_per_state, config.sigma_factor
@@ -95,7 +210,7 @@ def run(config: TrialConfig) -> TrialReport:
     n = config.n_per_state
     states = config.variant.states
     tallied = test.tallied(config.strategy.table(config.variant, config.claimed, config.r))
-    probs = [tallied[s] for s in states]
+    samplers = [_sampler(n, tallied[s]) for s in states]
     windows = [test.windows[s] for s in states]
 
     totals = np.zeros((len(states), n + 1), dtype=np.int64)
@@ -106,8 +221,8 @@ def run(config: TrialConfig) -> TrialReport:
         rng = np.random.Generator(np.random.Philox(config.seed).jumped(i))
         accept = np.ones(size, dtype=bool)
         histograms = []
-        for p, (lo, hi) in zip(probs, windows):
-            counts = rng.binomial(n, p, size=size)
+        for draw, (lo, hi) in zip(samplers, windows):
+            counts = draw(rng, size)
             accept &= (counts >= lo) & (counts <= hi)
             histograms.append(np.bincount(counts, minlength=n + 1))
         with lock:
@@ -115,7 +230,10 @@ def run(config: TrialConfig) -> TrialReport:
         return int(np.count_nonzero(accept))
 
     chunks = -(-config.trials // _CHUNK)
-    workers = min(len(os.sched_getaffinity(0)), chunks)
+    # macOS and Windows have no sched_getaffinity
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(cpus, chunks)
     if workers == 1:
         accepted = sum(map(chunk, range(chunks)))
     else:

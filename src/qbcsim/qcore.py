@@ -99,6 +99,10 @@ def basis_at_angle(theta: float) -> Basis:
     return Basis(Qubit(c, s), Qubit(-s, c))
 
 
+#: The :func:`breidbart` basis, built once.
+BREIDBART = basis_at_angle(-math.pi / 8)
+
+
 def breidbart() -> Basis:
     """The basis lying halfway between ``{|0>,|1>}`` and ``{|+>,|->}``:
 
@@ -110,7 +114,7 @@ def breidbart() -> Basis:
     noise) stays optimal for the depolarized versions of those states.
     It is the computational basis rotated by ``-pi/8``.
     """
-    return basis_at_angle(-math.pi / 8)
+    return BREIDBART
 
 
 def helstrom_success(r: float) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -241,6 +242,23 @@ class TestChunkedSampler:
         for hist in default.per_state_count_histograms.values():
             assert hist.sum() == cfg.trials
 
+    @pytest.mark.parametrize("cpu_count", (None, 1, 3))
+    def test_worker_count_without_sched_getaffinity(self, cpu_count, monkeypatch):
+        # macOS and Windows have no sched_getaffinity: os.cpu_count() or 1
+        monkeypatch.setattr(mcsim, "_CHUNK", 1024)
+        cfg = config(trials=10_001, seed=11)
+        default = mcsim.run(cfg)
+        asked = []
+        monkeypatch.delattr(mcsim.os, "sched_getaffinity")
+        monkeypatch.setattr(mcsim.os, "cpu_count", lambda: asked.append(1) or cpu_count)
+        report = mcsim.run(cfg)
+        assert asked == [1]
+        assert report.accept_rate == default.accept_rate
+        for s in TWO.states:
+            assert np.array_equal(
+                report.per_state_count_histograms[s], default.per_state_count_histograms[s]
+            )
+
     @pytest.mark.parametrize("cpus", ({0}, {0, 1}), ids=("one-worker", "two-workers"))
     def test_a_failing_chunk_stops_the_run(self, cpus, monkeypatch):
         monkeypatch.setattr(mcsim, "_CHUNK", 1024)
@@ -283,6 +301,102 @@ class TestChunkedSampler:
         lines = out.stdout.splitlines()
         assert lines[0].startswith("strategy,") and len(lines) == 3
         assert lines[-1] == "False"
+
+
+def numpy_walk(n: int, p: float, u: float) -> int | None:
+    """NumPy's ``random_binomial`` inversion branch on the uniform ``u``,
+    step for step; None where it would draw another uniform."""
+    mirrored = p > 0.5
+    if mirrored:
+        p = 1.0 - p
+    q = 1.0 - p
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    px = math.exp(n * math.log1p(-p))
+    x = 0
+    while u > px:
+        x += 1
+        if x > bound:
+            return None
+        u -= px
+        px = (n - x + 1) * p * px / (x * q)
+    return n - x if mirrored else x
+
+
+SAMPLER_PS = (0.0, 5e-324, 1e-300, 0.05, math.nextafter(0.5, 0.0), 0.5,
+              math.nextafter(0.5, 1.0), 0.95, 1.0 - 2.0**-53, 1.0)
+
+
+class TestInversionTable:
+    @pytest.mark.parametrize("n", (1, 2, 25, 50, 60, 61, 599, 600, 10**6))
+    @pytest.mark.parametrize("p", SAMPLER_PS)
+    @pytest.mark.parametrize("seed, jump, size", ((0, 0, 1), (1, 3, 20_001), (2, 7, 131_072)))
+    def test_draws_equal_generator_binomial(self, p, n, seed, jump, size):
+        ours = np.random.Generator(np.random.Philox(seed).jumped(jump))
+        reference = np.random.Generator(np.random.Philox(seed).jumped(jump))
+        counts = mcsim._sampler(n, p)(ours, size)
+        want = reference.binomial(n, p, size=size)
+        assert counts.dtype == want.dtype
+        assert np.array_equal(counts, want)
+        # both streams are left at the same place
+        assert ours.random() == reference.random()
+
+    def test_table_only_where_numpy_inverts(self):
+        # NumPy inverts while n * min(p, 1 - p) <= 30 and p > 0
+        assert mcsim._inversion_table(60, 0.5) is not None
+        assert mcsim._inversion_table(61, 0.5) is None
+        # the mirror inverts on q = 1.0 - 0.95, a little above 0.05
+        assert mcsim._inversion_table(600, 0.05) is not None
+        assert mcsim._inversion_table(599, 0.95) is not None
+        assert mcsim._inversion_table(600, 0.95) is None
+        assert mcsim._inversion_table(50, 0.0) is None
+        assert mcsim._inversion_table(50, 1.0) is not None
+
+    @pytest.mark.parametrize("n, p", ((1, 0.3), (25, 0.5), (50, 0.95), (60, 0.5), (400, 0.05)))
+    def test_table_agrees_with_the_walk_between_and_beside_its_bands(self, n, p):
+        # probes at the midpoints of the CDF's steps and next to it reach every
+        # count, the tails included; probes one ulp outside each of the
+        # table's bands check that no step of the CDF lies in a gap
+        edges, lookup = mcsim._inversion_table(n, p)
+        k = min(p, 1.0 - p)
+        pmf = [math.comb(n, x) * k**x * (1.0 - k) ** (n - x) for x in range(n + 1)]
+        cdf = np.cumsum(pmf)
+        probes = np.concatenate(((cdf[:-1] + cdf[1:]) / 2, cdf - 3e-12, cdf + 3e-12,
+                                 np.nextafter(edges[0::2], 0.0),
+                                 np.nextafter(edges[1::2], 1.0)))
+        probes = probes[(probes >= 0.0) & (probes < 1.0)]
+        counts = lookup[np.searchsorted(edges, probes)]
+        for u, count in zip(probes, counts):
+            if count >= 0:
+                assert count == numpy_walk(n, p, float(u)), (u, count)
+        # every count of probability above 1e-9 is reached
+        likely = {n - x if p > 0.5 else x for x in range(n + 1) if pmf[x] > 1e-9}
+        assert likely <= set(counts.tolist())
+
+    @pytest.mark.parametrize("n, p", ((25, 0.5), (50, 0.5), (50, 0.95), (60, 0.5), (50, 0.05)))
+    def test_table_resolves_every_uniform_of_a_chunk(self, n, p):
+        # with the default margin a chunk never goes back to Generator.binomial
+        edges, lookup = mcsim._inversion_table(n, p)
+        u = np.random.Generator(np.random.Philox(0)).random(mcsim._CHUNK)
+        assert lookup[np.searchsorted(edges, u)].min() >= 0
+
+    @pytest.mark.parametrize("variant", (TWO, FOUR), ids=("two", "four"))
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: type(s).__name__)
+    def test_wide_margin_falls_back_to_the_same_reports(self, strategy, variant, monkeypatch):
+        # with bands 0.1 wide nearly every draw restores its stream state
+        # and calls Generator.binomial, which gives the same numbers
+        monkeypatch.setattr(mcsim, "_MARGIN", 0.05)
+        edges, lookup = mcsim._inversion_table(50, 0.5)
+        u = np.random.Generator(np.random.Philox(0)).random(1000)
+        assert lookup[np.searchsorted(edges, u)].min() < 0
+        cfg = config(variant=variant, strategy=strategy, trials=20_000, seed=13)
+        report = mcsim.run(cfg)
+        want = single_stream(cfg, table_draw(cfg))
+        assert report.accept_rate == want.accept_rate
+        for s in variant.states:
+            assert np.array_equal(
+                report.per_state_count_histograms[s], want.per_state_count_histograms[s]
+            )
 
 
 class TestOracleAgreement:
@@ -333,6 +447,30 @@ class TestOracleAgreement:
         table = strategy.table(TWO, 0, 0.1)
         analytic = pass_probability(build_test(TWO, 0, 0.1, 50, 3.0), table)
         assert_within_3se(mcsim.run(cfg), analytic)
+
+
+@pytest.mark.parametrize(
+    "variant, digest",
+    (
+        (TWO, "8d9d5a65f2cdb23878025980f5149c651f5481d14c1e188ab59bcd350ccb5d8b"),
+        (FOUR, "519e8b359db11d426bf58148596f0e7c03c6be43925c3b58b2e0db652868f858"),
+    ),
+    ids=("two", "four"),
+)
+def test_report_grid_is_pinned(variant, digest):
+    # every party at n in {5, 50, 400} and 1, one full chunk and 300,001
+    # trials (three chunks, the last one trial long), bit for bit
+    sha = hashlib.sha256()
+    for strategy in STRATEGIES:
+        for n in (5, 50, 400):
+            for trials in (1, 131_072, 300_001):
+                cfg = config(variant=variant, strategy=strategy, n_per_state=n,
+                             trials=trials, seed=29)
+                report = mcsim.run(cfg)
+                sha.update(repr((report.accept_rate, report.standard_error)).encode())
+                for s, hist in report.per_state_count_histograms.items():
+                    sha.update(s.encode() + hist.tobytes())
+    assert sha.hexdigest() == digest
 
 
 MIXTURE_FLIPS = FlipParams(0.047, 0.4926)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qbcsim.qcore import (
+    BREIDBART,
     COMPUTATIONAL,
     KET_0,
     KET_1,
@@ -81,6 +82,11 @@ class TestBorn:
 
 
 class TestBreidbart:
+    def test_basis_is_built_once(self):
+        # the same frozen basis on every call, rotated by -pi/8
+        assert breidbart() is BREIDBART
+        assert BREIDBART == basis_at_angle(-math.pi / 8)
+
     def test_basis_is_orthonormal(self):
         b = breidbart()
         assert abs(b.v0.overlap(b.v1)) <= ATOL
