@@ -133,7 +133,8 @@ def parse_range(text: str, name: str) -> list[float]:
     steps = (b - a) / step + 1e-9
     if not steps < MAX_SWEEP_POINTS:
         raise CliError(f"{name} {text!r} has more than {MAX_SWEEP_POINTS} values")
-    return [a + i * step for i in range(int(steps) + 1)]
+    # a + i * step can round one ulp past b
+    return [min(a + i * step, b) for i in range(int(steps) + 1)]
 
 
 def parse_m_list(text: str) -> list[int]:

@@ -67,8 +67,6 @@ _BLOCK = 1 << 14
 #: Equal cells of ``[0, 1)`` in a sampler's guide; ``u * _CELLS`` is
 #: exact for a power of two, so a uniform's cell is ``int(u * _CELLS)``.
 _CELLS = 1 << 12
-#: Guide entry of a cell that holds a band edge.
-_EDGE = -2
 #: Half-width of the band around each cumulative probability of an
 #: inversion table; the rounding of NumPy's walk of at most ~90 steps, and
 #: of our sums, moves ``U - C_k`` by at most ~1e-14.
@@ -124,9 +122,12 @@ def _inversion_table(n: int, p: float) -> tuple[np.ndarray, np.ndarray] | None:
     and ours of ``C_X``, stay far inside ``_MARGIN``, so a uniform outside
     every band ``C_X -+ _MARGIN`` gets NumPy's count.
 
-    Returns the sorted band edges, overlapping bands merged, and the count
-    for each ``searchsorted`` index into them, the mirror folded in; -1
-    marks an index inside a band or past the last band.
+    Returns the edges ``C_0 - _MARGIN, C_0 + _MARGIN, C_1 - _MARGIN, ...``,
+    each raised to its running maximum so that a band overlapping the one
+    before starts where that one ends, and the count for each
+    ``searchsorted`` index into them: an even index ``2X`` is ``X``, the
+    mirror folded in; -1 marks an odd index, inside a band, and the index
+    past the last edge.
     """
     if n == 0 or p == 0.0:
         return None
@@ -138,24 +139,14 @@ def _inversion_table(n: int, p: float) -> tuple[np.ndarray, np.ndarray] | None:
     q = 1.0 - p
     mean = n * p
     bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
-    px = cdf = math.exp(n * math.log1p(-p))
-    edges: list[float] = []
-    below = [0]  # per gap, the number of C_X below it
-    for x in range(bound + 1):
-        if x:
-            px = (n - x + 1) * p * px / (x * q)
-            cdf += px
-        if edges and cdf - _MARGIN <= edges[-1]:
-            edges[-1] = cdf + _MARGIN
-            below[-1] = x + 1
-        else:
-            edges += [cdf - _MARGIN, cdf + _MARGIN]
-            below.append(x + 1)
+    px = [math.exp(n * math.log1p(-p))]
+    for x in range(1, bound + 1):
+        px.append((n - x + 1) * p * px[-1] / (x * q))
+    cdf = np.cumsum(px)
+    edges = np.maximum.accumulate(np.column_stack((cdf - _MARGIN, cdf + _MARGIN)).ravel())
     lookup = np.full(len(edges) + 1, -1, dtype=np.int64)
-    lookup[0:-1:2] = below[:-1]
-    if mirrored:
-        lookup[0:-1:2] = n - lookup[0:-1:2]
-    return np.array(edges), lookup
+    lookup[0:-1:2] = n - np.arange(bound + 1) if mirrored else np.arange(bound + 1)
+    return edges, lookup
 
 
 def _sampler(n: int, p: float) -> Callable[[np.random.Generator, int], np.ndarray]:
@@ -163,8 +154,8 @@ def _sampler(n: int, p: float) -> Callable[[np.random.Generator, int], np.ndarra
     bit and leaving ``rng`` in the same state, from a table built here.
 
     A guide gives the count of every one of ``_CELLS`` equal cells of
-    ``[0, 1)`` that holds no band edge, so ``searchsorted`` runs only on
-    the uniforms in the few cells that hold one.
+    ``[0, 1)`` that holds no band edge, and -1 for the few others, whose
+    uniforms ``searchsorted`` resolves.
     """
     table = _inversion_table(n, p)
     if table is None:
@@ -172,7 +163,7 @@ def _sampler(n: int, p: float) -> Callable[[np.random.Generator, int], np.ndarra
     edges, lookup = table
     # cell c holds the uniforms whose searchsorted index lies in [ends[c], ends[c + 1]]
     ends = np.searchsorted(edges, np.arange(_CELLS + 1) / _CELLS)
-    guide = np.where(ends[:-1] == ends[1:], lookup[ends[:-1]], _EDGE)
+    guide = np.where(ends[:-1] == ends[1:], lookup[ends[:-1]], -1)
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
         saved = rng.bit_generator.state
@@ -180,7 +171,7 @@ def _sampler(n: int, p: float) -> Callable[[np.random.Generator, int], np.ndarra
         for start in range(0, size, _BLOCK):
             u = rng.random(min(_BLOCK, size - start))
             block = guide[(u * _CELLS).astype(np.intp)]
-            edge = block == _EDGE
+            edge = block < 0
             block[edge] = lookup[np.searchsorted(edges, u[edge])]
             counts[start:start + len(u)] = block
         if counts.min() < 0:

@@ -280,7 +280,7 @@ class _Windows(NamedTuple):
     limits: np.ndarray  # (2, 3, 1, S): (log F, d1, d2) at p = 0 and at p = 1
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=64)
 def _windows(n: int, lo: tuple[int, ...], hi: tuple[int, ...]) -> _Windows:
     """The :class:`_Windows` of ``Binomial(n)`` windows ``[lo[i], hi[i]]``."""
     lo = [max(a, 0) for a in lo]

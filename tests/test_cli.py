@@ -684,6 +684,19 @@ class TestInputLimits:
     def test_malformed_flag_is_one_error_line(self, args, subject, capsys):
         assert_one_line_error(args, subject, capsys)
 
+    @pytest.mark.parametrize(
+        "args",
+        (["honest"], ["binding-failure"], ["cheat-max"], ["multiphoton", "--mu", "0.2"]),
+        ids=lambda a: a[0],
+    )
+    def test_range_ends_at_its_upper_end(self, args, capsys):
+        # 0.09 + 13 * 0.07 rounds to one ulp above 1
+        code, out, err = run_cli(args + ["--m", "100", "--r-range", "0.09:1:0.07"], capsys)
+        assert code == 0, err
+        header, rows = parse_csv(out)
+        r = [float(row[header.index("r")]) for row in rows]
+        assert len(r) == 14 and r[-1] == 1.0
+
     def test_range_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 11)
         assert len(cli.parse_range("0:1:0.1", "--r-range")) == 11

@@ -325,6 +325,42 @@ def numpy_walk(n: int, p: float, u: float) -> int | None:
 
 SAMPLER_PS = (0.0, 5e-324, 1e-300, 0.05, math.nextafter(0.5, 0.0), 0.5,
               math.nextafter(0.5, 1.0), 0.95, 1.0 - 2.0**-53, 1.0)
+TABLE_NS = (1, 2, 5, 25, 50, 60, 61, 400, 599, 600, 10**6)
+
+
+def merging_table(n: int, p: float):
+    """An inversion table whose overlapping bands are merged into one band:
+    sorted band edges, and the count of each ``searchsorted`` index into
+    them (-1 inside a band or past the last band); None where NumPy does
+    not invert."""
+    if n == 0 or p == 0.0:
+        return None
+    mirrored = p > 0.5
+    if mirrored:
+        p = 1.0 - p
+    if p * n > 30.0:
+        return None
+    q = 1.0 - p
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    px = cdf = math.exp(n * math.log1p(-p))
+    edges = []
+    below = [0]  # per gap, the number of C_X below it
+    for x in range(bound + 1):
+        if x:
+            px = (n - x + 1) * p * px / (x * q)
+            cdf += px
+        if edges and cdf - mcsim._MARGIN <= edges[-1]:
+            edges[-1] = cdf + mcsim._MARGIN
+            below[-1] = x + 1
+        else:
+            edges += [cdf - mcsim._MARGIN, cdf + mcsim._MARGIN]
+            below.append(x + 1)
+    lookup = np.full(len(edges) + 1, -1, dtype=np.int64)
+    lookup[0:-1:2] = below[:-1]
+    if mirrored:
+        lookup[0:-1:2] = n - lookup[0:-1:2]
+    return np.array(edges), lookup
 
 
 class TestInversionTable:
@@ -379,6 +415,31 @@ class TestInversionTable:
         edges, lookup = mcsim._inversion_table(n, p)
         u = np.random.Generator(np.random.Philox(0)).random(mcsim._CHUNK)
         assert lookup[np.searchsorted(edges, u)].min() >= 0
+
+    @pytest.mark.parametrize("n", TABLE_NS)
+    @pytest.mark.parametrize("p", SAMPLER_PS)
+    def test_table_classifies_like_merged_bands(self, n, p):
+        # each uniform gets the same count, or the same -1, as from a table
+        # whose overlapping bands are merged: at random uniforms, and at every
+        # edge of both tables and one ulp either side of it
+        table, reference = mcsim._inversion_table(n, p), merging_table(n, p)
+        assert (table is None) == (reference is None)
+        if table is None:
+            return
+        (edges, lookup), (ref_edges, ref_lookup) = table, reference
+        assert np.all(edges[:-1] <= edges[1:])  # searchsorted needs them sorted
+        at = np.concatenate((edges, ref_edges))
+        probes = np.concatenate((np.random.Generator(np.random.Philox(n)).random(100_000),
+                                 at, np.nextafter(at, -1.0), np.nextafter(at, 2.0)))
+        assert np.array_equal(lookup[np.searchsorted(edges, probes)],
+                              ref_lookup[np.searchsorted(ref_edges, probes)])
+
+    def test_some_reference_tables_merge_bands(self):
+        # the comparison above reaches tables whose bands overlap, where the
+        # merged table has fewer edges than ours
+        tables = [(merging_table(n, p), mcsim._inversion_table(n, p))
+                  for n in TABLE_NS for p in SAMPLER_PS]
+        assert any(len(ref[0]) < len(ours[0]) for ref, ours in tables if ref is not None)
 
     @pytest.mark.parametrize("variant", (TWO, FOUR), ids=("two", "four"))
     @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: type(s).__name__)

@@ -1,5 +1,5 @@
 """Property tests of the log-domain kernel, the pass probability (against
-a scalar ``fsum`` reference) and the Newton optimiser.
+a scalar ``fsum`` reference), the Newton optimiser and the sweep parser.
 
 Every property is drawn by ``hypothesis`` from a fixed seed, so the suite
 gives the same examples on every run.
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbcsim import protocol
+from qbcsim import cli, protocol
 from qbcsim.attacks import DistanceScenario, FakedDistance, max_safe_distance
 from qbcsim.protocol import (
     STATE_VECTORS,
@@ -571,3 +571,14 @@ def test_closed_form_newton_step_matches_eigh(problem):
     assert gap <= 1e-12 * (float(np.max(np.abs(want_step))) + unit), (step, want_step)
     assert abs(decrement - want_decrement) <= 1e-12 * (abs(want_decrement) + g * unit)
     assert decrement >= 0.0
+
+
+@SETTINGS
+@given(st.integers(-500, 500), st.integers(1, 200), st.integers(0, 100),
+       st.sampled_from((10, 100, 1000)))
+def test_sweep_values_lie_in_the_range(start, step, count, scale):
+    # a decimal a:b:step whose upper end is a whole number of steps from a
+    a, b, d = start / scale, (start + count * step) / scale, step / scale
+    values = cli.parse_range(f"{a!r}:{b!r}:{d!r}", "--r-range")
+    assert len(values) == count + 1
+    assert all(a <= v <= b for v in values), (a, b, d, values)

@@ -372,6 +372,14 @@ class TestLogBinomialWindow:
         with pytest.raises(ValueError, match=r"^n must be an integer in \[0, 20\], got 21"):
             log_binomial_window(21, 0.5, 0, 21)
 
+    def test_window_cache_is_bounded(self):
+        # a long sweep resolves many window sets; the cache keeps at most 64
+        from qbcsim import protocol
+
+        for n in range(200_000, 200_100):
+            log_binomial_window(n, 0.5, 0, 1)
+        assert protocol._windows.cache_info().currsize <= 64
+
 
 class TestLogBinomialWindowDerivativesNearTheEdges:
     def derivatives(self, n, p, lo, hi):
