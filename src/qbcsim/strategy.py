@@ -2,14 +2,14 @@
 
 Each strategy is one frozen type whose ``table(variant, claimed, r)``
 gives its revealed-outcome statistics (the faking-distance one lives in
-:mod:`qbcsim.attacks`); a flip party is also its own objective for
-:func:`optimize`, through ``tables``, its tables at several flip pairs
-from one base table.  A mid-basis committer who wants to defer her
-choice measures every particle in the basis halfway between the two
-commitment observables, then post-processes the raw outcomes: each 0 is
-flipped to 1 with probability ``p01`` and each 1 to 0 with probability
-``p10``.  The flip pair is tuned numerically to maximise the probability
-of passing the verifier's acceptance test for the claimed bit.
+:mod:`qbcsim.attacks`); a flip party also has a ``flips`` field, and is
+its own objective for :func:`optimize`.  A mid-basis committer who wants
+to defer her choice measures every particle in the basis halfway between
+the two commitment observables, then post-processes the raw outcomes:
+each 0 is flipped to 1 with probability ``p01`` and each 1 to 0 with
+probability ``p10``.  The flip pair is tuned numerically to maximise the
+probability of passing the verifier's acceptance test for the claimed
+bit.
 
 The log pass probability is concave in the flip pair: each state's
 window probability is log-concave in its tallied probability, which is
@@ -23,8 +23,7 @@ for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -133,15 +132,7 @@ class BreidbartFlips:
     flips: FlipParams = FlipParams(0.0, 0.0)
 
     def table(self, variant: Variant, claimed: int, r: float) -> ConditionalTable:
-        return self.tables(variant, claimed, r, (self.flips,))[0]
-
-    def tables(
-        self, variant: Variant, claimed: int, r: float, flips: Sequence[FlipParams]
-    ) -> list[ConditionalTable]:
-        """The table at each flip pair of ``flips``, which all flip one base
-        table: the raw mid-basis statistics, built once."""
-        base = breidbart_table(variant, r)
-        return [apply_flips(base, f) for f in flips]
+        return apply_flips(breidbart_table(variant, r), self.flips)
 
 
 @dataclass(frozen=True)
@@ -159,24 +150,14 @@ class IdealMultiPhoton:
         photon_weights(self.mu)
 
     def table(self, variant: Variant, claimed: int, r: float) -> ConditionalTable:
-        return self.tables(variant, claimed, r, (self.flips,))[0]
-
-    def tables(
-        self, variant: Variant, claimed: int, r: float, flips: Sequence[FlipParams]
-    ) -> list[ConditionalTable]:
-        """The table at each flip pair of ``flips``: the mid-basis base
-        table, the honest rows and the weights are built once."""
         single, multi, norm = photon_weights(self.mu)
         w_single, w_multi = single / norm, multi / norm  # no subnormal products
+        flipped = BreidbartFlips(self.flips).table(variant, claimed, r).p_zero
         honest = honest_table(variant, claimed, r).p_zero
-        return [
-            ConditionalTable(
-                variant.states,
-                {s: w_single * flipped.p_zero[s] + w_multi * honest[s]
-                 for s in variant.states},
-            )
-            for flipped in BreidbartFlips().tables(variant, claimed, r, flips)
-        ]
+        return ConditionalTable(
+            variant.states,
+            {s: w_single * flipped[s] + w_multi * honest[s] for s in variant.states},
+        )
 
 
 @dataclass(frozen=True)
@@ -224,18 +205,16 @@ class LogObjective:
     """Log pass probability of a flip party, batched over arrays of flip
     pairs, with its gradient and Hessian at a pair.
 
-    ``objective`` is the party: a type whose ``tables(variant, claimed, r,
-    flips)`` gives its table at each flip pair of ``flips``, all from one
-    base table; the flips it was built with are ignored.  For each sent
-    state the tallied-outcome probability at flips ``(p01, p10)`` is affine
-    in them; its coefficients ``c + a*p01 + b*p10`` are the test's
-    ``tallied()`` of the party's tables at the corners (0, 0), (1, 0) and
-    (0, 1), from one ``tables`` call, so any party with affine tables works
-    unchanged.  The test's windows are resolved and checked once, here.
-    Every state's log window probability comes from one
-    :func:`~qbcsim.protocol.log_binomial_window` call, and the states' logs
-    add.  Nothing underflows: the four-state optimum at ``n = 5000`` per
-    state has a log value near -2490.
+    ``objective`` is the flip party; the flips it was built with are
+    ignored.  For each sent state the tallied-outcome probability at flips
+    ``(p01, p10)`` is affine in them; its coefficients ``c + a*p01 +
+    b*p10`` are the test's ``tallied()`` of the tables of
+    ``replace(objective, flips=corner)`` at the corners (0, 0), (1, 0) and
+    (0, 1), so any party with affine tables works unchanged.  The test's
+    windows are resolved and checked once, here.  Every state's log window
+    probability comes from one :func:`~qbcsim.protocol.log_binomial_window`
+    call, and the states' logs add.  Nothing underflows: the four-state
+    optimum at ``n = 5000`` per state has a log value near -2490.
     """
 
     def __init__(
@@ -248,15 +227,11 @@ class LogObjective:
         objective: BreidbartFlips | IdealMultiPhoton = BreidbartFlips(),
     ) -> None:
         self.test = build_test(variant, claimed, r, n_per_state, sigma_factor)
-        c, t10, t01 = (
-            np.array(list(self.test.tallied(t).values()))
-            for t in objective.tables(variant, claimed, r, _CORNERS)
-        )
+        corners = (replace(objective, flips=f).table(variant, claimed, r) for f in _CORNERS)
+        c, t10, t01 = (np.array(list(self.test.tallied(t).values())) for t in corners)
         self.n = n_per_state
-        #: per state, in window order: c, and the coefficients (a, b) as a 2 x S matrix
-        self.c, self.ab = c, np.stack((t10 - c, t01 - c))
-        #: the same coefficients as one float triple (c, a, b) per state
-        self.coefficients = list(zip(c.tolist(), *self.ab.tolist()))
+        #: per state, in window order, the float triple (c, a, b)
+        self.coefficients = list(zip(c.tolist(), (t10 - c).tolist(), (t01 - c).tolist()))
         self.lo, self.hi = np.array(list(self.test.windows.values())).T
         # the kernel's checks, made once on c, which tallied() clipped into [0, 1]
         self._windows = _stacked(n_per_state, c, self.lo, self.hi)[2]
@@ -270,8 +245,8 @@ class LogObjective:
         for name, p in (("p01", p01), ("p10", p10)):
             if not np.all((p >= 0.0) & (p <= 1.0)):
                 raise ValueError(f"{name} must lie in [0, 1]")
-        a, b = self.ab[:, :, None]
-        p = self.c[:, None] + a * p01.ravel() + b * p10.ravel()
+        c, a, b = np.array(self.coefficients).T[:, :, None]
+        p = c + a * p01.ravel() + b * p10.ravel()
         p = np.minimum(np.maximum(p, 0.0), 1.0)
         return log_binomial_window(self.n, p.T, self.lo, self.hi).sum(axis=-1).reshape(p01.shape)
 
@@ -443,7 +418,7 @@ def optimize(
     flips = FlipParams(z[0], z[-1])
     return OptimizationResult(
         best=flips,
-        value=pass_probability(fn.test, objective.tables(variant, claimed, r, (flips,))[0]),
+        value=pass_probability(fn.test, replace(objective, flips=flips).table(variant, claimed, r)),
         log_value=v,
         evaluations=evaluations,
         gap=decrement / 2.0,

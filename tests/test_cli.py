@@ -800,6 +800,14 @@ class TestConfigPrecedence:
             "cannot read config file: ", capsys,
         )
 
+    @pytest.mark.parametrize("where", ("missing-dir", "directory"))
+    def test_unwritable_out_is_one_error_line(self, where, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+        assert_one_line_error(
+            ["honest", "--r", "0.1", "--out", str(out)],
+            f"cannot write --out {out}: ", capsys,
+        )
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

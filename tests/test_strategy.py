@@ -441,6 +441,15 @@ class TestStrategyTable:
             res = optimize(variant, 0, 0.1, 50, 3.0, objective=party(FLIPS))
             assert res == optimize(variant, 0, 0.1, 50, 3.0, objective=party(FlipParams(0, 0)))
 
+    @pytest.mark.parametrize(
+        "party",
+        (Honest(), BeamSplitter(0.2), attacks.FakedDistance(SCENARIO, 20.0, 0.2)),
+        ids=("honest", "beam-splitter", "faked"),
+    )
+    def test_optimize_needs_a_party_with_flips(self, party):
+        with pytest.raises(TypeError, match="flips"):
+            optimize(TWO, 0, 0.1, 50, 3.0, objective=party)
+
 
 class TestPhotonWeights:
     @pytest.mark.parametrize("mu", (1e-3, 0.1, 0.2, 0.5, 1.0, 3.0, 20.0))
@@ -477,19 +486,17 @@ class TestPhotonWeights:
 class RotatedFlips:
     """Measure every particle in the basis ``theta`` radians from the
     computational one, then flip outcomes as :class:`BreidbartFlips` does,
-    which is this party at ``theta = -pi/8``.  Its tables are affine in the
-    flips, so :func:`optimize` tunes it as it is."""
+    which is this party at ``theta = -pi/8``.  It has only ``table`` and
+    ``flips``, and its table is affine in the flips, so :func:`optimize`
+    tunes it as it is."""
 
     theta: float
     flips: FlipParams = FlipParams(0.0, 0.0)
 
     def table(self, variant: Variant, claimed: int, r: float) -> ConditionalTable:
-        return self.tables(variant, claimed, r, (self.flips,))[0]
-
-    def tables(self, variant, claimed, r, flips):
         basis = basis_at_angle(self.theta)
         p_zero = {s: born(basis, STATE_VECTORS[s], r) for s in variant.states}
-        return [apply_flips(ConditionalTable(variant.states, p_zero), f) for f in flips]
+        return apply_flips(ConditionalTable(variant.states, p_zero), self.flips)
 
 
 class TestPaperClaims:
