@@ -47,6 +47,7 @@ same numbers as one ``Philox(seed)`` stream.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from collections.abc import Callable
@@ -88,6 +89,9 @@ class TrialConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, value in (("trials", self.trials), ("seed", self.seed)):
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials!r}")
         if self.trials > MAX_TRIALS:

@@ -120,9 +120,14 @@ def honest_table(variant: Variant, claimed: int, r: float) -> ConditionalTable:
     r : float
         Depolarizing-noise level in ``[0, 1]``.
     """
-    obs = commit_observable(claimed)
+    return _basis_table(commit_observable(claimed), variant, r)
+
+
+def _basis_table(basis: Basis, variant: Variant, r: float) -> ConditionalTable:
+    """Outcome statistics of measuring ``basis`` on every state ``variant``
+    sends, at depolarizing noise ``r``."""
     return ConditionalTable(
-        variant.states, {s: born(obs, STATE_VECTORS[s], r) for s in variant.states}
+        variant.states, {s: born(basis, STATE_VECTORS[s], r) for s in variant.states}
     )
 
 
@@ -145,11 +150,15 @@ def counted_outcomes(variant: Variant, claimed: int) -> dict[str, int]:
     return {"0": 0, "1": 1, "+": 1, "-": 0}
 
 
-def _check_n_per_state(n_per_state: int) -> None:
+def _check_n_per_state(n_per_state: int) -> int:
+    """``n_per_state`` as an ``int``, once checked."""
+    if not isinstance(n_per_state, numbers.Integral):
+        raise ValueError(f"n_per_state must be an integer, got {n_per_state!r}")
     if not 1 <= n_per_state <= MAX_N_PER_STATE:
         raise ValueError(
             f"n_per_state must lie in [1, {MAX_N_PER_STATE}], got {n_per_state!r}"
         )
+    return int(n_per_state)
 
 
 @dataclass(frozen=True)
@@ -195,7 +204,7 @@ def build_test(
     clamped to ``[0, N]``, where ``mu = N*p`` and
     ``sigma = sqrt(N*p*(1-p))``.
     """
-    _check_n_per_state(n_per_state)
+    n_per_state = _check_n_per_state(n_per_state)
     if not 0.0 < sigma_factor < math.inf:
         raise ValueError(f"sigma_factor must be positive and finite, got {sigma_factor!r}")
     honest = honest_table(variant, claimed, r)
@@ -257,8 +266,7 @@ def log_binomial_window(n: int, p: np.ndarray, lo, hi) -> np.ndarray:
         for s, (a, b) in enumerate(zip(*(e.ravel().tolist() for e in ends))):
             log_f[:, s] = log_binomial_window(n, p[:, s], a, b)
         return log_f.reshape(shape)
-    inner, q, log_q, log_1mq = _interior_points(p, w)
-    log_f = _log_window_interior(n, q, log_q, log_1mq, w)
+    inner, *_, log_f = _log_window_interior(n, p, w)
     return np.where(inner, log_f, np.where(p == 0.0, *w.limits[:, 0])).reshape(shape)
 
 
@@ -344,23 +352,21 @@ def _stacked(n: int, p, lo, hi) -> tuple[tuple[int, ...], np.ndarray, _Windows, 
     p = np.asarray(p, dtype=np.float64)
     if not ((p >= 0.0) & (p <= 1.0)).all():
         raise ValueError("probabilities must lie in [0, 1]")
-    w = _windows(n, *(tuple(e.ravel().tolist()) for e in ends))
+    # an int, as a NumPy integer would make the window limits NumPy bools
+    w = _windows(int(n), *(tuple(e.ravel().tolist()) for e in ends))
     if ends[0].ndim and p.shape[-1:] != w.filled.shape:
         raise ValueError(f"p needs one entry per window on its last axis, has shape {p.shape}")
     return p.shape, p.reshape(-1, w.filled.size), w, ends
 
 
-def _interior_points(p: np.ndarray, w: _Windows):
-    """Where ``p`` is inside (0, 1) and its window not empty, and ``q``, the
-    ``p`` there and 0.5 elsewhere, with ``log q`` and ``log(1 - q)``."""
+def _log_window_interior(n: int, p: np.ndarray, w: _Windows):
+    """Where the (points, windows) array ``p`` is inside (0, 1) and its
+    window not empty; ``q``, the ``p`` there and 0.5 elsewhere, with
+    ``log q`` and ``log(1 - q)``; and :func:`log_binomial_window` of ``q``,
+    in blocks of at most ``_BLOCK`` terms per window."""
     inner = (p > 0.0) & (p < 1.0) & w.filled
     q = np.where(inner, p, 0.5)
-    return inner, q, np.log(q), np.log1p(-q)
-
-
-def _log_window_interior(n: int, q, log_q, log_1mq, w: _Windows) -> np.ndarray:
-    """:func:`log_binomial_window` of the (points, windows) array ``q``
-    inside (0, 1), in blocks of at most ``_BLOCK`` terms per window."""
+    log_q, log_1mq = np.log(q), np.log1p(-q)
     count, width = w.logc.shape
     chunk = max(1, min(width, _BLOCK // count))
     rows = max(1, _BLOCK // (count * chunk))
@@ -380,7 +386,7 @@ def _log_window_interior(n: int, q, log_q, log_1mq, w: _Windows) -> np.ndarray:
             np.exp(terms, out=terms)
             total = total + terms.sum(axis=-1)
         np.minimum(0.0, shift[..., 0] + np.log(total), out=out[block])
-    return out
+    return inner, q, log_q, log_1mq, out
 
 
 def log_binomial_window_derivatives(
@@ -414,8 +420,7 @@ def _log_window_derivatives(n: int, p: np.ndarray, w: _Windows) -> np.ndarray:
     """:func:`log_binomial_window_derivatives` of the (points, windows) array
     ``p`` in [0, 1], as one (3, points, windows) array, for windows ``w``
     that are already resolved and checked."""
-    inner, q, log_q, log_1mq = _interior_points(p, w)
-    log_f = _log_window_interior(n, q, log_q, log_1mq, w)
+    inner, q, log_q, log_1mq, log_f = _log_window_interior(n, p, w)
     # b(k; n-1, q)/F and u(k) at k = lo - 1 and k = hi; b is 0 off 0..n-1
     log_ratio = w.log_below + w.ends * log_q + w.rest * log_1mq - log_f
     with np.errstate(over="ignore", invalid="ignore"):
@@ -485,26 +490,21 @@ def pass_factors(test: AcceptanceTest, actual: ConditionalTable) -> dict[str, fl
 def pass_probability(test: AcceptanceTest, actual: ConditionalTable) -> float:
     """Probability of passing every window test: the product of the
     per-state factors (counts for different sent states are independent),
-    taken as the exp of :func:`log_pass_probability`.
+    taken as the exp of the pair's :func:`log_pass_probabilities`.
 
     ``actual`` must cover every state the test windows refer to.
     """
-    return math.exp(log_pass_probability(test, actual))
-
-
-def log_pass_probability(test: AcceptanceTest, actual: ConditionalTable) -> float:
-    """Natural log of :func:`pass_probability`: the sum of every state's
-    log window probability, which stays finite where the product
-    underflows to 0."""
     (log_p,) = log_pass_probabilities([(test, actual)])
-    return log_p
+    return math.exp(log_p)
 
 
 def log_pass_probabilities(
     pairs: Iterable[tuple[AcceptanceTest, ConditionalTable]],
 ) -> list[float]:
-    """:func:`log_pass_probability` of each (test, table) pair, for pairs
-    of one ``n_per_state``, with the windows of many pairs summed in one
+    """Natural log of :func:`pass_probability` of each (test, table) pair:
+    the sum of every state's log window probability, which stays finite
+    where the product underflows to 0.  The pairs share one
+    ``n_per_state``, and the windows of many pairs are summed in one
     stacked kernel call.  A stacked value can differ from the one-pair
     value in its last bits; a batch of one pair gives it exactly."""
     return [float(log_f.sum()) for log_f in _log_pass_factors(pairs)]

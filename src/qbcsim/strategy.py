@@ -28,9 +28,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .protocol import (
-    STATE_VECTORS,
     ConditionalTable,
     Variant,
+    _basis_table,
     _log_window_derivatives,
     _stacked,
     build_test,
@@ -38,7 +38,7 @@ from .protocol import (
     log_binomial_window,
     pass_probability,
 )
-from .qcore import born, breidbart
+from .qcore import breidbart
 
 #: Absolute tolerance under which two log objective values count as
 #: tied: the log form of a relative tolerance of 1e-12.
@@ -83,10 +83,7 @@ class OptimizationResult:
 
 def breidbart_table(variant: Variant, r: float) -> ConditionalTable:
     """Raw outcome statistics of the mid-basis measurement at noise ``r``."""
-    basis = breidbart()
-    return ConditionalTable(
-        variant.states, {s: born(basis, STATE_VECTORS[s], r) for s in variant.states}
-    )
+    return _basis_table(breidbart(), variant, r)
 
 
 def apply_flips(table: ConditionalTable, flips: FlipParams) -> ConditionalTable:
@@ -229,7 +226,7 @@ class LogObjective:
         self.test = build_test(variant, claimed, r, n_per_state, sigma_factor)
         corners = (replace(objective, flips=f).table(variant, claimed, r) for f in _CORNERS)
         c, t10, t01 = (np.array(list(self.test.tallied(t).values())) for t in corners)
-        self.n = n_per_state
+        self.n = self.test.n_per_state
         #: per state, in window order, the float triple (c, a, b)
         self.coefficients = list(zip(c.tolist(), (t10 - c).tolist(), (t01 - c).tolist()))
         self.lo, self.hi = np.array(list(self.test.windows.values())).T

@@ -99,6 +99,14 @@ class TestReports:
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             config(seed=-1)
 
+    @pytest.mark.parametrize(
+        "name, value", (("trials", math.nan), ("trials", 1e3), ("seed", 0.5), ("seed", math.nan))
+    )
+    def test_counts_must_be_integers(self, name, value):
+        # NaN passes every range comparison; a float fails only inside run
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            config(**{name: value})
+
     def test_trials_capped_before_sampling(self):
         assert config(trials=mcsim.MAX_TRIALS).trials == mcsim.MAX_TRIALS
         with pytest.raises(ValueError, match="trials"):

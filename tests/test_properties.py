@@ -26,7 +26,7 @@ from qbcsim.protocol import (
     honest_table,
     log_binomial_window,
     log_binomial_window_derivatives,
-    log_pass_probability,
+    log_pass_probabilities,
     pass_factors,
     pass_probability,
 )
@@ -235,7 +235,7 @@ def test_log_pass_probability_is_the_log_of_the_scalar_path(
     want = {s: fsum_window(n, p, *test.windows[s]) for s, p in test.tallied(table).items()}
     p = math.prod(want.values())
     if p > 1e-300:
-        assert abs(log_pass_probability(test, table) - math.log(p)) <= 1e-12
+        assert abs(log_pass_probabilities([(test, table)])[0] - math.log(p)) <= 1e-12
     assert abs(pass_probability(test, table) - p) <= 1e-12 * p + 1e-300
     factors = pass_factors(test, table)
     assert list(factors) == list(test.windows)
@@ -478,12 +478,15 @@ def stacked_pairs(draw):
 def test_stacked_scoring_matches_one_pair_at_a_time(pairs, block):
     # a smaller block splits the stack into more calls, down to one per pair
     with mock.patch.object(protocol, "_BLOCK", block):
-        stacked = protocol.log_pass_probabilities(pairs)
+        stacked = log_pass_probabilities(pairs)
     assert len(stacked) == len(pairs)
     for (test, table), got in zip(pairs, stacked):
-        want = log_pass_probability(test, table)
-        # a batch of one is the one-pair call itself
-        assert protocol.log_pass_probabilities([(test, table)]) == [want]
+        # the pair's own kernel call: its tallied probabilities and windows
+        lo, hi = np.array(list(test.windows.values())).T
+        p = np.array(list(test.tallied(table).values()))
+        want = float(log_binomial_window(test.n_per_state, p, lo, hi).sum())
+        # a batch of one is that call, bit for bit
+        assert log_pass_probabilities([(test, table)]) == [want]
         if want == -math.inf:
             assert got == want
         else:

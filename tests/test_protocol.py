@@ -167,6 +167,16 @@ class TestBuildTest:
         with pytest.raises(ValueError, match="n_per_state"):
             AcceptanceTest(MAX_N_PER_STATE + 1, {"0": (0, 10)}, {"0": 0})
 
+    def test_rejects_a_non_integer_particle_count_by_name(self):
+        for n in (50.0, math.nan, "50"):
+            with pytest.raises(ValueError, match="^n_per_state must be an integer"):
+                build_test(TWO, 0, 0.1, n, 3.0)
+            with pytest.raises(ValueError, match="^n_per_state must be an integer"):
+                AcceptanceTest(n, {"0": (0, 10)}, {"0": 0})
+        test = build_test(TWO, 0, 0.1, np.int64(50), 3.0)
+        assert type(test.n_per_state) is int
+        assert test == build_test(TWO, 0, 0.1, 50, 3.0)
+
     def test_rejects_nan_sigma_factor(self):
         with pytest.raises(ValueError, match="sigma_factor"):
             build_test(TWO, 0, 0.1, 50, math.nan)
@@ -363,6 +373,20 @@ class TestLogBinomialWindow:
                 log_binomial_window(*args)
             with pytest.raises(ValueError, match=f"^{name} must be an integer"):
                 log_binomial_window_derivatives(*args)
+
+    def test_numpy_integer_n_gives_the_int_results_bit_for_bit(self):
+        # windows that end at n take the one-sided limits at p = 1; the
+        # cache is cleared so that no int call has resolved them first
+        from qbcsim import protocol
+
+        p = np.array([[0.9, 1.0, 0.0], [1.0, 0.5, 1.0]])
+        lo, hi = np.array([43, 0, 50]), np.array([50, 50, 50])
+        for kernel in (log_binomial_window, log_binomial_window_derivatives):
+            protocol._windows.cache_clear()
+            got = np.array(kernel(np.int64(50), p, lo, hi))
+            protocol._windows.cache_clear()
+            want = np.array(kernel(50, p, lo, hi))
+            assert got.tobytes() == want.tobytes()
 
     def test_rejects_n_above_the_cap_before_sizing_a_window(self, monkeypatch):
         from qbcsim import protocol

@@ -4,7 +4,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from qbcsim import attacks, strategy
+from qbcsim import attacks, protocol, strategy
 from qbcsim.protocol import (
     STATE_VECTORS,
     ConditionalTable,
@@ -12,7 +12,7 @@ from qbcsim.protocol import (
     build_test,
     honest_table,
     log_binomial_window_derivatives,
-    log_pass_probability,
+    log_pass_probabilities,
     pass_probability,
 )
 from qbcsim.qcore import basis_at_angle, born
@@ -223,6 +223,29 @@ class TestOptimize:
         ):
             optimize(TWO, 0, 0.1, 50, 3.0)
 
+    def test_gives_up_when_no_halving_gains(self, monkeypatch):
+        # an ascent gradient over a flat value: every one of the 40 halved
+        # steps is rejected, and optimize returns the scan's start point
+        def flat(self, p01, p10):
+            return 0.0, (1.0, 1.0), ((-1.0, 0.0), (0.0, -1.0))
+
+        monkeypatch.setattr(LogObjective, "derivatives", flat)
+        xs, ys = strategy._START
+        values = LogObjective(TWO, 0, 0.1, 50, 3.0)(xs, ys)
+        i = int(np.argmax(values >= values.max() - strategy._TIE_LOG))
+        res = optimize(TWO, 0, 0.1, 50, 3.0)
+        assert res.best == FlipParams(float(xs[i]), float(ys[i]))
+        assert res.evaluations == xs.size + 1 + 40
+        assert res.gap > 0.0
+
+    def test_numpy_integer_n_per_state_gives_the_int_result(self):
+        # the |0> window [43, 50] ends at n; the cache is cleared so that no
+        # int call has resolved it first
+        protocol._windows.cache_clear()
+        got = repr(optimize(TWO, 0, 0.1, np.int64(50), 3.0))
+        protocol._windows.cache_clear()
+        assert got == repr(optimize(TWO, 0, 0.1, 50, 3.0))
+
     @pytest.mark.parametrize("variant", (TWO, FOUR))
     def test_only_the_four_state_optimum_is_on_the_diagonal(self, variant):
         for r in (0.05, 0.1, 0.3):
@@ -355,8 +378,6 @@ class TestLogObjective:
         assert grid[1, 2] == kernel(0.5, 2.0 / 3.0)
 
     def test_block_size_does_not_change_values(self, monkeypatch):
-        from qbcsim import protocol
-
         p01, p10 = strategy.flip_grid(0.05)
         kernel = LogObjective(FOUR, 0, 0.2, 100, 3.0)
         whole = kernel(p01, p10)
@@ -515,7 +536,7 @@ class TestPaperClaims:
     @pytest.mark.parametrize("variant, n", ((TWO, 50), (FOUR, 25)), ids=("two", "four"))
     def test_flips_beat_the_direct_breidbart_attack(self, variant, n, claimed, r):
         test = build_test(variant, claimed, r, n, 3.0)
-        direct = log_pass_probability(test, BreidbartFlips().table(variant, claimed, r))
+        direct = log_pass_probabilities([(test, BreidbartFlips().table(variant, claimed, r))])[0]
         best = optimize(variant, claimed, r, n, 3.0).log_value
         assert best >= direct - 1e-12
         if variant is TWO:
