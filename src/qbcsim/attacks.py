@@ -55,10 +55,14 @@ def max_safe_distance_noisy(alpha: float, scenario: DistanceScenario) -> float |
     advantage (``r_near < r_distant``).
 
     Returns ``(10/alpha) * [log10(2) + log10(1 - (r_d - r_n)/(1 - r_d))]``,
-    which reduces to :func:`max_safe_distance` at ``r_d == r_n``.  Returns
-    ``None`` when ``r_d >= (r_n + 1)/2``: the noise gap is then so large
-    that the cheater can always fake her statistics and no safe distance
-    exists.
+    which reduces to :func:`max_safe_distance` at ``r_d == r_n``.  Where
+    that is negative (``(1 + 2 r_n)/3 < r_d``), no positive length is safe
+    and the result is ``0.0``, as :func:`max_safe_distance` gives for an
+    infinite ``alpha``.  Returns ``None`` when ``r_d >= (r_n + 1)/2``: the noise gap
+    is then so large that the cheater can always fake her statistics and no
+    safe distance exists.  Whether this bound or :class:`FakedDistance`'s
+    table models the attack is an open question: the two disagree about
+    which side of the 50%-loss length it works on.
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
@@ -66,7 +70,7 @@ def max_safe_distance_noisy(alpha: float, scenario: DistanceScenario) -> float |
     if r_d >= (r_n + 1.0) / 2.0:
         return None
     gap = (r_d - r_n) / (1.0 - r_d)
-    return (10.0 / alpha) * (math.log10(2.0) + math.log10(1.0 - gap))
+    return max(0.0, (10.0 / alpha) * (math.log10(2.0) + math.log10(1.0 - gap)))
 
 
 @dataclass(frozen=True)

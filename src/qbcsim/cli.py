@@ -264,11 +264,10 @@ def cmd_cheat_surface(args: argparse.Namespace) -> Artifact:
         raise CliError(
             f"--grid-step {step!r} gives more than {MAX_SWEEP_POINTS} surface points"
         )
-    p01, p10 = strategy.flip_grid(step)
+    axis = strategy.flip_axis(step)
     kernel = strategy.LogObjective(variant, args.commit, args.r, n, args.sigma_factor)
-    success = np.exp(kernel(p01, p10))
-    axis = p10[: strategy.flip_axis_size(step)].tolist()  # p10 is the axis, tiled
-    return Artifact(("p01", "p10", "success"), success.tolist(), axis=axis)
+    success = np.exp(kernel(axis[:, None], axis).ravel())
+    return Artifact(("p01", "p10", "success"), success.tolist(), axis=axis.tolist())
 
 
 def cmd_cheat_max(args: argparse.Namespace) -> Artifact:
@@ -395,17 +394,15 @@ def _mc_strategy(args: argparse.Namespace) -> mcsim.Strategy:
         return mcsim.IdealMultiPhoton(
             args.mu, _optional_flips(args) or FlipParams(0.0, 0.0)
         )
-    if name == "faked":
-        if args.rd is None or args.rn is None or args.length_km is None or args.alpha is None:
-            raise CliError("--rd, --rn, --length-km and --alpha are required for 'faked'")
-        scenario = DistanceScenario(r_distant=args.rd, r_near=args.rn)
-        if args.rd != args.r:
-            raise CliError(
-                f"--rd {args.rd!r} must equal --r {args.r!r}: the test is built for "
-                "the claimed remote noise"
-            )
-        return mcsim.FakedDistance(scenario, args.length_km, args.alpha)
-    raise CliError(f"unknown strategy {name!r}")
+    if args.rd is None or args.rn is None or args.length_km is None or args.alpha is None:
+        raise CliError("--rd, --rn, --length-km and --alpha are required for 'faked'")
+    scenario = DistanceScenario(r_distant=args.rd, r_near=args.rn)
+    if args.rd != args.r:
+        raise CliError(
+            f"--rd {args.rd!r} must equal --r {args.r!r}: the test is built for "
+            "the claimed remote noise"
+        )
+    return mcsim.FakedDistance(scenario, args.length_km, args.alpha)
 
 
 def cmd_mc(args: argparse.Namespace) -> Artifact:
@@ -452,12 +449,12 @@ _COMMANDS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser, *, variant=True, commit=False) -> None:
-    if variant:
+def _add_common(p: argparse.ArgumentParser, *, protocol=True, commit=False) -> None:
+    if protocol:  # nested so that every usage line keeps its flag order
         p.add_argument("--variant", choices=("two", "four"), default="two")
-    if commit:
-        p.add_argument("--commit", type=int, choices=(0, 1), default=0)
-    p.add_argument("--sigma-factor", type=float, default=None)
+        if commit:
+            p.add_argument("--commit", type=int, choices=(0, 1), default=0)
+        p.add_argument("--sigma-factor", type=float, default=None)
     p.add_argument("--config", default=None, help="key=value defaults file")
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -509,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", default="100,200,300,400")
 
     p = sub.add_parser("distance", help="maximum safe fibre lengths")
-    _add_common(p, variant=False)
+    _add_common(p, protocol=False)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--rd", type=float, default=0.0)
     p.add_argument("--rn", type=float, default=0.0)

@@ -279,19 +279,16 @@ def flip_axis_size(step: float) -> int:
     return math.ceil((1.0 - 1e-9) / step) + 1
 
 
-def flip_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(p01, p10)`` points of the ``step`` grid over ``[0, 1]^2``,
-    in scan order: ``p01`` major, ``p10`` minor.  Each axis is the
-    multiples of ``step`` below 1, then exactly 1."""
-    points = flip_axis_size(step)
-    axis = np.append(np.arange(points - 1) * step, 1.0)
-    return np.repeat(axis, points), np.tile(axis, points)
+def flip_axis(step: float) -> np.ndarray:
+    """One axis of the ``step`` grid over ``[0, 1]^2``: the multiples of
+    ``step`` below 1, then exactly 1.  The grid is this axis crossed with
+    itself, ``p01`` major: ``(axis[:, None], axis)`` to a broadcasting
+    :class:`LogObjective` call."""
+    return np.append(np.arange(flip_axis_size(step) - 1) * step, 1.0)
 
 
-#: :func:`optimize`'s start scan: the 0.1 grid, and its diagonal, which the
-#: swap-symmetric four-state objective scans alone.
-_START = flip_grid(0.1)
-_START_DIAGONAL = (_START[0][_START[0] == _START[1]],) * 2
+#: :func:`optimize`'s start scan: the axis of the 0.1 grid.
+_START = flip_axis(0.1)
 
 
 def _eigenpairs(a: float, b: float, c: float):
@@ -351,7 +348,7 @@ def optimize(
 
     The log objective is concave on ``[0, 1]^2``, so a local maximum is
     the global one.  One :class:`LogObjective` call scans the 0.1 grid;
-    its first point in scan order within ``1e-12`` of the maximum starts
+    its first point, ``p01`` major, within ``1e-12`` of the maximum starts
     projected Newton steps on the coordinates not held at a bound (a
     coordinate is held at 0 while its gradient is negative, at 1 while it
     is positive), each projected onto the box and backtracked until it
@@ -371,11 +368,10 @@ def optimize(
     """
     fn = LogObjective(variant, claimed, r, n_per_state, sigma_factor, objective)
     diagonal = variant is Variant.FOUR_STATE
-    xs, ys = _START_DIAGONAL if diagonal else _START
-    values = fn(xs, ys)
-    i = int(np.argmax(values >= values.max() - _TIE_LOG))
+    values = fn(_START, _START) if diagonal else fn(_START[:, None], _START)
+    i = np.unravel_index(np.argmax(values >= values.max() - _TIE_LOG), values.shape)
     # search coordinates z in [0, 1]^d: the flip pair (z[0], z[-1])
-    z = (float(xs[i]),) if diagonal else (float(xs[i]), float(ys[i]))
+    z = tuple(float(_START[k]) for k in i)
 
     def at(z: tuple[float, ...]):
         v, grad, hess = fn.derivatives(z[0], z[-1])

@@ -179,6 +179,14 @@ class TestMaxSafeDistanceNoisy:
         for a, b in zip(numeric, numeric[1:]):
             assert b <= a + ATOL
 
+    def test_never_negative(self):
+        # past r_d = (1 + 2 r_n)/3 the closed form is below 0: no length is safe
+        assert max_safe_distance_noisy(0.2, DistanceScenario(0.4, 0.0)) == 0.0
+        for r_n in np.linspace(0.0, 0.9, 10):
+            for r_d in np.linspace(r_n, 1.0, 41):
+                got = max_safe_distance_noisy(0.2, DistanceScenario(float(r_d), float(r_n)))
+                assert got is None or got >= 0.0, (r_d, r_n)
+
     def test_scenario_ordering_validated(self):
         with pytest.raises(ValueError):
             DistanceScenario(r_distant=0.1, r_near=0.2)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -384,6 +385,23 @@ class TestDistance:
         assert code == 0
         header, rows = parse_csv(out)
         assert float(rows[0][header.index("max_safe_km")]) == 0.0
+
+    def test_no_positive_safe_length_is_zero(self, capsys):
+        # the closed form reads -8.80456295 km here
+        _, out, _ = run_cli(["distance", "--alpha", "0.2", "--rd", "0.4", "--rn", "0"], capsys)
+        header, rows = parse_csv(out)
+        assert rows[0][header.index("max_safe_noisy_km")] == "0"
+
+    def test_rejects_sigma_factor_but_not_its_config_key(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["distance", "--alpha", "0.2", "--sigma-factor", "3"])
+        assert exit_.value.code == 2
+        assert "error: unrecognized arguments: --sigma-factor 3" in capsys.readouterr().err
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("sigma-factor=2\n")
+        assert run_cli(["distance", "--alpha", "0.2", "--config", str(cfg)], capsys) == (
+            run_cli(["distance", "--alpha", "0.2"], capsys)
+        )
 
 
 class TestMultiphoton:
@@ -807,6 +825,40 @@ class TestConfigPrecedence:
             ["honest", "--r", "0.1", "--out", str(out)],
             f"cannot write --out {out}: ", capsys,
         )
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "__dict__").setdefault("_read", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+#: One minimal invocation of each command, after its name.
+MINIMAL_ARGS = {
+    "honest": ["--r", "0.1"],
+    "binding-failure": ["--r", "0.1"],
+    "cheat-surface": ["--r", "0.1", "--grid-step", "0.5"],
+    "cheat-max": ["--r", "0.1"],
+    "tables": ["--m", "100"],
+    "distance": ["--alpha", "0.2"],
+    "multiphoton": ["--r", "0.1", "--mu", "0.2"],
+    "mc": ["--strategy", "honest", "--r", "0.1", "--trials", "100"],
+}
+
+
+class TestEveryFlagIsRead:
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_command_reads_every_flag_of_its_parser(self, command):
+        parsed = cli.build_parser().parse_args([command, *MINIMAL_ARGS[command]])
+        cli._resolve(parsed)
+        recorder = ReadRecorder(**vars(parsed))
+        cli._COMMANDS[command](recorder)
+        # the output flags are main's, and the config file is _resolve's
+        dests = set(vars(parsed)) - {"command", "config", "out", "format"}
+        assert sorted(dests - vars(recorder)["_read"]) == []
 
 
 class TestDeterminism:

@@ -27,7 +27,7 @@ from qbcsim.strategy import (
     apply_flips,
     breidbart_table,
     cheat_success,
-    flip_grid,
+    flip_axis,
     optimize,
     photon_weights,
 )
@@ -159,7 +159,8 @@ class TestOptimize:
         direct = cheat_success(TWO, 0, 0.1, 50, 3.0, res.best)
         assert abs(res.value - direct) <= ATOL
         # beats every point of the 0.01 grid, certified, in few evaluations
-        grid = LogObjective(TWO, 0, 0.1, 50, 3.0)(*flip_grid(0.01))
+        axis = flip_axis(0.01)
+        grid = LogObjective(TWO, 0, 0.1, 50, 3.0)(axis[:, None], axis)
         assert res.log_value >= grid.max() - ATOL
         assert res.gap <= ATOL
         assert res.evaluations < 1000
@@ -230,12 +231,13 @@ class TestOptimize:
             return 0.0, (1.0, 1.0), ((-1.0, 0.0), (0.0, -1.0))
 
         monkeypatch.setattr(LogObjective, "derivatives", flat)
-        xs, ys = strategy._START
-        values = LogObjective(TWO, 0, 0.1, 50, 3.0)(xs, ys)
-        i = int(np.argmax(values >= values.max() - strategy._TIE_LOG))
+        axis = strategy._START
+        values = LogObjective(TWO, 0, 0.1, 50, 3.0)(axis[:, None], axis)
+        tied = values >= values.max() - strategy._TIE_LOG
+        i, j = np.unravel_index(np.argmax(tied), values.shape)
         res = optimize(TWO, 0, 0.1, 50, 3.0)
-        assert res.best == FlipParams(float(xs[i]), float(ys[i]))
-        assert res.evaluations == xs.size + 1 + 40
+        assert res.best == FlipParams(float(axis[i]), float(axis[j]))
+        assert res.evaluations == axis.size**2 + 1 + 40
         assert res.gap > 0.0
 
     def test_numpy_integer_n_per_state_gives_the_int_result(self):
@@ -378,13 +380,29 @@ class TestLogObjective:
         assert grid[1, 2] == kernel(0.5, 2.0 / 3.0)
 
     def test_block_size_does_not_change_values(self, monkeypatch):
-        p01, p10 = strategy.flip_grid(0.05)
+        axis = flip_axis(0.05)
+        p01, p10 = np.repeat(axis, axis.size), np.tile(axis, axis.size)
         kernel = LogObjective(FOUR, 0, 0.2, 100, 3.0)
         whole = kernel(p01, p10)
         # no window is wider than 64 counts here, so only the points regroup
         assert max(hi - lo + 1 for lo, hi in kernel.test.windows.values()) <= 64
         monkeypatch.setattr(protocol, "_BLOCK", 64)
         assert np.array_equal(kernel(p01, p10), whole)
+
+    @pytest.mark.parametrize("variant", (TWO, FOUR))
+    @pytest.mark.parametrize("step", (0.1, 0.01))
+    def test_broadcast_grid_is_the_flat_grid(self, step, variant):
+        # at 0.1 and n = 25 a stacked call fits in one kernel block; at 0.01
+        # each window is summed alone
+        axis = flip_axis(step)
+        flat = np.repeat(axis, axis.size), np.tile(axis, axis.size)
+        for claimed in (0, 1):
+            for r in (0.0, 0.16):
+                for n in (25, 2500):
+                    for party in (BreidbartFlips(), IdealMultiPhoton(0.3)):
+                        kernel = LogObjective(variant, claimed, r, n, 3.0, party)
+                        got = kernel(axis[:, None], axis).ravel()
+                        assert np.array_equal(got, kernel(*flat)), (claimed, r, n, party)
 
     def test_rejects_flips_outside_unit_interval(self):
         kernel = LogObjective(TWO, 0, 0.1, 50, 3.0)
@@ -567,3 +585,16 @@ class TestPaperClaims:
         # |0> and |1>: a tie where the sent states are that mirror's own
         if variant is FOUR:
             assert abs(self.score(variant, r, n, -67.5) - breidbart) <= 1e-12
+
+    @pytest.mark.parametrize("r, n", ((0.1, 25), (0.1, 50), (0.2, 25), (0.2, 50)))
+    def test_rotated_four_state_optimum_lies_on_the_diagonal(self, r, n):
+        # optimize searches the four-state flips on p01 = p10 alone, which is
+        # exact only if the objective is swap-symmetric for every basis
+        axis = flip_axis(0.05)
+        for degrees in range(-90, 91, 15):
+            party = RotatedFlips(math.radians(degrees))
+            for claimed in (0, 1):
+                grid = LogObjective(FOUR, claimed, r, n, 3.0, party)(axis[:, None], axis)
+                np.testing.assert_allclose(grid, grid.T, rtol=0.0, atol=1e-10)
+                best = optimize(FOUR, claimed, r, n, 3.0, objective=party).log_value
+                assert grid.max() <= best + 1e-9, (degrees, claimed)
