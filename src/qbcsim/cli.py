@@ -15,7 +15,6 @@ import sys
 from dataclasses import dataclass
 from functools import cache
 from itertools import product, repeat
-from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -79,17 +78,19 @@ def _field(value) -> str:
 def to_csv(artifact: Artifact) -> str:
     """The artifact as CSV, byte for byte what :mod:`csv` writes for the
     cells of :func:`_fmt`.  A ``cheat-surface`` artifact is written from
-    its axis: each axis value is formatted once as ``"%.9g,"``, the
-    ``"p01,p10,"`` prefix of each point is two of those joined, and only
-    the success cells are formatted per row.  Every other artifact is
-    written with one format operation per row: the row template has
-    ``%.9g`` for a column of floats and ``%s`` for any other column, whose
-    cells :func:`_field` renders first."""
+    its axis in one format operation: each axis value is formatted once as
+    ``"%.9g,"``, the ``"p01,p10,"`` prefix of each point is two of those
+    joined, and the prefixes joined by ``"%.9g\\n"`` are the template that
+    formats every success cell.  Every other artifact is written with one
+    format operation per row: the row template has ``%.9g`` for a column
+    of floats and ``%s`` for any other column, whose cells :func:`_field`
+    renders first."""
     header = ",".join(map(_field, artifact.columns))
     if artifact.axis is not None:
         cells = ["%.9g," % x for x in artifact.axis]
         prefixes = [a + b for a in cells for b in cells]
-        return header + "\n" + "".join(map(add, prefixes, map("%.9g\n".__mod__, artifact.body)))
+        template = "%.9g\n".join(prefixes) + "%.9g\n"
+        return header + "\n" + template % tuple(artifact.body)
     width = len(artifact.columns)
     columns = list(zip(*artifact.rows)) or [()] * width
     floats = [all(map(isinstance, column, repeat(float))) for column in columns]

@@ -16,7 +16,7 @@ The counts come from an inversion table built once per run for each
 sent state (:func:`_inversion_table`): the cumulative probabilities that
 NumPy's own inversion sampler walks from ``k = 0`` for every draw of
 ``Generator.binomial(n, p)``.  Looking the uniforms up in it gives
-every count of a chunk, bit-identical to ``Generator.binomial``'s and
+every count of a block, bit-identical to ``Generator.binomial``'s and
 leaving the stream where it would; a guide over equal cells of
 ``[0, 1)`` (:func:`_sampler`) answers most uniforms with one gather,
 and ``searchsorted`` answers the rest.  Two
@@ -24,24 +24,30 @@ kinds of draw still go to ``Generator.binomial``:
 
 - those NumPy does not sample by inversion: ``n * min(p, 1 - p) > 30``,
   where it uses BTPE, and ``p = 0``, where it draws no uniform;
-- one state's draws in a chunk in which some uniform lies within
+- one block of one state's draws in which some uniform lies within
   ``_MARGIN`` of a cumulative probability, where the rounding of NumPy's
   walk may decide the count, or past the walk's bound, where NumPy draws
-  a new uniform.  The chunk restores the stream state saved before its
-  uniforms and lets ``Generator.binomial`` draw them all.  At ``n <= 60``
+  a new uniform.  The block restores the stream state saved before its
+  uniforms and lets ``Generator.binomial`` draw them all.  The blocks
+  before it drew one uniform per count, as ``Generator.binomial`` would
+  have, so the stream stays the one binomial call's.  At ``n <= 60``
   these bands around the cumulative probabilities cover about 1e-10 of
-  ``[0, 1)``, so few chunks ever do.
+  ``[0, 1)``, so few blocks ever do.
 
 Chunk ``i`` of ``_CHUNK`` trials draws from its own counter-based
 stream, ``Philox(seed).jumped(i)``, one binomial per sent state in state
-order; the chunks run on one thread per available core, and each adds
-its histograms into shared totals under a lock, in whatever order the
-chunks finish.  Integer sums are exact in any order and each chunk's
-numbers are fixed by its own stream, so a :class:`TrialConfig` always
-gives a bit-identical :class:`TrialReport`, whatever the number of
-cores or the order the chunks ran in.  Since ``jumped(0)`` is
-``Philox(seed)``, a run of at most ``_CHUNK`` (131,072) trials draws the
-same numbers as one ``Philox(seed)`` stream.
+order, each in blocks of ``_BLOCK`` draws; the chunks run on one thread
+per available core.  A block's counts are tested against the state's
+window into the chunk's acceptance flags, and their tally, as long as
+the span of counts the block holds, is added into the shared totals
+under a lock, in whatever order the blocks finish.  So a run holds its
+totals, one flag per trial of a chunk and a block's scratch per worker,
+whatever ``n`` and the chunk size.  Integer sums are exact in any order
+and each chunk's numbers are fixed by its own stream, so a
+:class:`TrialConfig` always gives a bit-identical :class:`TrialReport`,
+whatever the number of cores or the order the chunks ran in.  Since
+``jumped(0)`` is ``Philox(seed)``, a run of at most ``_CHUNK`` (131,072)
+trials draws the same numbers as one ``Philox(seed)`` stream.
 """
 
 from __future__ import annotations
@@ -63,7 +69,8 @@ from .strategy import BeamSplitter, BreidbartFlips, Honest, IdealMultiPhoton
 _CHUNK = 1 << 17
 #: Largest accepted ``TrialConfig.trials``, checked before any sampling.
 MAX_TRIALS = 10**9
-#: Uniforms drawn at a time, which keeps a draw's scratch small.
+#: Draws of one sent state that a chunk samples, window-tests and
+#: tallies at a time, and the unit that falls back to ``Generator.binomial``.
 _BLOCK = 1 << 14
 #: Equal cells of ``[0, 1)`` in a sampler's guide; ``u * _CELLS`` is
 #: exact for a power of two, so a uniform's cell is ``int(u * _CELLS)``.
@@ -159,7 +166,10 @@ def _sampler(n: int, p: float) -> Callable[[np.random.Generator, int], np.ndarra
 
     A guide gives the count of every one of ``_CELLS`` equal cells of
     ``[0, 1)`` that holds no band edge, and -1 for the few others, whose
-    uniforms ``searchsorted`` resolves.
+    uniforms ``searchsorted`` resolves.  If any of the ``size`` uniforms
+    lies in a band, ``rng`` goes back to the state saved before them and
+    ``Generator.binomial`` draws the ``size`` counts; :func:`run` calls it
+    one block at a time, so that is one block.
     """
     table = _inversion_table(n, p)
     if table is None:
@@ -171,13 +181,10 @@ def _sampler(n: int, p: float) -> Callable[[np.random.Generator, int], np.ndarra
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
         saved = rng.bit_generator.state
-        counts = np.empty(size, dtype=np.int64)
-        for start in range(0, size, _BLOCK):
-            u = rng.random(min(_BLOCK, size - start))
-            block = guide[(u * _CELLS).astype(np.intp)]
-            edge = block < 0
-            block[edge] = lookup[np.searchsorted(edges, u[edge])]
-            counts[start:start + len(u)] = block
+        u = rng.random(size)
+        counts = guide[(u * _CELLS).astype(np.intp)]
+        edge = counts < 0
+        counts[edge] = lookup[np.searchsorted(edges, u[edge])]
         if counts.min() < 0:
             rng.bit_generator.state = saved
             counts = rng.binomial(n, p, size=size)
@@ -196,8 +203,10 @@ def run(config: TrialConfig) -> TrialReport:
     the photon-source tables' at-least-one-photon conditioning.  They
     are read from one inversion table per sent state, built here and
     bit-identical to ``Generator.binomial``, which still draws where NumPy
-    would not invert and where a uniform falls too close to the table's
-    edges (see the module docstring).
+    would not invert and for a block with a uniform too close to the
+    table's edges.  Each block of ``_BLOCK`` draws is window-tested and
+    tallied as it is drawn, and its tally goes into the totals at once
+    (see the module docstring).
     """
     test = build_test(
         config.variant, config.claimed, config.r, config.n_per_state, config.sigma_factor
@@ -215,13 +224,14 @@ def run(config: TrialConfig) -> TrialReport:
         size = min(_CHUNK, config.trials - i * _CHUNK)
         rng = np.random.Generator(np.random.Philox(config.seed).jumped(i))
         accept = np.ones(size, dtype=bool)
-        histograms = []
-        for draw, (lo, hi) in zip(samplers, windows):
-            counts = draw(rng, size)
-            accept &= (counts >= lo) & (counts <= hi)
-            histograms.append(np.bincount(counts, minlength=n + 1))
-        with lock:
-            np.add(totals, histograms, out=totals)
+        for total, draw, (lo, hi) in zip(totals, samplers, windows):
+            for start in range(0, size, _BLOCK):
+                counts = draw(rng, min(_BLOCK, size - start))
+                accept[start:start + len(counts)] &= (counts >= lo) & (counts <= hi)
+                least = int(counts.min())
+                tally = np.bincount(counts - least)
+                with lock:
+                    total[least:least + len(tally)] += tally
         return int(np.count_nonzero(accept))
 
     chunks = -(-config.trials // _CHUNK)

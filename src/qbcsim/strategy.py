@@ -236,16 +236,14 @@ class LogObjective:
     def __call__(self, p01, p10) -> np.ndarray:
         """Log pass probability at each pair of the broadcast arrays, from
         one window call for all states."""
-        p01, p10 = np.broadcast_arrays(
-            np.asarray(p01, dtype=np.float64), np.asarray(p10, dtype=np.float64)
-        )
+        p01, p10 = np.asarray(p01, dtype=np.float64), np.asarray(p10, dtype=np.float64)
         for name, p in (("p01", p01), ("p10", p10)):
             if not np.all((p >= 0.0) & (p <= 1.0)):
                 raise ValueError(f"{name} must lie in [0, 1]")
-        c, a, b = np.array(self.coefficients).T[:, :, None]
-        p = c + a * p01.ravel() + b * p10.ravel()
+        c, a, b = np.array(self.coefficients).T
+        p = c + a * p01[..., None] + b * p10[..., None]
         p = np.minimum(np.maximum(p, 0.0), 1.0)
-        return log_binomial_window(self.n, p.T, self.lo, self.hi).sum(axis=-1).reshape(p01.shape)
+        return log_binomial_window(self.n, p, self.lo, self.hi).sum(axis=-1)
 
     def derivatives(self, p01: float, p10: float) -> tuple[
         float, tuple[float, float], tuple[tuple[float, float], tuple[float, float]]

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +252,28 @@ class TestChunkedSampler:
         for hist in default.per_state_count_histograms.values():
             assert hist.sum() == cfg.trials
 
+    def test_many_workers_add_block_tallies_without_loss(self, monkeypatch):
+        # eleven blocks per state in each chunk, the last one short, tallied
+        # by more workers than cores under a short switch interval: the
+        # report is the one-worker report of one block per chunk
+        monkeypatch.setattr(mcsim, "_CHUNK", 1024)
+        cfg = config(trials=40_001, seed=11)
+        monkeypatch.setattr(mcsim.os, "sched_getaffinity", lambda pid: {0})
+        want = mcsim.run(cfg)
+        monkeypatch.setattr(mcsim, "_BLOCK", 100)
+        monkeypatch.setattr(mcsim.os, "sched_getaffinity", lambda pid: set(range(8)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = mcsim.run(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.accept_rate == want.accept_rate
+        for s in TWO.states:
+            assert np.array_equal(
+                report.per_state_count_histograms[s], want.per_state_count_histograms[s]
+            )
+
     @pytest.mark.parametrize("cpu_count", (None, 1, 3))
     def test_worker_count_without_sched_getaffinity(self, cpu_count, monkeypatch):
         # macOS and Windows have no sched_getaffinity: os.cpu_count() or 1
@@ -292,6 +316,23 @@ class TestChunkedSampler:
         if len(cpus) == 1:
             assert started == [0, 1, 2]
         assert len(started) < chunks // 2, len(started)
+
+    def test_memory_is_bounded_by_the_totals(self):
+        # each block of draws is tallied into the totals as it is drawn, so
+        # a run holds its (states, n + 1) totals and O(_BLOCK) scratch,
+        # never a chunk's counts or a histogram of length n + 1 per state
+        cfg = config(n_per_state=10**6, trials=2 * mcsim._BLOCK + 1)
+        mcsim.run(dataclasses.replace(cfg, trials=1))  # fill the test's caches
+        tracemalloc.start()
+        try:
+            report = mcsim.run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        totals = len(TWO.states) * (cfg.n_per_state + 1) * 8
+        assert peak <= totals + 2 * 2**20, (peak, totals)
+        for hist in report.per_state_count_histograms.values():
+            assert hist.sum() == cfg.trials
 
     def test_cli_import_leaves_thread_pool_unloaded(self):
         # a run of one chunk, like the README's mc command, needs no pool
@@ -463,6 +504,24 @@ class TestInversionTable:
         want = single_stream(cfg, table_draw(cfg))
         assert report.accept_rate == want.accept_rate
         for s in variant.states:
+            assert np.array_equal(
+                report.per_state_count_histograms[s], want.per_state_count_histograms[s]
+            )
+
+    def test_fallback_in_a_later_block_keeps_the_single_stream(self, monkeypatch):
+        # bands 4e-6 wide: the first block of state "0" is clean and the
+        # second holds a uniform in a band, so only that block restores its
+        # stream state and calls Generator.binomial
+        monkeypatch.setattr(mcsim, "_MARGIN", 2e-6)
+        cfg = config(trials=3 * mcsim._BLOCK, seed=4)
+        edges, lookup = mcsim._inversion_table(cfg.n_per_state, tallied_probs(cfg)["0"])
+        u = np.random.Generator(np.random.Philox(cfg.seed)).random(cfg.trials)
+        least = lookup[np.searchsorted(edges, u)].reshape(3, mcsim._BLOCK).min(axis=1)
+        assert least[0] >= 0 and least[1] < 0
+        report = mcsim.run(cfg)
+        want = single_stream(cfg, table_draw(cfg))
+        assert report.accept_rate == want.accept_rate
+        for s in TWO.states:
             assert np.array_equal(
                 report.per_state_count_histograms[s], want.per_state_count_histograms[s]
             )
