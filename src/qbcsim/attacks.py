@@ -43,7 +43,9 @@ def max_safe_distance(alpha: float) -> float:
     """Fibre length (km) beyond which an honest party detects at most
     half of what a source-side cheater would: ``(10/alpha) * log10(2)``.
 
-    Past this distance the reveal-half-the-data attack succeeds outright.
+    This is the 50%-loss length.  Which side of it the reveal-half-the-data
+    attack works on is an open question; see
+    :func:`max_safe_distance_noisy`.
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")

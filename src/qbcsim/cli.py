@@ -9,12 +9,14 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
 from dataclasses import dataclass
 from functools import cache
-from itertools import product, repeat
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +45,7 @@ class Artifact:
     """A command's table.  ``body`` holds its rows, except for a
     ``cheat-surface`` artifact, which sets ``axis``: its table is that flip
     axis crossed with itself, p01 major, and ``body`` holds the one
-    ``success`` value of each point."""
+    ``success`` value of each point, so :func:`to_csv` builds no rows."""
 
     columns: tuple[str, ...]
     body: list
@@ -66,42 +68,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _field(value) -> str:
-    """``_fmt(value)`` as :mod:`csv` writes a cell: quoted, with its quotes
-    doubled, when it holds a comma, a quote or a line break."""
-    text = _fmt(value)
-    if any(c in text for c in ',"\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def to_csv(artifact: Artifact) -> str:
-    """The artifact as CSV, byte for byte what :mod:`csv` writes for the
-    cells of :func:`_fmt`.  A ``cheat-surface`` artifact is written from
-    its axis in one format operation: each axis value is formatted once as
-    ``"%.9g,"``, the ``"p01,p10,"`` prefix of each point is two of those
-    joined, and the prefixes joined by ``"%.9g\\n"`` are the template that
-    formats every success cell.  Every other artifact is written with one
-    format operation per row: the row template has ``%.9g`` for a column
-    of floats and ``%s`` for any other column, whose cells :func:`_field`
-    renders first."""
-    header = ",".join(map(_field, artifact.columns))
+    """The artifact as :mod:`csv` writes its header and the cells of
+    :func:`_fmt`.  A ``cheat-surface`` artifact, which alone sets ``axis``
+    and can have a million rows, is written from its axis in one format
+    operation: each axis value is formatted once as ``"%.9g,"``, the
+    ``"p01,p10,"`` prefix of each point is two of those joined, and the
+    prefixes joined by ``"%.9g\\n"`` are the template that formats every
+    success cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(artifact.columns)
     if artifact.axis is not None:
         cells = ["%.9g," % x for x in artifact.axis]
         prefixes = [a + b for a in cells for b in cells]
         template = "%.9g\n".join(prefixes) + "%.9g\n"
-        return header + "\n" + template % tuple(artifact.body)
-    width = len(artifact.columns)
-    columns = list(zip(*artifact.rows)) or [()] * width
-    floats = [all(map(isinstance, column, repeat(float))) for column in columns]
-    # csv quotes a record that is a single empty cell
-    blank = '""' if width == 1 else ""
-    cells = [
-        column if f else [_field(v) or blank for v in column]
-        for column, f in zip(columns, floats)
-    ]
-    template = ",".join("%.9g" if f else "%s" for f in floats) + "\n"
-    return (header or blank) + "\n" + "".join(map(template.__mod__, zip(*cells)))
+        return buf.getvalue() + template % tuple(artifact.body)
+    writer.writerows(map(_fmt, row) for row in artifact.rows)
+    return buf.getvalue()
 
 
 def to_json(artifact: Artifact) -> str:

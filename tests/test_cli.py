@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -100,6 +103,10 @@ class TestToCsv:
             ["distance", "--alpha", "0.2", "--rd", "0.6", "--rn", "0"],
             ["multiphoton", "--m", "100", "--mu", "0.2", "--r", "0.1"],
             ["mc", "--strategy", "honest", "--r", "0.1", "--m", "100", "--trials", "1000"],
+            pytest.param(
+                ["binding-failure", "--m", "100", "--r-range", "0:1:0.0001"],
+                id="binding-failure-10001-rows",
+            ),
         ),
         ids=lambda a: "-".join((a[0], a[8], a[10], a[6])) if a[2] == "0.16" else a[0],
     )
@@ -983,3 +990,26 @@ class TestDeterminism:
         cli.main(args)
         printed = capsys.readouterr().out
         assert printed == path.read_text()
+
+
+class TestModuleEntryPoint:
+    """``python -m qbcsim``, the command a fresh interpreter runs."""
+
+    @staticmethod
+    def run_module(args):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        return subprocess.run(
+            [sys.executable, "-m", "qbcsim", *args], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60,
+        )
+
+    def test_writes_what_main_writes(self, capsys):
+        args = ["distance", "--alpha", "0.2"]
+        done = self.run_module(args)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == run_cli(args, capsys)[1]
+
+    def test_bad_input_exits_2_with_one_error_line(self):
+        done = self.run_module(["distance", "--alpha", "nan"])
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
