@@ -11,6 +11,8 @@ The multi-photon attacks exploit a weak Poisson source: pulses carrying
 two or more photons can be split and measured in both observables at
 once, pinning down the sent state.  Their strategy types live in
 :mod:`qbcsim.strategy`; the functions here wrap their tables.
+Only the tables import :mod:`qbcsim.protocol` and :mod:`qbcsim.strategy`,
+when they are built, so the distance bounds load without NumPy.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from .protocol import ConditionalTable, Variant, build_test, honest_table, pass_probability
-from .strategy import BeamSplitter, FlipParams, IdealMultiPhoton, apply_flips
+if TYPE_CHECKING:  # annotations only; the tables import these on use
+    from .protocol import ConditionalTable, Variant
+    from .strategy import FlipParams
 
 
 @dataclass(frozen=True)
@@ -98,6 +102,9 @@ class FakedDistance:
         the 50%-loss length): the cheater cannot even fill the expected count
         and the attack degenerates to honest play.
         """
+        from .protocol import honest_table
+        from .strategy import FlipParams, apply_flips
+
         alpha, length_km = self.alpha, self.length_km
         if not alpha > 0.0:
             raise ValueError(f"alpha must be positive, got {alpha!r}")
@@ -134,6 +141,8 @@ def ideal_multiphoton_table(
     flips: FlipParams,
 ) -> ConditionalTable:
     """Revealed statistics of :class:`~qbcsim.strategy.IdealMultiPhoton`."""
+    from .strategy import IdealMultiPhoton
+
     return IdealMultiPhoton(mu, flips).table(variant, claimed, r)
 
 
@@ -141,6 +150,8 @@ def beam_splitter_table(
     variant: Variant, claimed: int, r: float, mu: float
 ) -> ConditionalTable:
     """Revealed statistics of :class:`~qbcsim.strategy.BeamSplitter`."""
+    from .strategy import BeamSplitter
+
     return BeamSplitter(mu).table(variant, claimed, r)
 
 
@@ -157,6 +168,9 @@ def multiphoton_success(
     """Pass probability of the selected photon-source attack against the
     honest acceptance test.  ``flips`` is ignored in beam-splitter mode,
     which has no tunable parameters."""
+    from .protocol import build_test, pass_probability
+    from .strategy import BeamSplitter, IdealMultiPhoton
+
     if mode is MultiPhotonMode.IDEAL:
         party = IdealMultiPhoton(mu, flips)
     else:

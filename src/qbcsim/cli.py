@@ -4,6 +4,13 @@ Every command is a pure function of its resolved parameters (flags
 override an optional ``key=value`` config file, which overrides the
 built-in defaults), so reruns with the same invocation produce
 byte-identical output.
+
+This module imports only the standard library and :mod:`qbcsim.attacks`
+when it loads.  Each command imports the numerical modules it runs, and
+NumPy with them, when it is called (``mc`` alone imports
+:mod:`qbcsim.mcsim`), so ``distance``, ``--help`` and a usage error
+start without NumPy.  The commands call through module attributes, such
+as ``strategy.optimize``, which a tracer can wrap.
 """
 
 from __future__ import annotations
@@ -17,14 +24,14 @@ import sys
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+from . import attacks
 
-from . import attacks, mcsim, protocol, strategy
-from .attacks import DistanceScenario
-from .protocol import Variant
-from .strategy import BeamSplitter, FlipParams, IdealMultiPhoton
+if TYPE_CHECKING:  # annotations only; the commands import these on use
+    from . import mcsim
+    from .protocol import Variant
+    from .strategy import FlipParams
 
 #: Most values a sweep expression, and most points a ``cheat-surface``
 #: grid, may have; checked before any is allocated.  The 0.001 grid
@@ -146,6 +153,8 @@ def derive_n(m: int, variant: Variant) -> int:
 def _capped(m: int, n: int) -> int:
     """``n``, the per-state count of ``--m m``, checked against the cap
     before any test is sized by it."""
+    from . import protocol
+
     if n > protocol.MAX_N_PER_STATE:
         raise CliError(
             f"--m {m} gives {n} particles per state, more than "
@@ -200,7 +209,9 @@ def _values(args: argparse.Namespace, name: str, default: str) -> list[float]:
 
 
 def cmd_honest(args: argparse.Namespace) -> Artifact:
-    variant = Variant(args.variant)
+    from . import protocol
+
+    variant = protocol.Variant(args.variant)
     rs = _values(args, "r", "0:0.5:0.1")
     n = derive_n(args.m, variant)
     columns = ["r"]
@@ -223,7 +234,9 @@ def cmd_honest(args: argparse.Namespace) -> Artifact:
 
 
 def cmd_binding_failure(args: argparse.Namespace) -> Artifact:
-    variant = Variant(args.variant)
+    from . import protocol
+
+    variant = protocol.Variant(args.variant)
     rs = _values(args, "r", "0:0.5:0.01")
     n = derive_n(args.m, variant)
     log_ps = protocol.log_pass_probabilities(
@@ -240,7 +253,11 @@ def _log10(log_value: float) -> float:
 
 
 def cmd_cheat_surface(args: argparse.Namespace) -> Artifact:
-    variant = Variant(args.variant)
+    import numpy as np
+
+    from . import protocol, strategy
+
+    variant = protocol.Variant(args.variant)
     n = derive_n(args.m, variant)
     step = args.grid_step
     if not 0.0 < step <= 0.5:
@@ -256,7 +273,9 @@ def cmd_cheat_surface(args: argparse.Namespace) -> Artifact:
 
 
 def cmd_cheat_max(args: argparse.Namespace) -> Artifact:
-    variant = Variant(args.variant)
+    from . import protocol, strategy
+
+    variant = protocol.Variant(args.variant)
     rs = _values(args, "r", "0:0.5:0.05")
     rows = []
     for m in sorted(parse_m_list(args.m)):
@@ -275,7 +294,9 @@ def cmd_tables(args: argparse.Namespace) -> Artifact:
     Follows the reference tables' convention of m/2 particles per sent
     state for both protocol variants.
     """
-    variant = Variant(args.variant)
+    from . import protocol, strategy
+
+    variant = protocol.Variant(args.variant)
     if not 0.0 < args.mu < math.inf:
         raise CliError(f"--mu must be positive and finite, got {args.mu!r}")
     rows = []
@@ -286,7 +307,7 @@ def cmd_tables(args: argparse.Namespace) -> Artifact:
         sp = strategy.optimize(variant, args.commit, args.r, n, args.sigma_factor)
         mp = strategy.optimize(
             variant, args.commit, args.r, n, args.sigma_factor,
-            objective=IdealMultiPhoton(args.mu),
+            objective=strategy.IdealMultiPhoton(args.mu),
         )
         rows.append([
             m, sp.best.p01, sp.best.p10, sp.value, mp.best.p01, mp.best.p10, mp.value,
@@ -302,7 +323,7 @@ def cmd_tables(args: argparse.Namespace) -> Artifact:
 def cmd_distance(args: argparse.Namespace) -> Artifact:
     if not args.alpha > 0.0:
         raise CliError(f"--alpha must be positive, got {args.alpha!r}")
-    scenario = DistanceScenario(r_distant=args.rd, r_near=args.rn)
+    scenario = attacks.DistanceScenario(r_distant=args.rd, r_near=args.rn)
     noiseless = attacks.max_safe_distance(args.alpha)
     noisy = attacks.max_safe_distance_noisy(args.alpha, scenario)
     return Artifact(
@@ -312,7 +333,9 @@ def cmd_distance(args: argparse.Namespace) -> Artifact:
 
 
 def cmd_multiphoton(args: argparse.Namespace) -> Artifact:
-    variant = Variant(args.variant)
+    from . import protocol, strategy
+
+    variant = protocol.Variant(args.variant)
     rs = _values(args, "r", "0:0.2:0.1")
     mus = _values(args, "mu", "0.1:1:0.1")
     if not all(0.0 < mu < math.inf for mu in mus):
@@ -324,7 +347,7 @@ def cmd_multiphoton(args: argparse.Namespace) -> Artifact:
         configs = [
             (mu, r, fixed or strategy.optimize(
                 variant, args.commit, r, n, args.sigma_factor,
-                objective=IdealMultiPhoton(mu),
+                objective=strategy.IdealMultiPhoton(mu),
             ).best)
             for mu in mus
             for r in rs
@@ -332,7 +355,7 @@ def cmd_multiphoton(args: argparse.Namespace) -> Artifact:
         pairs = []
         for mu, r, flips in configs:
             test = protocol.build_test(variant, args.commit, r, n, args.sigma_factor)
-            for party in (IdealMultiPhoton(mu, flips), BeamSplitter(mu)):
+            for party in (strategy.IdealMultiPhoton(mu, flips), strategy.BeamSplitter(mu)):
                 pairs.append((test, party.table(variant, args.commit, r)))
         p = [math.exp(log_p) for log_p in protocol.log_pass_probabilities(pairs)]
         rows += [
@@ -346,6 +369,8 @@ def cmd_multiphoton(args: argparse.Namespace) -> Artifact:
 
 
 def _optional_flips(args: argparse.Namespace) -> FlipParams | None:
+    from .strategy import FlipParams
+
     p01, p10 = getattr(args, "p01", None), getattr(args, "p10", None)
     if p01 is None and p10 is None:
         return None
@@ -361,6 +386,9 @@ _MC_FLAG_USERS = {
 
 
 def _mc_strategy(args: argparse.Namespace) -> mcsim.Strategy:
+    from . import mcsim
+    from .strategy import FlipParams
+
     name = args.strategy
     for dests, users in _MC_FLAG_USERS.items():
         for dest in dests:
@@ -381,7 +409,7 @@ def _mc_strategy(args: argparse.Namespace) -> mcsim.Strategy:
         )
     if args.rd is None or args.rn is None or args.length_km is None or args.alpha is None:
         raise CliError("--rd, --rn, --length-km and --alpha are required for 'faked'")
-    scenario = DistanceScenario(r_distant=args.rd, r_near=args.rn)
+    scenario = attacks.DistanceScenario(r_distant=args.rd, r_near=args.rn)
     if args.rd != args.r:
         raise CliError(
             f"--rd {args.rd!r} must equal --r {args.r!r}: the test is built for "
@@ -391,7 +419,9 @@ def _mc_strategy(args: argparse.Namespace) -> mcsim.Strategy:
 
 
 def cmd_mc(args: argparse.Namespace) -> Artifact:
-    variant = Variant(args.variant)
+    from . import mcsim, protocol
+
+    variant = protocol.Variant(args.variant)
     n = derive_n(args.m, variant)
     mc_strategy = _mc_strategy(args)
     config = mcsim.TrialConfig(

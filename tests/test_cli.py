@@ -699,12 +699,22 @@ class TestInputLimits:
                 ["binding-failure", "--m", "4000004", "--r", "0.1"],
                 "--m 4000004 gives 2000002 particles per state, more than 1000000",
             ),
+            (
+                ["honest", "--sigma-factor", "nan"],
+                "sigma_factor must be positive and finite, got nan",
+            ),
+            (["honest", "--r", "nan"], "noise level must lie in [0, 1], got nan"),
+            (
+                ["multiphoton", "--mu", "0.2", "--r", "0.1", "--p01", "nan"],
+                "p01 must lie in [0, 1], got nan",
+            ),
         ),
         ids=("range-parts", "range-numbers", "range-order", "m-integers", "m-positive",
              "honest-m-negative", "binding-failure-m-odd-negative", "cheat-surface-m-zero",
              "mc-m-zero", "grid-step", "honest-m-above-cap", "cheat-max-m-above-cap",
              "tables-m-above-cap", "mc-m-above-cap", "multiphoton-m-above-cap",
-             "binding-failure-m-above-cap"),
+             "binding-failure-m-above-cap", "honest-sigma-factor-nan", "honest-r-nan",
+             "multiphoton-p01-nan"),
     )
     def test_malformed_flag_is_one_error_line(self, args, subject, capsys):
         assert_one_line_error(args, subject, capsys)
@@ -1013,3 +1023,58 @@ class TestModuleEntryPoint:
         done = self.run_module(["distance", "--alpha", "nan"])
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+    #: The modules a command that only parses or computes a closed form
+    #: leaves unloaded.
+    NUMERICAL = ("numpy", "qbcsim.mcsim", "qbcsim.protocol", "qbcsim.strategy")
+
+    #: How each entry point starts on ``sys.argv``: ``python -m qbcsim``,
+    #: and the ``qbcsim`` console script of ``[project.scripts]``.
+    ENTRY = {
+        "module": "runpy.run_module('qbcsim', run_name='__main__')",
+        "script": "import qbcsim.cli; sys.exit(qbcsim.cli.main())",
+    }
+
+    @classmethod
+    def exit_and_loaded(cls, entry, args):
+        """The exit code of ``entry`` on ``args`` in a fresh interpreter,
+        and which of :data:`NUMERICAL` it left in ``sys.modules``."""
+        probe = (
+            "import json, runpy, sys\n"
+            f"sys.argv[1:] = {args!r}\n"
+            "try:\n"
+            f"    {cls.ENTRY[entry]}\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            f"print(json.dumps([code, sorted(set({cls.NUMERICAL!r}) & set(sys.modules))]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.stdout, done.stderr
+        return tuple(json.loads(done.stdout.splitlines()[-1]))
+
+    @pytest.mark.parametrize(
+        "entry, args, code, loaded",
+        (
+            ("module", ["distance", "--alpha", "0.2"], 0, []),
+            ("module", ["--help"], 0, []),
+            ("module", ["honest", "--help"], 0, []),
+            ("module", ["distance"], 2, []),
+            ("script", ["distance", "--alpha", "0.2"], 0, []),
+            (
+                "module", ["cheat-max", "--r", "0.1"], 0,
+                ["numpy", "qbcsim.protocol", "qbcsim.strategy"],
+            ),
+            (
+                "module", ["mc", "--strategy", "beam-splitter", "--r", "0.1", "--mu", "nan"],
+                2, ["numpy", "qbcsim.mcsim", "qbcsim.protocol", "qbcsim.strategy"],
+            ),
+        ),
+        ids=("distance", "help", "command-help", "usage-error", "console-script",
+             "cheat-max", "mc-error"),
+    )
+    def test_a_command_imports_only_the_modules_it_runs(self, entry, args, code, loaded):
+        assert self.exit_and_loaded(entry, args) == (code, loaded)

@@ -3,10 +3,14 @@ package declares no linter: each module of ``qbcsim`` other than
 ``__init__`` uses every name it imports, every module-level private name
 is read somewhere in the package, every public one is read by another
 module or listed in :data:`KEPT`, and every name in ``qbcsim.__all__``
-resolves."""
+resolves, on first use, to what its defining module binds."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -172,3 +176,54 @@ def test_kept_name_is_read_where_listed(name):
 
 def test_every_exported_name_resolves():
     assert [name for name in qbcsim.__all__ if not hasattr(qbcsim, name)] == []
+    # each resolves to what its defining module binds, and is then kept
+    package = Path(qbcsim.__file__).parent
+    misplaced = [
+        name for name, module in qbcsim._MODULE_OF.items()
+        if name not in definitions(ast.parse((package / f"{module}.py").read_text("utf-8")))
+        or getattr(qbcsim, name) is not getattr(import_module(f"qbcsim.{module}"), name)
+        or name not in vars(qbcsim)
+    ]
+    assert misplaced == []
+
+
+#: ``qbcsim.__all__`` as the package exported it when ``__init__`` still
+#: imported every submodule; the lazy namespace exports the same names.
+EXPORTED = (
+    "AcceptanceTest", "Basis", "BeamSplitter", "BreidbartFlips", "COMPUTATIONAL",
+    "ConditionalTable", "DistanceScenario", "FakedDistance", "FlipParams", "HADAMARD",
+    "Honest", "IdealMultiPhoton", "KET_0", "KET_1", "KET_MINUS", "KET_PLUS",
+    "LogObjective", "MultiPhotonMode", "OptimizationResult", "Qubit", "TrialConfig",
+    "TrialReport", "Variant", "apply_flips", "basis_at_angle", "beam_splitter_table",
+    "binding_failure", "binomial_window_probability", "born", "breidbart",
+    "breidbart_table", "build_test", "cheat_success", "commit_observable",
+    "counted_outcomes", "helstrom_success", "honest_table", "ideal_multiphoton_table",
+    "log_binomial_window", "max_safe_distance", "max_safe_distance_noisy",
+    "multiphoton_success", "optimize", "pass_factors", "pass_probability", "run",
+)
+
+
+def test_star_import_binds_the_exported_names():
+    namespace: dict = {}
+    exec("from qbcsim import *", namespace)
+    bound = sorted(set(namespace) - {"__builtins__"})
+    assert bound == sorted(qbcsim.__all__) == sorted(EXPORTED) and len(bound) == 46
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qbcsim.no_such_name
+    assert not hasattr(qbcsim, "no_such_name")
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    probe = (
+        "import sys, qbcsim\n"
+        "print(*sorted(m for m in sys.modules if m.partition('.')[0] in ('qbcsim', 'numpy')))\n"
+    )
+    src = str(Path(qbcsim.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "qbcsim\n"), done.stderr
