@@ -15,12 +15,19 @@ carried one photon would give the same distribution.
 The counts come from an inversion table built once per run for each
 sent state (:func:`_inversion_table`): the cumulative probabilities that
 NumPy's own inversion sampler walks from ``k = 0`` for every draw of
-``Generator.binomial(n, p)``.  Looking the uniforms up in it gives
-every count of a block, bit-identical to ``Generator.binomial``'s and
-leaving the stream where it would; a guide over equal cells of
-``[0, 1)`` (:func:`_sampler`) answers most uniforms with one gather,
-and ``searchsorted`` answers the rest.  Two
-kinds of draw still go to ``Generator.binomial``:
+``Generator.binomial(n, p)``.  A block never builds its counts
+(:class:`_StateDraws`).  It reads raw Philox words ``w``, whose uniforms
+``Generator.random`` would make ``(w >> 11) * 2**-53``, and ``w >> 52``
+is each uniform's cell among ``_CELLS`` equal cells of ``[0, 1)``.  One
+int8 lookup per cell gives the block's window flags: 1 where the cell's
+count lies in the window, 0 where it does not, and -1 where a band edge
+crosses the cell; only those uniforms are rebuilt, looked up with
+``searchsorted`` and tallied as counts.  The cells drawn are tallied, and
+once per run each clean cell's tally is folded into its count.  So the
+flags and histograms are those of ``Generator.binomial``'s counts, bit
+for bit, and the stream is left where it would be.  Two kinds of draw
+still go to ``Generator.binomial``, whose counts are window-tested and
+tallied directly:
 
 - those NumPy does not sample by inversion: ``n * min(p, 1 - p) > 30``,
   where it uses BTPE, and ``p = 0``, where it draws no uniform;
@@ -37,17 +44,17 @@ kinds of draw still go to ``Generator.binomial``:
 Chunk ``i`` of ``_CHUNK`` trials draws from its own counter-based
 stream, ``Philox(seed).jumped(i)``, one binomial per sent state in state
 order, each in blocks of ``_BLOCK`` draws; the chunks run on one thread
-per available core.  A block's counts are tested against the state's
-window into the chunk's acceptance flags, and their tally, as long as
-the span of counts the block holds, is added into the shared totals
-under a lock, in whatever order the blocks finish.  So a run holds its
-totals, one flag per trial of a chunk and a block's scratch per worker,
-whatever ``n`` and the chunk size.  Integer sums are exact in any order
-and each chunk's numbers are fixed by its own stream, so a
-:class:`TrialConfig` always gives a bit-identical :class:`TrialReport`,
-whatever the number of cores or the order the chunks ran in.  Since
-``jumped(0)`` is ``Philox(seed)``, a run of at most ``_CHUNK`` (131,072)
-trials draws the same numbers as one ``Philox(seed)`` stream.
+per available core.  A block's window flags go into the chunk's
+acceptance flags, and its tallies into the state's shared totals under a
+lock, in whatever order the blocks finish.  So a run holds its totals, a
+``_CELLS``-entry cell tally per state, one flag per trial of a chunk and
+a block's scratch per worker, whatever ``n`` and the chunk size.
+Integer sums are exact in any order and each chunk's numbers are fixed
+by its own stream, so a :class:`TrialConfig` always gives a
+bit-identical :class:`TrialReport`, whatever the number of cores or the
+order the chunks ran in.  Since ``jumped(0)`` is ``Philox(seed)``, a run
+of at most ``_CHUNK`` (131,072) trials draws the same numbers as one
+``Philox(seed)`` stream.
 """
 
 from __future__ import annotations
@@ -56,7 +63,6 @@ import math
 import numbers
 import os
 import threading
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +78,9 @@ MAX_TRIALS = 10**9
 #: Draws of one sent state that a chunk samples, window-tests and
 #: tallies at a time, and the unit that falls back to ``Generator.binomial``.
 _BLOCK = 1 << 14
-#: Equal cells of ``[0, 1)`` in a sampler's guide; ``u * _CELLS`` is
-#: exact for a power of two, so a uniform's cell is ``int(u * _CELLS)``.
+#: Equal cells of ``[0, 1)`` in a state's guide; ``u * _CELLS`` is exact
+#: for a power of two, so a uniform's cell is ``int(u * _CELLS)``, the top
+#: 12 bits of its raw word.
 _CELLS = 1 << 12
 #: Half-width of the band around each cumulative probability of an
 #: inversion table; the rounding of NumPy's walk of at most ~90 steps, and
@@ -160,37 +167,70 @@ def _inversion_table(n: int, p: float) -> tuple[np.ndarray, np.ndarray] | None:
     return edges, lookup
 
 
-def _sampler(n: int, p: float) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """``draw(rng, size)``, equal to ``rng.binomial(n, p, size)`` bit for
-    bit and leaving ``rng`` in the same state, from a table built here.
+class _StateDraws:
+    """One sent state's ``Binomial(n, p)`` draws in a run: the window flags
+    of each block, and the histogram of every count drawn (see the module
+    docstring).
 
-    A guide gives the count of every one of ``_CELLS`` equal cells of
-    ``[0, 1)`` that holds no band edge, and -1 for the few others, whose
-    uniforms ``searchsorted`` resolves.  If any of the ``size`` uniforms
-    lies in a band, ``rng`` goes back to the state saved before them and
-    ``Generator.binomial`` draws the ``size`` counts; :func:`run` calls it
-    one block at a time, so that is one block.
+    Where NumPy inverts, ``guide`` holds each cell's count and ``flag`` its
+    window flag, both -1 where a band edge crosses the cell or it lies past
+    the walk's bound, and ``cells`` tallies the cells drawn until
+    :meth:`histogram` folds it into ``totals``.  Blocks may be drawn from
+    several threads.
     """
-    table = _inversion_table(n, p)
-    if table is None:
-        return lambda rng, size: rng.binomial(n, p, size=size)
-    edges, lookup = table
-    # cell c holds the uniforms whose searchsorted index lies in [ends[c], ends[c + 1]]
-    ends = np.searchsorted(edges, np.arange(_CELLS + 1) / _CELLS)
-    guide = np.where(ends[:-1] == ends[1:], lookup[ends[:-1]], -1)
 
-    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        saved = rng.bit_generator.state
-        u = rng.random(size)
-        counts = guide[(u * _CELLS).astype(np.intp)]
-        edge = counts < 0
-        counts[edge] = lookup[np.searchsorted(edges, u[edge])]
-        if counts.min() < 0:
+    def __init__(self, n: int, p: float, window: tuple[int, int]) -> None:
+        self.n, self.p = n, p
+        self.lo, self.hi = window
+        self.totals = np.zeros(n + 1, dtype=np.int64)
+        self.lock = threading.Lock()
+        self.table = _inversion_table(n, p)
+        if self.table is not None:
+            edges, lookup = self.table
+            # cell c holds the uniforms whose searchsorted index lies in [ends[c], ends[c + 1]]
+            ends = np.searchsorted(edges, np.arange(_CELLS + 1) / _CELLS)
+            self.guide = np.where(ends[:-1] == ends[1:], lookup[ends[:-1]], -1)
+            inside = (self.guide >= self.lo) & (self.guide <= self.hi)
+            self.flag = np.where(self.guide < 0, -1, inside).astype(np.int8)
+            self.cells = np.zeros(_CELLS, dtype=np.int64)
+
+    def block(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """The window flags of ``rng.binomial(n, p, size)``, leaving ``rng``
+        where that call would; the counts are tallied."""
+        if self.table is not None:
+            edges, lookup = self.table
+            saved = rng.bit_generator.state
+            words = rng.bit_generator.random_raw(size)
+            cells = (words >> 52).view(np.int64)
+            flags = self.flag.take(cells)
+            edge = np.flatnonzero(flags < 0)
+            counts = lookup[np.searchsorted(edges, (words[edge] >> 11) * 2.0**-53)]
+            if counts.min(initial=0) >= 0:
+                if edge.size:
+                    flags[edge] = self._tally(counts)
+                tally = np.bincount(cells, minlength=_CELLS)
+                with self.lock:
+                    self.cells += tally
+                return flags.view(bool)
             rng.bit_generator.state = saved
-            counts = rng.binomial(n, p, size=size)
-        return counts
+        return self._tally(rng.binomial(self.n, self.p, size=size))
 
-    return draw
+    def _tally(self, counts: np.ndarray) -> np.ndarray:
+        """Add ``counts`` into the totals and return their window flags."""
+        least = int(counts.min())
+        tally = np.bincount(counts - least)
+        with self.lock:
+            self.totals[least:least + len(tally)] += tally
+        return (counts >= self.lo) & (counts <= self.hi)
+
+    def histogram(self) -> np.ndarray:
+        """The count histogram of every draw so far: the totals, into which
+        the cell tallies are folded (and cleared)."""
+        if self.table is not None:
+            clean = self.guide >= 0
+            np.add.at(self.totals, self.guide[clean], self.cells[clean])
+            self.cells.fill(0)
+        return self.totals
 
 
 def run(config: TrialConfig) -> TrialReport:
@@ -200,13 +240,14 @@ def run(config: TrialConfig) -> TrialReport:
     ``Binomial(n_per_state, p)``, ``p`` read once per run by
     ``test.tallied`` from the party's table, and applies the verifier's
     windows.  Counts are per successful measurement, which is exactly
-    the photon-source tables' at-least-one-photon conditioning.  They
-    are read from one inversion table per sent state, built here and
-    bit-identical to ``Generator.binomial``, which still draws where NumPy
-    would not invert and for a block with a uniform too close to the
-    table's edges.  Each block of ``_BLOCK`` draws is window-tested and
-    tallied as it is drawn, and its tally goes into the totals at once
-    (see the module docstring).
+    the photon-source tables' at-least-one-photon conditioning.  Each
+    block of ``_BLOCK`` draws of a state gives its window flags from the
+    cells of its raw words, bit-identical to those of
+    ``Generator.binomial``'s counts, which still draws where NumPy would
+    not invert and for a block with a uniform too close to the table's
+    edges.  A block's tallies go into the state's totals at once, and
+    each state's cell tally is folded into its histogram at the end (see
+    the module docstring).
     """
     test = build_test(
         config.variant, config.claimed, config.r, config.n_per_state, config.sigma_factor
@@ -214,24 +255,16 @@ def run(config: TrialConfig) -> TrialReport:
     n = config.n_per_state
     states = config.variant.states
     tallied = test.tallied(config.strategy.table(config.variant, config.claimed, config.r))
-    samplers = [_sampler(n, tallied[s]) for s in states]
-    windows = [test.windows[s] for s in states]
-
-    totals = np.zeros((len(states), n + 1), dtype=np.int64)
-    lock = threading.Lock()
+    draws = [_StateDraws(n, tallied[s], test.windows[s]) for s in states]
 
     def chunk(i: int) -> int:
         size = min(_CHUNK, config.trials - i * _CHUNK)
         rng = np.random.Generator(np.random.Philox(config.seed).jumped(i))
         accept = np.ones(size, dtype=bool)
-        for total, draw, (lo, hi) in zip(totals, samplers, windows):
+        for state in draws:
             for start in range(0, size, _BLOCK):
-                counts = draw(rng, min(_BLOCK, size - start))
-                accept[start:start + len(counts)] &= (counts >= lo) & (counts <= hi)
-                least = int(counts.min())
-                tally = np.bincount(counts - least)
-                with lock:
-                    total[least:least + len(tally)] += tally
+                stop = min(start + _BLOCK, size)
+                accept[start:stop] &= state.block(rng, stop - start)
         return int(np.count_nonzero(accept))
 
     chunks = -(-config.trials // _CHUNK)
@@ -253,6 +286,6 @@ def run(config: TrialConfig) -> TrialReport:
         accept_rate=rate,
         standard_error=se,
         trials=config.trials,
-        per_state_count_histograms=dict(zip(states, totals)),
+        per_state_count_histograms={s: d.histogram() for s, d in zip(states, draws)},
     )
 

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbcsim import mcsim
 from qbcsim.attacks import (
@@ -317,11 +319,14 @@ class TestChunkedSampler:
             assert started == [0, 1, 2]
         assert len(started) < chunks // 2, len(started)
 
-    def test_memory_is_bounded_by_the_totals(self):
-        # each block of draws is tallied into the totals as it is drawn, so
-        # a run holds its (states, n + 1) totals and O(_BLOCK) scratch,
-        # never a chunk's counts or a histogram of length n + 1 per state
-        cfg = config(n_per_state=10**6, trials=2 * mcsim._BLOCK + 1)
+    @pytest.mark.parametrize("r", (0.1, 0.0), ids=("btpe", "inverted"))
+    def test_memory_is_bounded_by_the_totals(self, r):
+        # each block of draws is tallied into its state's totals as it is
+        # drawn, so a run holds its n + 1 totals per state, a _CELLS-entry
+        # cell tally per state that NumPy inverts, and O(_BLOCK) scratch,
+        # never a chunk's counts or a histogram of length n + 1 per block;
+        # at r = 0 state "0" has p = 1, which NumPy inverts
+        cfg = config(r=r, n_per_state=10**6, trials=2 * mcsim._BLOCK + 1)
         mcsim.run(dataclasses.replace(cfg, trials=1))  # fill the test's caches
         tracemalloc.start()
         try:
@@ -417,14 +422,36 @@ class TestInversionTable:
     @pytest.mark.parametrize("p", SAMPLER_PS)
     @pytest.mark.parametrize("seed, jump, size", ((0, 0, 1), (1, 3, 20_001), (2, 7, 131_072)))
     def test_draws_equal_generator_binomial(self, p, n, seed, jump, size):
+        # the blocks' window flags and the folded histogram are those of one
+        # Generator.binomial call on a twin stream, for a window about the mean
         ours = np.random.Generator(np.random.Philox(seed).jumped(jump))
         reference = np.random.Generator(np.random.Philox(seed).jumped(jump))
-        counts = mcsim._sampler(n, p)(ours, size)
+        half = math.sqrt(n * p * (1.0 - p)) / 2.0
+        lo, hi = math.floor(n * p - half), math.floor(n * p + half)
+        state = mcsim._StateDraws(n, p, (lo, hi))
+        flags = np.concatenate([state.block(ours, min(mcsim._BLOCK, size - start))
+                                for start in range(0, size, mcsim._BLOCK)])
         want = reference.binomial(n, p, size=size)
-        assert counts.dtype == want.dtype
-        assert np.array_equal(counts, want)
+        assert flags.dtype == bool
+        assert np.array_equal(flags, (want >= lo) & (want <= hi))
+        assert np.array_equal(state.histogram(), np.bincount(want, minlength=n + 1))
         # both streams are left at the same place
         assert ours.random() == reference.random()
+
+    @pytest.mark.parametrize("seed, jump", ((0, 0), (1, 3), (2, 7), (2**63, 1)))
+    def test_raw_words_give_the_uniforms_and_their_cells(self, seed, jump):
+        # the NumPy contract the blocks rest on: Generator.random turns each
+        # raw Philox word w into (w >> 11) * 2**-53 and moves the stream as far,
+        # and the top 12 bits of w are the uniform's cell int(u * _CELLS); the
+        # sizes start the draws at every place in Philox's buffer of 4 words
+        words = np.random.Generator(np.random.Philox(seed).jumped(jump))
+        uniforms = np.random.Generator(np.random.Philox(seed).jumped(jump))
+        for size in (1, 2, 3, 1000, 16_384, 5):
+            w = words.bit_generator.random_raw(size)
+            u = uniforms.random(size)
+            assert np.array_equal(((w >> 11) * 2.0**-53).view(np.uint64), u.view(np.uint64))
+            assert np.array_equal(w >> 52, (u * mcsim._CELLS).astype(np.intp))
+            assert repr(words.bit_generator.state) == repr(uniforms.bit_generator.state)
 
     def test_table_only_where_numpy_inverts(self):
         # NumPy inverts while n * min(p, 1 - p) <= 30 and p > 0
@@ -522,6 +549,35 @@ class TestInversionTable:
         want = single_stream(cfg, table_draw(cfg))
         assert report.accept_rate == want.accept_rate
         for s in TWO.states:
+            assert np.array_equal(
+                report.per_state_count_histograms[s], want.per_state_count_histograms[s]
+            )
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=45)
+    @given(
+        margin=st.sampled_from((1e-12, 1e-6, 1e-3)),
+        variant=st.sampled_from((TWO, FOUR)),
+        claimed=st.sampled_from((0, 1)),
+        r=st.floats(0.0, 1.0),
+        n=st.integers(1, 60),
+        strategy=st.sampled_from(STRATEGIES),
+        seed=st.integers(0, 2**64),
+        trials=st.integers(1, 3 * mcsim._BLOCK),
+    )
+    def test_margin_sweep_keeps_the_single_stream(
+        self, margin, variant, claimed, r, n, strategy, seed, trials
+    ):
+        # wider bands give more edge cells and more blocks that fall back to
+        # Generator.binomial; the cell flags, the edge look-ups and the fold
+        # still give the report of one binomial call per state
+        cfg = config(variant=variant, claimed=claimed, r=r, n_per_state=n,
+                     strategy=strategy, trials=trials, seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mcsim, "_MARGIN", margin)
+            report = mcsim.run(cfg)
+        want = single_stream(cfg, table_draw(cfg))
+        assert report.accept_rate == want.accept_rate
+        for s in variant.states:
             assert np.array_equal(
                 report.per_state_count_histograms[s], want.per_state_count_histograms[s]
             )
