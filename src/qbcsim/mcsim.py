@@ -43,26 +43,21 @@ tallied directly:
 
 Chunk ``i`` of ``_CHUNK`` trials draws from its own counter-based
 stream, ``Philox(seed).jumped(i)``, one binomial per sent state in state
-order, each in blocks of ``_BLOCK`` draws; the chunks run on one thread
-per available core.  A block's window flags go into the chunk's
-acceptance flags, and its tallies into the state's shared totals under a
-lock, in whatever order the blocks finish.  So a run holds its totals, a
-``_CELLS``-entry cell tally per state, one flag per trial of a chunk and
-a block's scratch per worker, whatever ``n`` and the chunk size.
-Integer sums are exact in any order and each chunk's numbers are fixed
-by its own stream, so a :class:`TrialConfig` always gives a
-bit-identical :class:`TrialReport`, whatever the number of cores or the
-order the chunks ran in.  Since ``jumped(0)`` is ``Philox(seed)``, a run
-of at most ``_CHUNK`` (131,072) trials draws the same numbers as one
-``Philox(seed)`` stream.
+order, each in blocks of ``_BLOCK`` draws; the chunks run in order on the
+calling thread.  A block's window flags go into the chunk's acceptance
+flags, and its tallies into the state's totals.  So a run holds its
+totals, a ``_CELLS``-entry cell tally per state, one flag per trial of a
+chunk and one block's scratch, whatever ``n`` and the chunk size.  Each
+chunk's numbers are fixed by its own stream, so a :class:`TrialConfig`
+always gives a bit-identical :class:`TrialReport`.  Since ``jumped(0)``
+is ``Philox(seed)``, a run of at most ``_CHUNK`` (131,072) trials draws
+the same numbers as one ``Philox(seed)`` stream.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,15 +170,13 @@ class _StateDraws:
     Where NumPy inverts, ``guide`` holds each cell's count and ``flag`` its
     window flag, both -1 where a band edge crosses the cell or it lies past
     the walk's bound, and ``cells`` tallies the cells drawn until
-    :meth:`histogram` folds it into ``totals``.  Blocks may be drawn from
-    several threads.
+    :meth:`histogram` folds it into ``totals``.
     """
 
     def __init__(self, n: int, p: float, window: tuple[int, int]) -> None:
         self.n, self.p = n, p
         self.lo, self.hi = window
         self.totals = np.zeros(n + 1, dtype=np.int64)
-        self.lock = threading.Lock()
         self.table = _inversion_table(n, p)
         if self.table is not None:
             edges, lookup = self.table
@@ -208,9 +201,7 @@ class _StateDraws:
             if counts.min(initial=0) >= 0:
                 if edge.size:
                     flags[edge] = self._tally(counts)
-                tally = np.bincount(cells, minlength=_CELLS)
-                with self.lock:
-                    self.cells += tally
+                self.cells += np.bincount(cells, minlength=_CELLS)
                 return flags.view(bool)
             rng.bit_generator.state = saved
         return self._tally(rng.binomial(self.n, self.p, size=size))
@@ -219,8 +210,7 @@ class _StateDraws:
         """Add ``counts`` into the totals and return their window flags."""
         least = int(counts.min())
         tally = np.bincount(counts - least)
-        with self.lock:
-            self.totals[least:least + len(tally)] += tally
+        self.totals[least:least + len(tally)] += tally
         return (counts >= self.lo) & (counts <= self.hi)
 
     def histogram(self) -> np.ndarray:
@@ -245,9 +235,9 @@ def run(config: TrialConfig) -> TrialReport:
     cells of its raw words, bit-identical to those of
     ``Generator.binomial``'s counts, which still draws where NumPy would
     not invert and for a block with a uniform too close to the table's
-    edges.  A block's tallies go into the state's totals at once, and
-    each state's cell tally is folded into its histogram at the end (see
-    the module docstring).
+    edges.  The chunks run in order; a block's tallies go into the
+    state's totals at once, and each state's cell tally is folded into its
+    histogram at the end (see the module docstring).
     """
     test = build_test(
         config.variant, config.claimed, config.r, config.n_per_state, config.sigma_factor
@@ -268,17 +258,7 @@ def run(config: TrialConfig) -> TrialReport:
         return int(np.count_nonzero(accept))
 
     chunks = -(-config.trials // _CHUNK)
-    # macOS and Windows have no sched_getaffinity
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    workers = min(cpus, chunks)
-    if workers == 1:
-        accepted = sum(map(chunk, range(chunks)))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            accepted = sum(pool.map(chunk, range(chunks)))
+    accepted = sum(map(chunk, range(chunks)))
 
     rate = accepted / config.trials
     se = math.sqrt(rate * (1.0 - rate) / config.trials)

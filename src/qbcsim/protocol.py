@@ -175,6 +175,8 @@ class AcceptanceTest:
 
     def __post_init__(self) -> None:
         _check_n_per_state(self.n_per_state)
+        if not self.windows:
+            raise ValueError("an acceptance test needs at least one window")
         for s, (lo, hi) in self.windows.items():
             if not 0 <= lo <= hi <= self.n_per_state:
                 raise ValueError(f"invalid window for state {s!r}: [{lo}, {hi}]")
@@ -184,6 +186,9 @@ class AcceptanceTest:
     def tallied(self, table: ConditionalTable) -> dict[str, float]:
         """Per window state, in window order, the probability ``table`` gives the
         tallied outcome, clipped to [0, 1]: tables admit an ulp of rounding slack."""
+        for s in self.windows:
+            if s not in table.states:
+                raise ValueError(f"table has no row for window state {s!r}")
         return {
             s: min(1.0, max(0.0, table.prob(s, self.counted_outcome[s])))
             for s in self.windows

@@ -1,17 +1,25 @@
-"""A per-particle physics oracle for the ``Honest`` and ``BreidbartFlips``
-tables.
+"""A per-particle physics oracle for the ``Honest``, ``BreidbartFlips``,
+``IdealMultiPhoton`` and ``BeamSplitter`` tables.
 
 The simulation reads no party table.  From ``qcore``'s state vectors and
 bases alone it draws, for each particle:
 
 - the sent state, uniformly among the variant's states;
+- for a photon source of mean ``mu``, the detected pulse's photon number
+  ``k``, from Poisson(``mu``) given ``k >= 1``;
 - depolarisation: with probability ``r`` the particle becomes ``I/2``,
   which gives either outcome with probability 1/2 in any basis;
 - otherwise the Born outcome of the pure state in the basis the party
   measures: the claimed observable for an honest committer (the
   computational basis for a claim of 0, the Hadamard basis with outcome 0
-  on ``|->`` for a claim of 1), the Breidbart basis for a mid-basis one;
-- the flips of a mid-basis committer: a 0 becomes a 1 with probability
+  on ``|->`` for a claim of 1), the Breidbart basis for a mid-basis one.
+  An ideal multi-photon committer measures a single photon (``k = 1``) in
+  the Breidbart basis and learns the claimed observable's outcome from a
+  pulse of ``k >= 2``.  A beam-splitting committer's claimed set-up fires
+  for ``k >= 2``; for ``k = 1`` it fires with probability 1/2, and a fair
+  coin replaces the outcome otherwise;
+- the flips of a Breidbart-basis outcome, for a mid-basis committer and a
+  multi-photon one's single photons: a 0 becomes a 1 with probability
   ``p01`` and a 1 becomes a 0 with probability ``p10``;
 - the revealed bit, which counts if it is the outcome ``build_test``
   tallies for the sent state.
@@ -27,7 +35,7 @@ import pytest
 
 from qbcsim import qcore
 from qbcsim.protocol import Variant, build_test
-from qbcsim.strategy import BreidbartFlips, FlipParams, Honest
+from qbcsim.strategy import BeamSplitter, BreidbartFlips, FlipParams, Honest, IdealMultiPhoton
 
 TWO = Variant.TWO_STATE
 FOUR = Variant.FOUR_STATE
@@ -42,11 +50,33 @@ Z_LIMIT = 5.0
 KETS = {"0": qcore.KET_0, "1": qcore.KET_1, "+": qcore.KET_PLUS, "-": qcore.KET_MINUS}
 
 
-def measured_basis(party, claimed: int) -> qcore.Basis:
-    """The basis the party measures every particle in."""
+def born_zero(basis: qcore.Basis, states) -> np.ndarray:
+    """Per state, the Born probability of outcome 0 of ``basis``."""
+    v0 = basis.v0
+    return np.array([(KETS[s].a0 * v0.a0 + KETS[s].a1 * v0.a1) ** 2 for s in states])
+
+
+def detected_photons(rng, mu: float, size: int) -> np.ndarray:
+    """Photon numbers of ``size`` detected pulses: Poisson(``mu``) given ``k >= 1``."""
+    k = rng.poisson(mu, size)
+    while (empty := np.flatnonzero(k == 0)).size:
+        k[empty] = rng.poisson(mu, empty.size)
+    return k
+
+
+def measurement(party, rng, size: int):
+    """Per particle: whether the party measures it in the Breidbart basis
+    (and then flips) rather than the claimed observable, and whether a
+    coin replaces its outcome."""
+    none = np.zeros(size, dtype=bool)
     if isinstance(party, Honest):
-        return qcore.COMPUTATIONAL if claimed == 0 else qcore.HADAMARD.swapped()
-    return qcore.breidbart()
+        return none, none
+    if isinstance(party, BreidbartFlips):
+        return ~none, none
+    single = detected_photons(rng, party.mu, size) == 1
+    if isinstance(party, IdealMultiPhoton):
+        return single, none
+    return none, single & (rng.random(size) < 0.5)
 
 
 def simulate(variant: Variant, claimed: int, r: float, party, rng):
@@ -55,10 +85,10 @@ def simulate(variant: Variant, claimed: int, r: float, party, rng):
     states = variant.states
     counted = build_test(variant, claimed, r, 50).counted_outcome
     tallied_bit = np.array([counted[s] for s in states], dtype=np.int8)
-    v0 = measured_basis(party, claimed).v0
-    amplitude = np.array([KETS[s].a0 * v0.a0 + KETS[s].a1 * v0.a1 for s in states])
-    born_zero = amplitude**2
-    p01, p10 = (party.flips.p01, party.flips.p10) if isinstance(party, BreidbartFlips) else (0, 0)
+    claimed_basis = qcore.COMPUTATIONAL if claimed == 0 else qcore.HADAMARD.swapped()
+    honest_zero = born_zero(claimed_basis, states)
+    breidbart_zero = born_zero(qcore.breidbart(), states)
+    flips = getattr(party, "flips", FlipParams(0.0, 0.0))
     sent_total = np.zeros(len(states), dtype=np.int64)
     hits = np.zeros(len(states), dtype=np.int64)
     remaining = PARTICLES_PER_STATE * len(states)
@@ -67,8 +97,10 @@ def simulate(variant: Variant, claimed: int, r: float, party, rng):
         remaining -= size
         sent = rng.integers(len(states), size=size)
         mixed = rng.random(size) < r
-        zero = rng.random(size) < np.where(mixed, 0.5, born_zero[sent])
-        flipped = rng.random(size) < np.where(zero, p01, p10)
+        breidbart, coin = measurement(party, rng, size)
+        pure = np.where(breidbart, breidbart_zero[sent], honest_zero[sent])
+        zero = rng.random(size) < np.where(mixed | coin, 0.5, pure)
+        flipped = breidbart & (rng.random(size) < np.where(zero, flips.p01, flips.p10))
         bit = (~zero ^ flipped).astype(np.int8)
         sent_total += np.bincount(sent, minlength=len(states))
         hits += np.bincount(sent[bit == tallied_bit[sent]], minlength=len(states))
@@ -86,9 +118,17 @@ def simulate(variant: Variant, claimed: int, r: float, party, rng):
         (TWO, 1, 0.2, BreidbartFlips(FlipParams(0.047, 0.4926))),
         (FOUR, 0, 0.1, BreidbartFlips(FlipParams(0.0659, 0.0659))),
         (FOUR, 1, 0.0, BreidbartFlips(FlipParams(0.0, 0.0))),
+        (TWO, 0, 0.1, IdealMultiPhoton(0.2, FlipParams(0.0, 0.4926))),
+        (FOUR, 1, 0.0, IdealMultiPhoton(1.0, FlipParams(0.047, 0.047))),
+        (TWO, 0, 0.1, BeamSplitter(0.2)),
+        (FOUR, 1, 0.0, BeamSplitter(1.0)),
+        (TWO, 1, 0.2, BeamSplitter(1.0)),
+        (FOUR, 0, 0.1, IdealMultiPhoton(0.2, FlipParams(0.0659, 0.0659))),
     ),
     ids=("two-honest", "two-honest-claim1", "four-honest", "four-honest-claim1",
-         "two-flips", "two-flips-claim1", "four-flips", "four-breidbart-claim1"),
+         "two-flips", "two-flips-claim1", "four-flips", "four-breidbart-claim1",
+         "two-ideal", "four-ideal-claim1", "two-beam-splitter", "four-beam-splitter-claim1",
+         "two-beam-splitter-claim1", "four-ideal"),
 )
 def test_table_tallies_its_physics(variant, claimed, r, party):
     rng = np.random.default_rng(7)

@@ -216,6 +216,13 @@ class TestBuildTest:
             AcceptanceTest(10, {"0": (6, 5)}, {"0": 0})
         with pytest.raises(ValueError, match=r"missing counted outcome for state '\+'"):
             AcceptanceTest(10, {"0": (0, 5), "+": (2, 8)}, {"0": 0})
+        with pytest.raises(ValueError, match="at least one window"):
+            AcceptanceTest(5, {}, {})
+
+    def test_tallied_names_a_state_the_table_lacks(self):
+        # a two-state table has no row for the four-state test's '1'
+        with pytest.raises(ValueError, match=r"no row for window state '1'"):
+            build_test(FOUR, 0, 0.1, 50).tallied(honest_table(TWO, 0, 0.1))
 
     def test_empty_window_is_an_input_error(self):
         # at n = 1 and r = 0.1 the '+' tally has mean 0.5 and sigma 0.5, so
