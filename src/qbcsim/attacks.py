@@ -88,6 +88,12 @@ class FakedDistance:
     length_km: float
     alpha: float
 
+    def __post_init__(self) -> None:
+        if not self.alpha > 0.0:
+            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+        if not self.length_km >= 0.0:
+            raise ValueError(f"length_km must be non-negative, got {self.length_km!r}")
+
     def table(self, variant: Variant, claimed: int, r: float) -> ConditionalTable:
         """Revealed-outcome statistics of the faking-distance cheater.
 
@@ -106,10 +112,6 @@ class FakedDistance:
         from .strategy import FlipParams, apply_flips
 
         alpha, length_km = self.alpha, self.length_km
-        if not alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {alpha!r}")
-        if not length_km >= 0.0:
-            raise ValueError(f"length_km must be non-negative, got {length_km!r}")
         # nothing is lost over 0 km, even at infinite attenuation (inf * 0 is nan)
         loss_db = alpha * length_km if length_km > 0.0 else 0.0
         delta = 0.5 - 10.0 ** (-loss_db / 10.0)

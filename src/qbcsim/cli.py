@@ -381,7 +381,7 @@ def _optional_flips(args: argparse.Namespace) -> FlipParams | None:
 _MC_FLAG_USERS = {
     ("p01", "p10"): ("breidbart", "ideal"),
     ("mu",): ("beam-splitter", "ideal"),
-    ("rd", "rn", "length_km", "alpha"): ("faked",),
+    ("rn", "length_km", "alpha"): ("faked",),
 }
 
 
@@ -407,14 +407,10 @@ def _mc_strategy(args: argparse.Namespace) -> mcsim.Strategy:
         return mcsim.IdealMultiPhoton(
             args.mu, _optional_flips(args) or FlipParams(0.0, 0.0)
         )
-    if args.rd is None or args.rn is None or args.length_km is None or args.alpha is None:
-        raise CliError("--rd, --rn, --length-km and --alpha are required for 'faked'")
-    scenario = attacks.DistanceScenario(r_distant=args.rd, r_near=args.rn)
-    if args.rd != args.r:
-        raise CliError(
-            f"--rd {args.rd!r} must equal --r {args.r!r}: the test is built for "
-            "the claimed remote noise"
-        )
+    if args.rn is None or args.length_km is None or args.alpha is None:
+        raise CliError("--rn, --length-km and --alpha are required for 'faked'")
+    # the claimed remote noise is --r, the noise the test is built for
+    scenario = attacks.DistanceScenario(r_distant=args.r, r_near=args.rn)
     return mcsim.FakedDistance(scenario, args.length_km, args.alpha)
 
 
@@ -547,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p01", type=float, default=None)
     p.add_argument("--p10", type=float, default=None)
     p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--rd", type=float, default=None)
     p.add_argument("--rn", type=float, default=None)
     p.add_argument("--length-km", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)

@@ -97,21 +97,13 @@ def apply_flips(table: ConditionalTable, flips: FlipParams) -> ConditionalTable:
     )
 
 
-def photon_weights(mu: float) -> tuple[float, float, float]:
-    """``(single, multi, norm)``: the probabilities that a pulse of a Poisson
-    source with mean ``mu`` carries one photon, two or more, or at least one.
-
-    Below ``mu = 1e-3`` the difference ``1 - exp(-mu)`` loses digits (it is
-    0 below about 1e-16), so ``norm`` is ``-expm1(-mu)`` there, and ``single``
-    is capped at ``norm`` so that ``multi`` cannot round below 0."""
+def single_photon_share(mu: float) -> float:
+    """P(one photon | at least one) for a Poisson source with mean ``mu``:
+    ``mu*exp(-mu) / (1 - exp(-mu))``, with the denominator as
+    ``-expm1(-mu)`` so that no digits cancel for a faint source."""
     if not 0.0 < mu < math.inf:
         raise ValueError(f"mu must be positive and finite, got {mu!r}")
-    e = math.exp(-mu)
-    if mu >= 1e-3:
-        return mu * e, 1.0 - e - mu * e, 1.0 - e
-    norm = -math.expm1(-mu)
-    single = min(mu * e, norm)
-    return single, norm - single, norm
+    return mu * math.exp(-mu) / -math.expm1(-mu)
 
 
 @dataclass(frozen=True)
@@ -144,34 +136,35 @@ class IdealMultiPhoton:
     flips: FlipParams = FlipParams(0.0, 0.0)
 
     def __post_init__(self) -> None:
-        photon_weights(self.mu)
+        single_photon_share(self.mu)
 
     def table(self, variant: Variant, claimed: int, r: float) -> ConditionalTable:
-        single, multi, norm = photon_weights(self.mu)
-        w_single, w_multi = single / norm, multi / norm  # no subnormal products
+        w = single_photon_share(self.mu)
         flipped = BreidbartFlips(self.flips).table(variant, claimed, r).p_zero
         honest = honest_table(variant, claimed, r).p_zero
         return ConditionalTable(
-            variant.states,
-            {s: w_single * flipped[s] + w_multi * honest[s] for s in variant.states},
+            variant.states, {s: w * flipped[s] + (1.0 - w) * honest[s] for s in variant.states}
         )
 
 
 @dataclass(frozen=True)
 class BeamSplitter:
-    """Split every pulse between both observables; a single photon lands
-    on the wrong one half the time, and coin flips replace those outcomes.
-    Each honest row goes through symmetric flips with probability ``w/2``,
-    ``w = mu*exp(-mu) / (2*(1 - exp(-mu)))``."""
+    """Split every pulse between both observables.  In this model a pulse
+    of two or more photons always fires the claimed set-up, while a single
+    photon lands on the wrong observable half the time and a coin flip
+    replaces that outcome, so each honest row goes through symmetric flips
+    with probability ``single_photon_share(mu)/4``.  The alternative, a
+    50:50 splitter that routes each photon on its own, would let a pulse of
+    ``k`` photons miss too, with probability ``2**-k``; which one the
+    paper means is open."""
 
     mu: float
 
     def __post_init__(self) -> None:
-        photon_weights(self.mu)
+        single_photon_share(self.mu)
 
     def table(self, variant: Variant, claimed: int, r: float) -> ConditionalTable:
-        single, _, norm = photon_weights(self.mu)
-        w = single / (4.0 * norm)
+        w = single_photon_share(self.mu) / 4.0
         return apply_flips(honest_table(variant, claimed, r), FlipParams(w, w))
 
 

@@ -15,7 +15,7 @@ from qbcsim.attacks import (
     multiphoton_success,
 )
 from qbcsim.protocol import Variant, build_test, honest_table, pass_probability
-from qbcsim.strategy import FlipParams, IdealMultiPhoton, optimize, photon_weights
+from qbcsim.strategy import FlipParams, IdealMultiPhoton, optimize, single_photon_share
 
 ATOL = 1e-12
 TWO = Variant.TWO_STATE
@@ -49,7 +49,7 @@ class SourceModel:
     pulses: int
 
     def __post_init__(self) -> None:
-        photon_weights(self.mu)
+        single_photon_share(self.mu)
         if self.alpha <= 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha!r}")
         if self.length_km < 0.0:
@@ -249,6 +249,21 @@ class TestFakedTable:
         with pytest.raises(ValueError, match="length_km must be non-negative, got nan"):
             FakedDistance(scenario, math.nan, 0.2).table(TWO, 0, 0.1)
 
+    @pytest.mark.parametrize(
+        "length, alpha, message",
+        (
+            (17.0, 0.0, "alpha must be positive, got 0.0"),
+            (17.0, -0.2, "alpha must be positive, got -0.2"),
+            (17.0, math.nan, "alpha must be positive, got nan"),
+            (-1.0, 0.2, "length_km must be non-negative, got -1.0"),
+            (math.nan, 0.2, "length_km must be non-negative, got nan"),
+        ),
+    )
+    def test_construction_checks_its_inputs(self, length, alpha, message):
+        # as the photon parties check mu, before any table is built
+        with pytest.raises(ValueError, match=message):
+            FakedDistance(DistanceScenario(0.1, 0.0), length, alpha)
+
     @pytest.mark.parametrize("alpha", (0.2, math.inf))
     def test_zero_length_is_below_half_loss_whatever_the_attenuation(self, alpha):
         # nothing is lost over 0 km, though alpha * 0 is nan at alpha = inf
@@ -351,7 +366,7 @@ class TestMultiPhoton:
     def test_nan_mu_rejected_by_name(self):
         nan = math.nan
         for build in (
-            lambda: photon_weights(nan),
+            lambda: single_photon_share(nan),
             lambda: SourceModel(mu=nan, alpha=0.2, length_km=1.0, eta=0.1, pulses=10),
             lambda: ideal_multiphoton_table(TWO, 0, 0.1, nan, FlipParams(0.0, 0.0)),
             lambda: beam_splitter_table(TWO, 0, 0.1, nan),
@@ -361,7 +376,7 @@ class TestMultiPhoton:
 
     def test_infinite_mu_rejected_by_name(self):
         for build in (
-            lambda: photon_weights(math.inf),
+            lambda: single_photon_share(math.inf),
             lambda: IdealMultiPhoton(math.inf),
             lambda: ideal_multiphoton_table(TWO, 0, 0.1, math.inf, FlipParams(0.0, 0.0)),
             lambda: beam_splitter_table(TWO, 0, 0.1, math.inf),

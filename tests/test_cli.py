@@ -493,11 +493,19 @@ class TestMc:
         assert code != 0
         assert "--mu" in err
 
-    def test_faked_rejects_remote_noise_other_than_the_tested_one(self, capsys):
+    def test_faked_has_no_remote_noise_flag(self, capsys):
+        # the claimed remote noise is --r, the noise the test is built for
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["mc", "--strategy", "faked", "--r", "0.1", "--rd", "0.1", "--rn", "0",
+                      "--length-km", "17", "--alpha", "0.2", "--trials", "1000"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rd 0.1" in capsys.readouterr().err
+
+    def test_faked_rejects_near_noise_above_the_tested_one(self, capsys):
         assert_one_line_error(
-            ["mc", "--strategy", "faked", "--r", "0.3", "--rd", "0.1", "--rn", "0",
+            ["mc", "--strategy", "faked", "--r", "0.1", "--rn", "0.2",
              "--length-km", "17", "--alpha", "0.2", "--m", "100", "--trials", "1000"],
-            "--rd 0.1 must equal --r 0.3", capsys,
+            "need 0 <= r_near <= r_distant <= 1, got r_near=0.2, r_distant=0.1", capsys,
         )
 
     def test_faked_requires_scenario(self, capsys):
@@ -529,9 +537,8 @@ class TestMc:
     @pytest.mark.parametrize(
         "strategy, flags, flag",
         (
-            ("honest", ["--mu", "0.2", "--p01", "0.5", "--rd", "0.3"], "--p01"),
+            ("honest", ["--mu", "0.2", "--p01", "0.5"], "--p01"),
             ("honest", ["--mu", "0.2"], "--mu"),
-            ("honest", ["--rd", "0.3"], "--rd"),
             ("breidbart", ["--p01", "0.1", "--mu", "0.2"], "--mu"),
             ("breidbart", ["--alpha", "0.2"], "--alpha"),
             ("beam-splitter", ["--mu", "0.2", "--p10", "0.9"], "--p10"),
@@ -539,13 +546,13 @@ class TestMc:
             ("ideal", ["--mu", "0.2", "--p10", "0.4", "--length-km", "17"], "--length-km"),
             (
                 "faked",
-                ["--rd", "0.1", "--rn", "0", "--length-km", "17", "--alpha", "0.2",
+                ["--rn", "0", "--length-km", "17", "--alpha", "0.2",
                  "--mu", "0.2"],
                 "--mu",
             ),
             (
                 "faked",
-                ["--rd", "0.1", "--rn", "0", "--length-km", "17", "--alpha", "0.2",
+                ["--rn", "0", "--length-km", "17", "--alpha", "0.2",
                  "--p01", "0.1"],
                 "--p01",
             ),
@@ -595,7 +602,7 @@ class TestInputLimits:
             "mu must be positive and finite, got inf", capsys,
         )
 
-    FAKED = ["mc", "--strategy", "faked", "--r", "0.1", "--rd", "0.1", "--rn", "0",
+    FAKED = ["mc", "--strategy", "faked", "--r", "0.1", "--rn", "0",
              "--m", "100", "--trials", "1000"]
 
     @pytest.mark.parametrize(
@@ -916,11 +923,23 @@ class TestDeterminism:
              "0d7dce1491a6da96ff1d448c4d206131f5fd6dc8423c6e0453c7a950a1fa1735"),
             (["multiphoton", "--m", "100"],
              "99d35a16e305bcb8b24eb7bff9f1af0faee82a59ace62213d60608e3d0c70b4d"),
+            (["tables", "--mu", "0.001", "--m", "100,200,1000"],
+             "efdaf8734c7fc6bc1dd8fd2ffd55b6c57ae3f05031b47fd0f6f9a53f1854295c"),
+            (["tables", "--variant", "four", "--mu", "5", "--r", "0.2"],
+             "9c2dbc379aa19474d09ac7d7e2494e311ab5bc4a3225fd4a9c97949fefbb6d2d"),
+            (["multiphoton", "--m", "100,400", "--mu-range", "0.001:0.02:0.001",
+              "--r-range", "0:0.3:0.1"],
+             "23048a163dee78480a5f2072e816892c5857bc768f0978105fd8b9db37d5b5b9"),
+            (["multiphoton", "--m", "100", "--r", "0.1", "--mu-range", "700:760:10"],
+             "f52048c849b37123e1864311757a916dfa2e7eb7afe95b16070616651d25cb39"),
         ),
-        ids=("tables-two", "tables-four", "cheat-max-two", "cheat-max-four", "multiphoton"),
+        ids=("tables-two", "tables-four", "cheat-max-two", "cheat-max-four", "multiphoton",
+             "tables-faint", "tables-four-bright", "multiphoton-faint", "multiphoton-huge-mu"),
     )
     def test_optimizer_artifacts_are_pinned(self, args, digest, capsys):
-        # every optimum of the paper's tables and sweeps, byte for byte
+        # every optimum of the paper's tables and sweeps, byte for byte; the
+        # photon-source rows read the single-photon share of faint sources,
+        # and of sources past mu = 709.78, where expm1(mu) overflows
         code, out, _ = run_cli(args, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -968,7 +987,7 @@ class TestDeterminism:
             (["mc", "--strategy", "ideal", "--r", "0.1", "--mu", "0.2",
               "--p01", "0", "--p10", "0.4926"],
              "2cf62b1e233dd98988cdafa3b23a55a5d1f00dd1cbcf0e786e5486d68367bef3"),
-            (["mc", "--strategy", "faked", "--r", "0.1", "--rd", "0.1", "--rn", "0",
+            (["mc", "--strategy", "faked", "--r", "0.1", "--rn", "0",
               "--length-km", "17", "--alpha", "0.2"],
              "ee5989d0b3d3f3bcd42383a7cedce593f1878979698261512df5306c079cecf5"),
         ),

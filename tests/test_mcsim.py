@@ -18,7 +18,7 @@ from qbcsim.attacks import (
     multiphoton_success,
 )
 from qbcsim.protocol import Variant, build_test, honest_table, pass_probability
-from qbcsim.strategy import FlipParams, cheat_success, photon_weights
+from qbcsim.strategy import FlipParams, cheat_success, single_photon_share
 
 TWO = Variant.TWO_STATE
 FOUR = Variant.FOUR_STATE
@@ -177,8 +177,7 @@ def photon_number_draw(cfg: mcsim.TrialConfig):
     their outcomes and the multi-photon ones separately."""
     party, n = cfg.strategy, cfg.n_per_state
     p_honest = tallied_probs(cfg, mcsim.Honest())
-    single, _, norm = photon_weights(party.mu)
-    w_single = single / norm  # P(one photon | at least one)
+    w_single = single_photon_share(party.mu)  # P(one photon | at least one)
     if isinstance(party, mcsim.IdealMultiPhoton):
         p_flip = tallied_probs(cfg, mcsim.BreidbartFlips(party.flips))
 
@@ -629,8 +628,7 @@ def test_photon_tables_tally_the_photon_number_mixture(variant, claimed, r, mu):
     # w p_flip + (1 - w) p_honest (ideal) or (1 - w/2) p_honest + w/4 (beam
     # splitter), so one binomial per state has the photon-number distribution
     cfg = config(variant=variant, claimed=claimed, r=r)
-    single, _, norm = photon_weights(mu)
-    w = single / norm
+    w = single_photon_share(mu)
     p_honest = tallied_probs(cfg, mcsim.Honest())
     p_flip = tallied_probs(cfg, mcsim.BreidbartFlips(MIXTURE_FLIPS))
     ideal = tallied_probs(cfg, mcsim.IdealMultiPhoton(mu, MIXTURE_FLIPS))

@@ -40,7 +40,7 @@ from qbcsim.strategy import (
     _newton_step,
     apply_flips,
     optimize,
-    photon_weights,
+    single_photon_share,
 )
 from qbcsim.qcore import born, breidbart
 from test_protocol import fsum_window
@@ -303,15 +303,14 @@ def _two_entry_rows(party, variant, claimed, r):
         raw = _born_rows(breidbart(), variant, r)
         return _two_entry_flips(raw, party.flips.p01, party.flips.p10)
     if isinstance(party, IdealMultiPhoton):
-        single, multi, norm = photon_weights(party.mu)
+        w = single_photon_share(party.mu)
         flipped = _two_entry_rows(BreidbartFlips(party.flips), variant, claimed, r)
         return {
-            s: tuple(single / norm * f + multi / norm * h for f, h in zip(flipped[s], honest[s]))
+            s: tuple(w * f + (1.0 - w) * h for f, h in zip(flipped[s], honest[s]))
             for s in variant.states
         }
     if isinstance(party, BeamSplitter):
-        single, _, norm = photon_weights(party.mu)
-        w = single / (4.0 * norm)
+        w = single_photon_share(party.mu) / 4.0
         return _two_entry_flips(honest, w, w)
     near = _born_rows(commit_observable(claimed), variant, party.scenario.r_near)
     delta = max(0.5 - 10.0 ** (-party.alpha * party.length_km / 10.0), 0.0)

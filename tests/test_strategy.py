@@ -1,3 +1,4 @@
+import decimal
 import math
 from dataclasses import dataclass, replace
 
@@ -29,7 +30,7 @@ from qbcsim.strategy import (
     cheat_success,
     flip_axis,
     optimize,
-    photon_weights,
+    single_photon_share,
 )
 
 ATOL = 1e-12
@@ -490,20 +491,46 @@ class TestStrategyTable:
             optimize(TWO, 0, 0.1, 50, 3.0, objective=party)
 
 
+def decimal_share(mu: float) -> float:
+    """``mu*exp(-mu) / (1 - exp(-mu))`` evaluated at 700 decimal digits, so
+    that the subtraction keeps 400 of them even at ``mu = 1e-300``."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 700
+        m = decimal.Decimal(mu)
+        e = (-m).exp()
+        return float(m * e / (1 - e))
+
+
 class TestPhotonWeights:
     @pytest.mark.parametrize("mu", (1e-3, 0.1, 0.2, 0.5, 1.0, 3.0, 20.0))
     def test_weights_partition_the_non_empty_pulses(self, mu):
-        single, multi, norm = photon_weights(mu)
-        assert single == mu * math.exp(-mu)
-        assert abs(single + multi - norm) <= ATOL
-        assert norm == 1.0 - math.exp(-mu)
+        share = single_photon_share(mu)
+        assert share == mu * math.exp(-mu) / -math.expm1(-mu)
+        assert 0.0 < share < 1.0
+        assert abs(share - mu * math.exp(-mu) / (1.0 - math.exp(-mu))) <= ATOL
 
     @pytest.mark.parametrize("mu", (5e-324, 1e-17, 1e-12, 1e-9, 1e-6, 9.99e-4))
     def test_weights_of_a_faint_source_keep_their_digits(self, mu):
         # 1 - exp(-mu) cancels here; the multi-photon share is about mu/2
-        single, multi, norm = photon_weights(mu)
-        assert multi >= 0.0 and single + multi == norm
-        assert abs(multi / norm - mu / 2.0) <= 1e-15 + mu * mu
+        share = single_photon_share(mu)
+        assert 0.0 < share <= 1.0
+        assert abs((1.0 - share) - mu / 2.0) <= 1e-15 + mu * mu
+
+    def test_share_matches_a_700_digit_evaluation(self):
+        # within 5e-16 relative on both sides of mu = 1e-3, where a
+        # 1 - exp(-mu) denominator loses up to 5.4e-14
+        for mu in np.geomspace(1e-300, 700.0, 1500).tolist():
+            want = decimal_share(mu)
+            assert abs(single_photon_share(mu) - want) <= 5e-16 * want, mu
+
+    def test_share_of_the_faintest_source_is_one(self):
+        assert single_photon_share(5e-324) == 1.0
+
+    @pytest.mark.parametrize("mu", (710.0, 746.0, 1e300))
+    def test_share_of_a_bright_source_does_not_overflow(self, mu):
+        # mu / expm1(mu) is the same number, but expm1 overflows above 709.78
+        share = single_photon_share(mu)
+        assert isinstance(share, float) and 0.0 <= share <= 1.0
 
     @pytest.mark.parametrize("mu", (1e-17, 1e-12))
     def test_faint_source_tables_are_valid(self, mu):
@@ -514,11 +541,12 @@ class TestPhotonWeights:
         assert abs(BeamSplitter(mu).table(TWO, 0, 0.0).prob("0", 0) - 0.75) <= mu
 
     def test_beam_splitter_weight_is_bit_equal_to_closed_form(self):
-        # halving is exact, so factoring out the 0.5 changes no bit
+        # quartering is exact, so the flip probability is the closed form's
         for mu in np.linspace(0.01, 20.0, 400).tolist():
-            single, _, norm = photon_weights(mu)
-            want = 0.5 * mu * math.exp(-mu) / (1.0 - math.exp(-mu))
-            assert 0.5 * (single / norm) == want, mu
+            w = mu * math.exp(-mu) / (4.0 * -math.expm1(-mu))
+            assert single_photon_share(mu) / 4.0 == w, mu
+            want = apply_flips(honest_table(TWO, 0, 0.1), FlipParams(w, w))
+            assert BeamSplitter(mu).table(TWO, 0, 0.1) == want, mu
 
 
 @dataclass(frozen=True)
