@@ -12,46 +12,41 @@ independently with that probability; for the photon sources the row is
 already the photon-number mixture, so first drawing how many pulses
 carried one photon would give the same distribution.
 
-The counts come from an inversion table built once per run for each
-sent state (:func:`_inversion_table`): the cumulative probabilities that
-NumPy's own inversion sampler walks from ``k = 0`` for every draw of
-``Generator.binomial(n, p)``.  A block never builds its counts
-(:class:`_StateDraws`).  It reads raw Philox words ``w``, whose uniforms
-``Generator.random`` would make ``(w >> 11) * 2**-53``, and ``w >> 52``
-is each uniform's cell among ``_CELLS`` equal cells of ``[0, 1)``.  One
-int8 lookup per cell gives the block's window flags: 1 where the cell's
-count lies in the window, 0 where it does not, and -1 where a band edge
-crosses the cell; only those uniforms are rebuilt, looked up with
-``searchsorted`` and tallied as counts.  The cells drawn are tallied, and
-once per run each clean cell's tally is folded into its count.  So the
-flags and histograms are those of ``Generator.binomial``'s counts, bit
-for bit, and the stream is left where it would be.  Two kinds of draw
-still go to ``Generator.binomial``, whose counts are window-tested and
-tallied directly:
-
-- those NumPy does not sample by inversion: ``n * min(p, 1 - p) > 30``,
-  where it uses BTPE, and ``p = 0``, where it draws no uniform;
-- one block of one state's draws in which some uniform lies within
-  ``_MARGIN`` of a cumulative probability, where the rounding of NumPy's
-  walk may decide the count, or past the walk's bound, where NumPy draws
-  a new uniform.  The block restores the stream state saved before its
-  uniforms and lets ``Generator.binomial`` draw them all.  The blocks
-  before it drew one uniform per count, as ``Generator.binomial`` would
-  have, so the stream stays the one binomial call's.  At ``n <= 60``
-  these bands around the cumulative probabilities cover about 1e-10 of
-  ``[0, 1)``, so few blocks ever do.
+A count is the inverse CDF of one uniform ``u`` in ``[0, 1)``: the
+least ``k`` with ``u < C_k``, where ``C_k`` is the binomial CDF built
+once per run for each sent state (:func:`_binomial_cdf`).  ``C`` is kept
+only on a support ``[a, b]`` around ``n * p`` that leaves out less than
+2**-53 of the mass, and is divided by its last entry, so ``C_b`` is 1
+and every uniform has a count: none needs a second uniform or another
+sampler.  A block never builds its counts (:class:`_StateDraws`).  It
+reads raw Philox words ``w``, whose uniforms ``Generator.random`` would
+make ``(w >> 11) * 2**-53``, and ``w >> 52`` is each uniform's cell among
+``_CELLS`` equal cells of ``[0, 1)``.  A cell that no ``C_k`` crosses
+holds one count for all its uniforms, a guide table (Chen and Asau,
+AIIE Trans. 6, 163 (1974); Devroye, *Non-Uniform Random Variate
+Generation*, 1986, section III.2).  One int8 lookup per cell gives the
+block's window flags: 1 where the cell's count lies in the window, 0
+where it does not, and -1 where some ``C_k`` crosses the cell; only
+those uniforms are rebuilt, looked up with ``searchsorted`` on the same
+``C`` and tallied as counts.  Cells and counts compare the same floats,
+so a clean cell's count is the one ``searchsorted`` gives each of its
+uniforms, with no margin.  The cells drawn are tallied, and once per run
+each clean cell's tally is folded into its count.
 
 Chunk ``i`` of ``_CHUNK`` trials draws from its own counter-based
-stream, ``Philox(seed).jumped(i)``, one binomial per sent state in state
+stream, ``Philox(seed).jumped(i)``, one count per sent state in state
 order, each in blocks of ``_BLOCK`` draws; the chunks run in order on the
 calling thread.  A block's window flags go into the chunk's acceptance
-flags, and its tallies into the state's totals.  So a run holds its
-totals, a ``_CELLS``-entry cell tally per state, one flag per trial of a
-chunk and one block's scratch, whatever ``n`` and the chunk size.  Each
-chunk's numbers are fixed by its own stream, so a :class:`TrialConfig`
-always gives a bit-identical :class:`TrialReport`.  Since ``jumped(0)``
-is ``Philox(seed)``, a run of at most ``_CHUNK`` (131,072) trials draws
-the same numbers as one ``Philox(seed)`` stream.
+flags, and its tallies into the state's totals.  So while it draws, a
+run holds a support-long CDF and totals and a ``_CELLS``-entry flag table
+and cell tally per state, one flag per trial of a chunk and one block's
+scratch, whatever the chunk size; each state's ``n + 1`` histogram is
+made when the run ends.  Each chunk's numbers are fixed by its own
+stream, so a :class:`TrialConfig` always gives a bit-identical
+:class:`TrialReport`.  Since ``jumped(0)`` is ``Philox(seed)``, a run of
+at most ``_CHUNK`` (131,072) trials draws the counts
+``a + searchsorted(C, u, "right")`` of the uniforms ``u`` of one
+``Generator(Philox(seed)).random`` call per state.
 """
 
 from __future__ import annotations
@@ -71,16 +66,12 @@ _CHUNK = 1 << 17
 #: Largest accepted ``TrialConfig.trials``, checked before any sampling.
 MAX_TRIALS = 10**9
 #: Draws of one sent state that a chunk samples, window-tests and
-#: tallies at a time, and the unit that falls back to ``Generator.binomial``.
+#: tallies at a time.
 _BLOCK = 1 << 14
 #: Equal cells of ``[0, 1)`` in a state's guide; ``u * _CELLS`` is exact
 #: for a power of two, so a uniform's cell is ``int(u * _CELLS)``, the top
 #: 12 bits of its raw word.
 _CELLS = 1 << 12
-#: Half-width of the band around each cumulative probability of an
-#: inversion table; the rounding of NumPy's walk of at most ~90 steps, and
-#: of our sums, moves ``U - C_k`` by at most ~1e-14.
-_MARGIN = 1e-12
 
 
 Strategy = Honest | BreidbartFlips | BeamSplitter | IdealMultiPhoton | FakedDistance
@@ -123,43 +114,29 @@ class TrialReport:
     per_state_count_histograms: dict[str, np.ndarray]
 
 
-def _inversion_table(n: int, p: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """The inversion table of ``Generator.binomial(n, p)``, or None where
-    NumPy does not sample it by inversion.
+def _binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
+    """``a`` and ``C``, the CDF of ``Binomial(n, p)`` on its support
+    ``[a, a + len(C) - 1]``: ``C[j] = P(X <= a + j)``, divided by the
+    support's mass so that ``C[-1]`` is 1.
 
-    NumPy inverts on ``p`` if ``p <= 0.5`` and ``n * p <= 30``, and on
-    ``q = 1 - p`` if ``n * q <= 30``, returning ``n - X``.  Its walk
-    subtracts ``px_0 = exp(n * log1p(-p))``, ``px_1``, ... from one uniform
-    ``U`` and returns the first ``X`` with ``U <= C_X = px_0 + ... + px_X``;
-    past ``X = bound`` it starts again with a new uniform.  Its rounding,
-    and ours of ``C_X``, stay far inside ``_MARGIN``, so a uniform outside
-    every band ``C_X -+ _MARGIN`` gets NumPy's count.
-
-    Returns the edges ``C_0 - _MARGIN, C_0 + _MARGIN, C_1 - _MARGIN, ...``,
-    each raised to its running maximum so that a band overlapping the one
-    before starts where that one ends, and the count for each
-    ``searchsorted`` index into them: an even index ``2X`` is ``X``, the
-    mirror folded in; -1 marks an odd index, inside a band, and the index
-    past the last edge.
+    The support spans ``12 sigma + 12`` counts either side of ``n p``
+    (``sigma**2 = n p q``), clipped to ``0..n``; the mass it leaves out is
+    below 2**-53.  The pmf is built relative to the mode ``m``, from the
+    ratios ``pmf(k + 1) / pmf(k) = (n - k) p / ((k + 1) q)``, by log sums
+    that start at ``m`` and run outward, so the terms that carry the mass
+    are those with the fewest rounding steps, and no term overflows.  The
+    division removes the mode's own probability, which is never formed.
     """
-    if n == 0 or p == 0.0:
-        return None
-    mirrored = p > 0.5
-    if mirrored:
-        p = 1.0 - p
-    if p * n > 30.0:
-        return None
     q = 1.0 - p
-    mean = n * p
-    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
-    px = [math.exp(n * math.log1p(-p))]
-    for x in range(1, bound + 1):
-        px.append((n - x + 1) * p * px[-1] / (x * q))
-    cdf = np.cumsum(px)
-    edges = np.maximum.accumulate(np.column_stack((cdf - _MARGIN, cdf + _MARGIN)).ravel())
-    lookup = np.full(len(edges) + 1, -1, dtype=np.int64)
-    lookup[0:-1:2] = n - np.arange(bound + 1) if mirrored else np.arange(bound + 1)
-    return edges, lookup
+    half = 12.0 * math.sqrt(n * p * q) + 12.0
+    a = max(0, math.floor(n * p - half))
+    k = np.arange(a, min(n, math.ceil(n * p + half)))
+    with np.errstate(divide="ignore"):  # p = 0 and q = 0 give -inf and inf
+        step = np.log((n - k) * p / ((k + 1) * q))
+    m = min(int((n + 1) * p), n) - a
+    below = np.cumsum(step[:m][::-1])[::-1]
+    cdf = np.cumsum(np.exp(np.concatenate((-below, [0.0], np.cumsum(step[m:])))))
+    return a, cdf / cdf[-1]
 
 
 class _StateDraws:
@@ -167,60 +144,50 @@ class _StateDraws:
     of each block, and the histogram of every count drawn (see the module
     docstring).
 
-    Where NumPy inverts, ``guide`` holds each cell's count and ``flag`` its
-    window flag, both -1 where a band edge crosses the cell or it lies past
-    the walk's bound, and ``cells`` tallies the cells drawn until
-    :meth:`histogram` folds it into ``totals``.
+    Counts are kept as offsets into the support of ``cdf``, which starts at
+    ``start``, and ``totals`` tallies them.  ``flag`` holds each cell's
+    window flag, -1 where some CDF value crosses the cell, and ``cells``
+    tallies the cells drawn until :meth:`histogram` folds each clean
+    cell's tally into its count.
     """
 
     def __init__(self, n: int, p: float, window: tuple[int, int]) -> None:
-        self.n, self.p = n, p
-        self.lo, self.hi = window
-        self.totals = np.zeros(n + 1, dtype=np.int64)
-        self.table = _inversion_table(n, p)
-        if self.table is not None:
-            edges, lookup = self.table
-            # cell c holds the uniforms whose searchsorted index lies in [ends[c], ends[c + 1]]
-            ends = np.searchsorted(edges, np.arange(_CELLS + 1) / _CELLS)
-            self.guide = np.where(ends[:-1] == ends[1:], lookup[ends[:-1]], -1)
-            inside = (self.guide >= self.lo) & (self.guide <= self.hi)
-            self.flag = np.where(self.guide < 0, -1, inside).astype(np.int8)
-            self.cells = np.zeros(_CELLS, dtype=np.int64)
+        self.n = n
+        self.start, self.cdf = _binomial_cdf(n, p)
+        self.lo, self.hi = window[0] - self.start, window[1] - self.start
+        self.totals = np.zeros(len(self.cdf), dtype=np.int64)
+        # cell c holds the uniforms of [c, c + 1) / _CELLS
+        bounds = np.arange(_CELLS + 1) / _CELLS
+        first = np.searchsorted(self.cdf, bounds[:-1], "right")
+        clean = first == np.searchsorted(self.cdf, bounds[1:], "left")
+        inside = (first >= self.lo) & (first <= self.hi)
+        self.flag = np.where(clean, inside, -1).astype(np.int8)
+        self.cells = np.zeros(_CELLS, dtype=np.int64)
 
-    def block(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """The window flags of ``rng.binomial(n, p, size)``, leaving ``rng``
-        where that call would; the counts are tallied."""
-        if self.table is not None:
-            edges, lookup = self.table
-            saved = rng.bit_generator.state
-            words = rng.bit_generator.random_raw(size)
-            cells = (words >> 52).view(np.int64)
-            flags = self.flag.take(cells)
-            edge = np.flatnonzero(flags < 0)
-            counts = lookup[np.searchsorted(edges, (words[edge] >> 11) * 2.0**-53)]
-            if counts.min(initial=0) >= 0:
-                if edge.size:
-                    flags[edge] = self._tally(counts)
-                self.cells += np.bincount(cells, minlength=_CELLS)
-                return flags.view(bool)
-            rng.bit_generator.state = saved
-        return self._tally(rng.binomial(self.n, self.p, size=size))
-
-    def _tally(self, counts: np.ndarray) -> np.ndarray:
-        """Add ``counts`` into the totals and return their window flags."""
-        least = int(counts.min())
-        tally = np.bincount(counts - least)
-        self.totals[least:least + len(tally)] += tally
-        return (counts >= self.lo) & (counts <= self.hi)
+    def block(self, words: np.ndarray) -> np.ndarray:
+        """The window flags of the counts of the raw words ``words``, whose
+        counts are tallied."""
+        cells = (words >> 52).view(np.int64)
+        self.cells += np.bincount(cells, minlength=_CELLS)
+        flags = self.flag.take(cells)
+        del cells  # the scratch of the edge look-ups takes its place
+        edge = flags < 0
+        if edge.any():
+            counts = np.searchsorted(self.cdf, (words[edge] >> 11) * 2.0**-53, "right")
+            np.add.at(self.totals, counts, 1)
+            flags[edge] = (counts >= self.lo) & (counts <= self.hi)
+        return flags.view(bool)
 
     def histogram(self) -> np.ndarray:
-        """The count histogram of every draw so far: the totals, into which
-        the cell tallies are folded (and cleared)."""
-        if self.table is not None:
-            clean = self.guide >= 0
-            np.add.at(self.totals, self.guide[clean], self.cells[clean])
-            self.cells.fill(0)
-        return self.totals
+        """The count histogram of every draw so far, over ``0..n``: the
+        totals, into which the cell tallies are folded (and cleared)."""
+        clean = self.flag >= 0
+        first = np.searchsorted(self.cdf, np.arange(_CELLS) / _CELLS, "right")
+        np.add.at(self.totals, first[clean], self.cells[clean])
+        self.cells.fill(0)
+        hist = np.zeros(self.n + 1, dtype=np.int64)
+        hist[self.start:self.start + len(self.totals)] = self.totals
+        return hist
 
 
 def run(config: TrialConfig) -> TrialReport:
@@ -231,11 +198,10 @@ def run(config: TrialConfig) -> TrialReport:
     ``test.tallied`` from the party's table, and applies the verifier's
     windows.  Counts are per successful measurement, which is exactly
     the photon-source tables' at-least-one-photon conditioning.  Each
-    block of ``_BLOCK`` draws of a state gives its window flags from the
-    cells of its raw words, bit-identical to those of
-    ``Generator.binomial``'s counts, which still draws where NumPy would
-    not invert and for a block with a uniform too close to the table's
-    edges.  The chunks run in order; a block's tallies go into the
+    block of ``_BLOCK`` draws of a state reads one raw Philox word per
+    draw and gives the window flags of the words' inverse-CDF counts: from
+    the word's cell where no CDF value crosses it, and from ``searchsorted``
+    elsewhere.  The chunks run in order; a block's tallies go into the
     state's totals at once, and each state's cell tally is folded into its
     histogram at the end (see the module docstring).
     """
@@ -249,12 +215,12 @@ def run(config: TrialConfig) -> TrialReport:
 
     def chunk(i: int) -> int:
         size = min(_CHUNK, config.trials - i * _CHUNK)
-        rng = np.random.Generator(np.random.Philox(config.seed).jumped(i))
+        bits = np.random.Philox(config.seed).jumped(i)
         accept = np.ones(size, dtype=bool)
         for state in draws:
             for start in range(0, size, _BLOCK):
                 stop = min(start + _BLOCK, size)
-                accept[start:stop] &= state.block(rng, stop - start)
+                accept[start:stop] &= state.block(bits.random_raw(stop - start))
         return int(np.count_nonzero(accept))
 
     chunks = -(-config.trials // _CHUNK)
@@ -268,4 +234,3 @@ def run(config: TrialConfig) -> TrialReport:
         trials=config.trials,
         per_state_count_histograms={s: d.histogram() for s, d in zip(states, draws)},
     )
-

@@ -979,14 +979,14 @@ class TestDeterminism:
             (["honest", "--variant", "four", "--commit", "1"],
              "4e57c6e5e3bbaa27e8e2b45303def80a8b8389b6ec704bec1fc37e5f930c9e3b"),
             (["mc", "--strategy", "honest", "--r", "0.1"],
-             "b25de8c342a164cfc8c8c9760cdde8f993cdb97ee561c3b9955a72e5ff4932bc"),
+             "e845fc52faf2dda5d9e1cadfb1a4355e147ac4cf9f9e50bc907259c6283f537e"),
             (["mc", "--strategy", "breidbart", "--r", "0.1", "--p01", "0", "--p10", "0.49"],
-             "20436b7eb028b4b127454a66504c7a5a1993e594f891b2152161d7a3640ebc66"),
+             "67d7a4ca0d073989fb2224a0c3c9655013adf77c6bbec2ced3af2f2027fafdbf"),
             (["mc", "--strategy", "beam-splitter", "--r", "0.1", "--mu", "0.2"],
-             "61f36f99a5310d271269bc6258c8ce889b1ca3e3d71723ad854a52ecfe960d3c"),
+             "4e6d48c1a8adf74de994f70178caa1b6204406cdb6706aec2a68d0541b0e7981"),
             (["mc", "--strategy", "ideal", "--r", "0.1", "--mu", "0.2",
               "--p01", "0", "--p10", "0.4926"],
-             "2cf62b1e233dd98988cdafa3b23a55a5d1f00dd1cbcf0e786e5486d68367bef3"),
+             "48c95a042cdd0c865670c376a3b9d95dc99cc860469ea533ad944d60fb9f2fee"),
             (["mc", "--strategy", "faked", "--r", "0.1", "--rn", "0",
               "--length-km", "17", "--alpha", "0.2"],
              "ee5989d0b3d3f3bcd42383a7cedce593f1878979698261512df5306c079cecf5"),

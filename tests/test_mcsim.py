@@ -1,23 +1,31 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbcsim import mcsim
+from qbcsim import mcsim, protocol
 from qbcsim.attacks import (
     DistanceScenario,
     MultiPhotonMode,
     multiphoton_success,
 )
-from qbcsim.protocol import Variant, build_test, honest_table, pass_probability
+from qbcsim.protocol import (
+    Variant,
+    build_test,
+    honest_table,
+    log_binomial_window,
+    pass_probability,
+)
 from qbcsim.strategy import FlipParams, cheat_success, single_photon_share
 
 TWO = Variant.TWO_STATE
@@ -165,10 +173,16 @@ def single_stream(cfg: mcsim.TrialConfig, draw) -> mcsim.TrialReport:
     return mcsim.TrialReport(rate, se, cfg.trials, histograms)
 
 
-def table_draw(cfg: mcsim.TrialConfig):
-    """One ``Binomial(n, p_s)`` per sent state, ``p_s`` from the table."""
+def inversion_draw(cfg: mcsim.TrialConfig):
+    """One count per sent state by plain inversion of the module's CDF:
+    ``a + searchsorted(C, u, "right")`` of one uniform ``u`` per draw."""
     p = tallied_probs(cfg)
-    return lambda rng, s, size: rng.binomial(cfg.n_per_state, p[s], size=size)
+
+    def draw(rng, s, size):
+        a, cdf = mcsim._binomial_cdf(cfg.n_per_state, p[s])
+        return np.searchsorted(cdf, rng.random(size), "right") + a
+
+    return draw
 
 
 def photon_number_draw(cfg: mcsim.TrialConfig):
@@ -206,7 +220,7 @@ class TestChunkedSampler:
         assert mcsim._CHUNK == 131_072
         cfg = config(variant=variant, strategy=strategy, trials=mcsim._CHUNK, seed=5)
         report = mcsim.run(cfg)
-        want = single_stream(cfg, table_draw(cfg))
+        want = single_stream(cfg, inversion_draw(cfg))
         assert report.accept_rate == want.accept_rate
         assert report.standard_error == want.standard_error
         assert list(report.per_state_count_histograms) == list(variant.states)
@@ -218,18 +232,18 @@ class TestChunkedSampler:
     @pytest.mark.parametrize(
         "variant, n, strategy, accept_rate",
         (
-            (TWO, 50, mcsim.BeamSplitter(0.2), 0.04033660888671875),
+            (TWO, 50, mcsim.BeamSplitter(0.2), 0.03995513916015625),
             (FOUR, 25, mcsim.IdealMultiPhoton(0.2, FlipParams(0.047, 0.047)),
-             0.11005401611328125),
+             0.10843658447265625),
         ),
         ids=("two-beam-splitter", "four-ideal"),
     )
     def test_one_full_chunk_keeps_the_single_stream(self, variant, n, strategy, accept_rate):
-        # one binomial per sent state from the table, drawn from Philox(3)
+        # one inverse-CDF count per sent state from the table, drawn from Philox(3)
         cfg = config(variant=variant, n_per_state=n, strategy=strategy,
                      trials=mcsim._CHUNK, seed=3)
         assert mcsim.run(cfg).accept_rate == accept_rate
-        assert single_stream(cfg, table_draw(cfg)).accept_rate == accept_rate
+        assert single_stream(cfg, inversion_draw(cfg)).accept_rate == accept_rate
         # both lie within 2 SE of the analytic value
         test = build_test(variant, 0, 0.1, n, 3.0)
         analytic = pass_probability(test, strategy.table(variant, 0, 0.1))
@@ -278,7 +292,7 @@ class TestChunkedSampler:
             mcsim.run(config(trials=200 * 1024))
         assert started == [0, 1, 2]
 
-    @pytest.mark.parametrize("r", (0.1, 0.0), ids=("btpe", "inverted"))
+    @pytest.mark.parametrize("r", (0.1, 0.0), ids=("wide-supports", "one-point-mass"))
     def test_memory_is_bounded_by_the_totals(self, r):
         # each block of draws is tallied into its state's totals as it is
         # drawn, so a run holds its n + 1 totals per state, a _CELLS-entry
@@ -298,8 +312,9 @@ class TestChunkedSampler:
         for hist in report.per_state_count_histograms.values():
             assert hist.sum() == cfg.trials
 
-    def test_cli_import_leaves_thread_pool_unloaded(self):
-        # a run of one chunk, like the README's mc command, needs no pool
+    def test_cli_mc_loads_no_executor(self):
+        # the chunks run in order on the calling thread, so mc imports no
+        # thread or process pool
         src = os.path.dirname(os.path.dirname(os.path.abspath(mcsim.__file__)))
         code = (
             "import sys, qbcsim.cli\n"
@@ -316,86 +331,85 @@ class TestChunkedSampler:
         assert lines[-1] == "False"
 
 
-def numpy_walk(n: int, p: float, u: float) -> int | None:
-    """NumPy's ``random_binomial`` inversion branch on the uniform ``u``,
-    step for step; None where it would draw another uniform."""
-    mirrored = p > 0.5
-    if mirrored:
-        p = 1.0 - p
-    q = 1.0 - p
-    mean = n * p
-    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
-    px = math.exp(n * math.log1p(-p))
-    x = 0
-    while u > px:
-        x += 1
-        if x > bound:
-            return None
-        u -= px
-        px = (n - x + 1) * p * px / (x * q)
-    return n - x if mirrored else x
+SAMPLER_PS = (0.0, 5e-324, 1e-300, 1e-12, 0.05, math.nextafter(0.5, 0.0), 0.5,
+              math.nextafter(0.5, 1.0), 0.95, 1.0 - 1e-12, 1.0 - 2.0**-53, 1.0)
+SUPPORT_PS = (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.5, 0.95, 1.0 - 1e-3, 1.0 - 1e-6,
+              1.0 - 1e-12, 1.0)
 
 
-SAMPLER_PS = (0.0, 5e-324, 1e-300, 0.05, math.nextafter(0.5, 0.0), 0.5,
-              math.nextafter(0.5, 1.0), 0.95, 1.0 - 2.0**-53, 1.0)
-TABLE_NS = (1, 2, 5, 25, 50, 60, 61, 400, 599, 600, 10**6)
-
-
-def merging_table(n: int, p: float):
-    """An inversion table whose overlapping bands are merged into one band:
-    sorted band edges, and the count of each ``searchsorted`` index into
-    them (-1 inside a band or past the last band); None where NumPy does
-    not invert."""
-    if n == 0 or p == 0.0:
-        return None
-    mirrored = p > 0.5
-    if mirrored:
-        p = 1.0 - p
-    if p * n > 30.0:
-        return None
-    q = 1.0 - p
-    mean = n * p
-    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
-    px = cdf = math.exp(n * math.log1p(-p))
-    edges = []
-    below = [0]  # per gap, the number of C_X below it
-    for x in range(bound + 1):
-        if x:
-            px = (n - x + 1) * p * px / (x * q)
-            cdf += px
-        if edges and cdf - mcsim._MARGIN <= edges[-1]:
-            edges[-1] = cdf + mcsim._MARGIN
-            below[-1] = x + 1
-        else:
-            edges += [cdf - mcsim._MARGIN, cdf + mcsim._MARGIN]
-            below.append(x + 1)
-    lookup = np.full(len(edges) + 1, -1, dtype=np.int64)
-    lookup[0:-1:2] = below[:-1]
-    if mirrored:
-        lookup[0:-1:2] = n - lookup[0:-1:2]
-    return np.array(edges), lookup
+def exact_cdf(n: int, p: float) -> list[Fraction]:
+    """``P(X <= k)`` for ``k = 0..n``, ``X ~ Binomial(n, p)``, in exact
+    arithmetic on the float ``p``."""
+    p = Fraction(p)
+    terms = [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+    return list(itertools.accumulate(terms))
 
 
 class TestInversionTable:
-    @pytest.mark.parametrize("n", (1, 2, 25, 50, 60, 61, 599, 600, 10**6))
+    @pytest.mark.parametrize("p", (0.0, 1e-12, 0.05, 0.123456789, 0.3, math.nextafter(0.5, 0.0),
+                                   0.5, 0.7, 0.95, 1.0 - 1e-12, 1.0 - 2.0**-53, 1.0))
+    def test_cdf_matches_exact_sums(self, p):
+        # within 1e-15 of the exact CDF at every count, the counts outside
+        # the support included (0 below it, 1 above it)
+        for n in (1, 2, 3, 4, 5, 7, 10, 13, 20, 25, 31, 40, 50, 59, 60):
+            a, cdf = mcsim._binomial_cdf(n, p)
+            assert cdf[-1] == 1.0 and np.all(cdf[:-1] <= cdf[1:])
+            full = np.concatenate((np.zeros(a), cdf, np.ones(n + 1 - a - len(cdf))))
+            for k, want in enumerate(exact_cdf(n, p)):
+                assert abs(Fraction(float(full[k])) - want) <= 1e-15, (n, k)
+
+    @pytest.mark.parametrize("n", (1, 2, 5, 12, 13, 25, 50, 61, 400, 10**4, 10**6))
+    def test_support_leaves_out_less_than_2_to_the_minus_53(self, n):
+        # the mass of both tails outside the support, summed in the log
+        # domain by the analytic kernel, is below 2**-53; at n = 10**6 each
+        # tail costs about 0.3 s, so only four p are summed there
+        ps = SUPPORT_PS if n < 10**6 else (1e-12, 1e-6, 0.05, 0.5)
+        try:
+            for p in ps:
+                a, cdf = mcsim._binomial_cdf(n, p)
+                b = a + len(cdf) - 1
+                assert 0 <= a <= b <= n
+                tails = np.logaddexp(log_binomial_window(n, p, 0, a - 1),
+                                     log_binomial_window(n, p, b + 1, n))
+                assert tails < -53 * math.log(2.0), (p, a, b, tails)
+        finally:
+            # the n = 10**6 windows are megabytes each
+            protocol._windows.cache_clear()
+
+    @pytest.mark.parametrize("n", (1, 2, 25, 50, 61, 600, 10**6))
+    @pytest.mark.parametrize("p", SAMPLER_PS)
+    def test_clean_cells_hold_the_count_of_every_uniform(self, p, n):
+        # a cell is flagged clean where its least and its greatest uniform,
+        # and so every uniform between, have one count, and -1 elsewhere;
+        # the flag of a clean cell is whether that count is in the window
+        lo = n // 3
+        state = mcsim._StateDraws(n, p, (lo, n))
+        cell = np.arange(mcsim._CELLS)
+        least = np.searchsorted(state.cdf, cell / mcsim._CELLS, "right") + state.start
+        greatest = np.searchsorted(state.cdf, (cell + 1) / mcsim._CELLS - 2.0**-53, "right")
+        clean = least == greatest + state.start
+        assert np.array_equal(state.flag, np.where(clean, least >= lo, -1))
+
+    @pytest.mark.parametrize("n", (1, 2, 25, 50, 61, 600, 10**6))
     @pytest.mark.parametrize("p", SAMPLER_PS)
     @pytest.mark.parametrize("seed, jump, size", ((0, 0, 1), (1, 3, 20_001), (2, 7, 131_072)))
-    def test_draws_equal_generator_binomial(self, p, n, seed, jump, size):
-        # the blocks' window flags and the folded histogram are those of one
-        # Generator.binomial call on a twin stream, for a window about the mean
-        ours = np.random.Generator(np.random.Philox(seed).jumped(jump))
+    def test_blocks_equal_plain_inversion(self, p, n, seed, jump, size):
+        # the blocks' window flags and the folded histogram are those of the
+        # inverse-CDF counts of Generator.random's uniforms on a twin stream,
+        # for a window about the mean, and both streams move as far
+        bits = np.random.Philox(seed).jumped(jump)
         reference = np.random.Generator(np.random.Philox(seed).jumped(jump))
         half = math.sqrt(n * p * (1.0 - p)) / 2.0
         lo, hi = math.floor(n * p - half), math.floor(n * p + half)
         state = mcsim._StateDraws(n, p, (lo, hi))
-        flags = np.concatenate([state.block(ours, min(mcsim._BLOCK, size - start))
+        flags = np.concatenate([state.block(bits.random_raw(min(mcsim._BLOCK, size - start)))
                                 for start in range(0, size, mcsim._BLOCK)])
-        want = reference.binomial(n, p, size=size)
+        a, cdf = mcsim._binomial_cdf(n, p)
+        want = np.searchsorted(cdf, reference.random(size), "right") + a
         assert flags.dtype == bool
         assert np.array_equal(flags, (want >= lo) & (want <= hi))
         assert np.array_equal(state.histogram(), np.bincount(want, minlength=n + 1))
-        # both streams are left at the same place
-        assert ours.random() == reference.random()
+        assert bits.random_raw() == reference.bit_generator.random_raw()
 
     @pytest.mark.parametrize("seed, jump", ((0, 0), (1, 3), (2, 7), (2**63, 1)))
     def test_raw_words_give_the_uniforms_and_their_cells(self, seed, jump):
@@ -412,129 +426,25 @@ class TestInversionTable:
             assert np.array_equal(w >> 52, (u * mcsim._CELLS).astype(np.intp))
             assert repr(words.bit_generator.state) == repr(uniforms.bit_generator.state)
 
-    def test_table_only_where_numpy_inverts(self):
-        # NumPy inverts while n * min(p, 1 - p) <= 30 and p > 0
-        assert mcsim._inversion_table(60, 0.5) is not None
-        assert mcsim._inversion_table(61, 0.5) is None
-        # the mirror inverts on q = 1.0 - 0.95, a little above 0.05
-        assert mcsim._inversion_table(600, 0.05) is not None
-        assert mcsim._inversion_table(599, 0.95) is not None
-        assert mcsim._inversion_table(600, 0.95) is None
-        assert mcsim._inversion_table(50, 0.0) is None
-        assert mcsim._inversion_table(50, 1.0) is not None
-
-    @pytest.mark.parametrize("n, p", ((1, 0.3), (25, 0.5), (50, 0.95), (60, 0.5), (400, 0.05)))
-    def test_table_agrees_with_the_walk_between_and_beside_its_bands(self, n, p):
-        # probes at the midpoints of the CDF's steps and next to it reach every
-        # count, the tails included; probes one ulp outside each of the
-        # table's bands check that no step of the CDF lies in a gap
-        edges, lookup = mcsim._inversion_table(n, p)
-        k = min(p, 1.0 - p)
-        pmf = [math.comb(n, x) * k**x * (1.0 - k) ** (n - x) for x in range(n + 1)]
-        cdf = np.cumsum(pmf)
-        probes = np.concatenate(((cdf[:-1] + cdf[1:]) / 2, cdf - 3e-12, cdf + 3e-12,
-                                 np.nextafter(edges[0::2], 0.0),
-                                 np.nextafter(edges[1::2], 1.0)))
-        probes = probes[(probes >= 0.0) & (probes < 1.0)]
-        counts = lookup[np.searchsorted(edges, probes)]
-        for u, count in zip(probes, counts):
-            if count >= 0:
-                assert count == numpy_walk(n, p, float(u)), (u, count)
-        # every count of probability above 1e-9 is reached
-        likely = {n - x if p > 0.5 else x for x in range(n + 1) if pmf[x] > 1e-9}
-        assert likely <= set(counts.tolist())
-
-    @pytest.mark.parametrize("n, p", ((25, 0.5), (50, 0.5), (50, 0.95), (60, 0.5), (50, 0.05)))
-    def test_table_resolves_every_uniform_of_a_chunk(self, n, p):
-        # with the default margin a chunk never goes back to Generator.binomial
-        edges, lookup = mcsim._inversion_table(n, p)
-        u = np.random.Generator(np.random.Philox(0)).random(mcsim._CHUNK)
-        assert lookup[np.searchsorted(edges, u)].min() >= 0
-
-    @pytest.mark.parametrize("n", TABLE_NS)
-    @pytest.mark.parametrize("p", SAMPLER_PS)
-    def test_table_classifies_like_merged_bands(self, n, p):
-        # each uniform gets the same count, or the same -1, as from a table
-        # whose overlapping bands are merged: at random uniforms, and at every
-        # edge of both tables and one ulp either side of it
-        table, reference = mcsim._inversion_table(n, p), merging_table(n, p)
-        assert (table is None) == (reference is None)
-        if table is None:
-            return
-        (edges, lookup), (ref_edges, ref_lookup) = table, reference
-        assert np.all(edges[:-1] <= edges[1:])  # searchsorted needs them sorted
-        at = np.concatenate((edges, ref_edges))
-        probes = np.concatenate((np.random.Generator(np.random.Philox(n)).random(100_000),
-                                 at, np.nextafter(at, -1.0), np.nextafter(at, 2.0)))
-        assert np.array_equal(lookup[np.searchsorted(edges, probes)],
-                              ref_lookup[np.searchsorted(ref_edges, probes)])
-
-    def test_some_reference_tables_merge_bands(self):
-        # the comparison above reaches tables whose bands overlap, where the
-        # merged table has fewer edges than ours
-        tables = [(merging_table(n, p), mcsim._inversion_table(n, p))
-                  for n in TABLE_NS for p in SAMPLER_PS]
-        assert any(len(ref[0]) < len(ours[0]) for ref, ours in tables if ref is not None)
-
-    @pytest.mark.parametrize("variant", (TWO, FOUR), ids=("two", "four"))
-    @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: type(s).__name__)
-    def test_wide_margin_falls_back_to_the_same_reports(self, strategy, variant, monkeypatch):
-        # with bands 0.1 wide nearly every draw restores its stream state
-        # and calls Generator.binomial, which gives the same numbers
-        monkeypatch.setattr(mcsim, "_MARGIN", 0.05)
-        edges, lookup = mcsim._inversion_table(50, 0.5)
-        u = np.random.Generator(np.random.Philox(0)).random(1000)
-        assert lookup[np.searchsorted(edges, u)].min() < 0
-        cfg = config(variant=variant, strategy=strategy, trials=20_000, seed=13)
-        report = mcsim.run(cfg)
-        want = single_stream(cfg, table_draw(cfg))
-        assert report.accept_rate == want.accept_rate
-        for s in variant.states:
-            assert np.array_equal(
-                report.per_state_count_histograms[s], want.per_state_count_histograms[s]
-            )
-
-    def test_fallback_in_a_later_block_keeps_the_single_stream(self, monkeypatch):
-        # bands 4e-6 wide: the first block of state "0" is clean and the
-        # second holds a uniform in a band, so only that block restores its
-        # stream state and calls Generator.binomial
-        monkeypatch.setattr(mcsim, "_MARGIN", 2e-6)
-        cfg = config(trials=3 * mcsim._BLOCK, seed=4)
-        edges, lookup = mcsim._inversion_table(cfg.n_per_state, tallied_probs(cfg)["0"])
-        u = np.random.Generator(np.random.Philox(cfg.seed)).random(cfg.trials)
-        least = lookup[np.searchsorted(edges, u)].reshape(3, mcsim._BLOCK).min(axis=1)
-        assert least[0] >= 0 and least[1] < 0
-        report = mcsim.run(cfg)
-        want = single_stream(cfg, table_draw(cfg))
-        assert report.accept_rate == want.accept_rate
-        for s in TWO.states:
-            assert np.array_equal(
-                report.per_state_count_histograms[s], want.per_state_count_histograms[s]
-            )
-
     @settings(derandomize=True, database=None, deadline=None, max_examples=45)
     @given(
-        margin=st.sampled_from((1e-12, 1e-6, 1e-3)),
         variant=st.sampled_from((TWO, FOUR)),
         claimed=st.sampled_from((0, 1)),
         r=st.floats(0.0, 1.0),
-        n=st.integers(1, 60),
+        n=st.integers(1, 600),
         strategy=st.sampled_from(STRATEGIES),
         seed=st.integers(0, 2**64),
         trials=st.integers(1, 3 * mcsim._BLOCK),
     )
-    def test_margin_sweep_keeps_the_single_stream(
-        self, margin, variant, claimed, r, n, strategy, seed, trials
+    def test_sweep_keeps_the_single_stream(
+        self, variant, claimed, r, n, strategy, seed, trials
     ):
-        # wider bands give more edge cells and more blocks that fall back to
-        # Generator.binomial; the cell flags, the edge look-ups and the fold
-        # still give the report of one binomial call per state
+        # the cell flags, the edge look-ups and the fold give the report of
+        # one plain inversion per state on one stream
         cfg = config(variant=variant, claimed=claimed, r=r, n_per_state=n,
                      strategy=strategy, trials=trials, seed=seed)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mcsim, "_MARGIN", margin)
-            report = mcsim.run(cfg)
-        want = single_stream(cfg, table_draw(cfg))
+        report = mcsim.run(cfg)
+        want = single_stream(cfg, inversion_draw(cfg))
         assert report.accept_rate == want.accept_rate
         for s in variant.states:
             assert np.array_equal(
@@ -592,11 +502,62 @@ class TestOracleAgreement:
         assert_within_3se(mcsim.run(cfg), analytic)
 
 
+def pooled_chi_square(observed: np.ndarray, expected: np.ndarray) -> tuple[float, int]:
+    """Pearson's statistic and its degrees of freedom, adjacent counts
+    pooled in order until each pool expects at least 5 trials (the last
+    pool takes the remainder)."""
+    pools, o, e = [], 0, 0.0
+    for oi, ei in zip(observed.tolist(), expected.tolist()):
+        o, e = o + oi, e + ei
+        if e >= 5.0:
+            pools.append((o, e))
+            o, e = 0, 0.0
+    pools[-1] = (pools[-1][0] + o, pools[-1][1] + e)
+    return sum((o - e) ** 2 / e for o, e in pools), len(pools) - 1
+
+
+class TestDistribution:
+    #: False-alarm rate of each histogram's chi-square test, fixed with the
+    #: cases before the first run.
+    ALPHA = 1e-6
+
+    @pytest.mark.parametrize(
+        "variant, claimed, r, n, strategy, trials, seed",
+        (
+            (TWO, 0, 0.1, 5, mcsim.Honest(), 300_001, 41),
+            (FOUR, 0, 0.1, 25, mcsim.BreidbartFlips(FlipParams(0.0659, 0.0659)), 300_001, 42),
+            (TWO, 0, 0.1, 50, mcsim.BeamSplitter(0.2), 300_001, 43),
+            (FOUR, 1, 0.3, 400, mcsim.IdealMultiPhoton(0.2, FlipParams(0.047, 0.047)),
+             300_001, 44),
+            (TWO, 0, 0.0, 50, mcsim.Honest(), 300_001, 45),
+            (TWO, 1, 0.1, 10**6, mcsim.BreidbartFlips(FlipParams(0.0, 0.45)), 300_001, 46),
+        ),
+        ids=("two-honest-5", "four-flips-25", "two-split-50", "four-ideal-400",
+             "two-noiseless-50", "two-flips-1e6"),
+    )
+    def test_histograms_follow_the_binomial_pmf(
+        self, variant, claimed, r, n, strategy, trials, seed
+    ):
+        # each state's histogram against trials * Binomial(n, p) pmf from
+        # SciPy, over three chunks; no count lands where the pmf is 0
+        stats = pytest.importorskip("scipy.stats")
+        cfg = config(variant=variant, claimed=claimed, r=r, n_per_state=n,
+                     strategy=strategy, trials=trials, seed=seed)
+        report = mcsim.run(cfg)
+        for s, p in tallied_probs(cfg).items():
+            hist = report.per_state_count_histograms[s]
+            expected = trials * stats.binom.pmf(np.arange(n + 1), n, p)
+            assert hist.sum() == trials and not hist[expected == 0.0].any()
+            statistic, dof = pooled_chi_square(hist, expected)
+            if dof:
+                assert stats.chi2.sf(statistic, dof) >= self.ALPHA, (s, p, statistic, dof)
+
+
 @pytest.mark.parametrize(
     "variant, digest",
     (
-        (TWO, "8d9d5a65f2cdb23878025980f5149c651f5481d14c1e188ab59bcd350ccb5d8b"),
-        (FOUR, "519e8b359db11d426bf58148596f0e7c03c6be43925c3b58b2e0db652868f858"),
+        (TWO, "a061cad12122109524ba8bdc66ab8254dc0d94514d25297fcaa653374826ef98"),
+        (FOUR, "77e06f3ea647ea6bda3613e65c5911655942cb67d303973fb906c66f2bbcaa8b"),
     ),
     ids=("two", "four"),
 )

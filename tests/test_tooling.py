@@ -86,7 +86,7 @@ README_DIGESTS = {
     "tables": "597c6d5fd7d8b82351c82488c0350baa570e53da9194fea20adc64048111691a",
     "distance": "82067e5944666da9a0a13922bd3a546e25196dc8aac89f09643ac67e103c2f67",
     "multiphoton": "33c63f927abdda6c2c0fab861b57a73fe905bb91f6030468c99af1a6150b789e",
-    "mc": "2cf62b1e233dd98988cdafa3b23a55a5d1f00dd1cbcf0e786e5486d68367bef3",
+    "mc": "48c95a042cdd0c865670c376a3b9d95dc99cc860469ea533ad944d60fb9f2fee",
 }
 
 
