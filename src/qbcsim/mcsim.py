@@ -37,11 +37,10 @@ Chunk ``i`` of ``_CHUNK`` trials draws from its own counter-based
 stream, ``Philox(seed).jumped(i)``, one count per sent state in state
 order, each in blocks of ``_BLOCK`` draws; the chunks run in order on the
 calling thread.  A block's window flags go into the chunk's acceptance
-flags, and its tallies into the state's totals.  So while it draws, a
-run holds a support-long CDF and totals and a ``_CELLS``-entry flag table
-and cell tally per state, one flag per trial of a chunk and one block's
-scratch, whatever the chunk size; each state's ``n + 1`` histogram is
-made when the run ends.  Each chunk's numbers are fixed by its own
+flags, and its tallies into the state's totals.  So a run holds its
+totals, a support-long CDF and a ``_CELLS``-entry flag table and cell
+tally per state, one flag per trial of a chunk and one block's scratch,
+whatever the chunk size.  Each chunk's numbers are fixed by its own
 stream, so a :class:`TrialConfig` always gives a bit-identical
 :class:`TrialReport`.  Since ``jumped(0)`` is ``Philox(seed)``, a run of
 at most ``_CHUNK`` (131,072) trials draws the counts
@@ -144,18 +143,19 @@ class _StateDraws:
     of each block, and the histogram of every count drawn (see the module
     docstring).
 
-    Counts are kept as offsets into the support of ``cdf``, which starts at
-    ``start``, and ``totals`` tallies them.  ``flag`` holds each cell's
-    window flag, -1 where some CDF value crosses the cell, and ``cells``
-    tallies the cells drawn until :meth:`histogram` folds each clean
-    cell's tally into its count.
+    Counts are kept as offsets into the support of ``cdf`` and tallied
+    into ``support``, the view of ``totals`` on it; only the counts drawn
+    are written.  ``flag`` holds each cell's window
+    flag, -1 where some CDF value crosses the cell, and ``cells`` tallies
+    the cells drawn until :meth:`histogram` folds each clean cell's tally
+    into its count.
     """
 
     def __init__(self, n: int, p: float, window: tuple[int, int]) -> None:
-        self.n = n
-        self.start, self.cdf = _binomial_cdf(n, p)
-        self.lo, self.hi = window[0] - self.start, window[1] - self.start
-        self.totals = np.zeros(len(self.cdf), dtype=np.int64)
+        start, self.cdf = _binomial_cdf(n, p)
+        self.lo, self.hi = window[0] - start, window[1] - start
+        self.totals = np.zeros(n + 1, dtype=np.int64)
+        self.support = self.totals[start:start + len(self.cdf)]
         # cell c holds the uniforms of [c, c + 1) / _CELLS
         bounds = np.arange(_CELLS + 1) / _CELLS
         first = np.searchsorted(self.cdf, bounds[:-1], "right")
@@ -174,20 +174,18 @@ class _StateDraws:
         edge = flags < 0
         if edge.any():
             counts = np.searchsorted(self.cdf, (words[edge] >> 11) * 2.0**-53, "right")
-            np.add.at(self.totals, counts, 1)
+            np.add.at(self.support, counts, 1)
             flags[edge] = (counts >= self.lo) & (counts <= self.hi)
         return flags.view(bool)
 
     def histogram(self) -> np.ndarray:
-        """The count histogram of every draw so far, over ``0..n``: the
-        totals, into which the cell tallies are folded (and cleared)."""
+        """The count histogram of every draw so far: the totals, into which
+        the cell tallies are folded (and cleared)."""
         clean = self.flag >= 0
         first = np.searchsorted(self.cdf, np.arange(_CELLS) / _CELLS, "right")
-        np.add.at(self.totals, first[clean], self.cells[clean])
+        np.add.at(self.support, first[clean], self.cells[clean])
         self.cells.fill(0)
-        hist = np.zeros(self.n + 1, dtype=np.int64)
-        hist[self.start:self.start + len(self.totals)] = self.totals
-        return hist
+        return self.totals
 
 
 def run(config: TrialConfig) -> TrialReport:

@@ -385,9 +385,10 @@ class TestInversionTable:
         lo = n // 3
         state = mcsim._StateDraws(n, p, (lo, n))
         cell = np.arange(mcsim._CELLS)
-        least = np.searchsorted(state.cdf, cell / mcsim._CELLS, "right") + state.start
+        start = mcsim._binomial_cdf(n, p)[0]
+        least = np.searchsorted(state.cdf, cell / mcsim._CELLS, "right") + start
         greatest = np.searchsorted(state.cdf, (cell + 1) / mcsim._CELLS - 2.0**-53, "right")
-        clean = least == greatest + state.start
+        clean = least == greatest + start
         assert np.array_equal(state.flag, np.where(clean, least >= lo, -1))
 
     @pytest.mark.parametrize("n", (1, 2, 25, 50, 61, 600, 10**6))
