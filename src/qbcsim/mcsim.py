@@ -145,10 +145,9 @@ class _StateDraws:
 
     Counts are kept as offsets into the support of ``cdf`` and tallied
     into ``support``, the view of ``totals`` on it; only the counts drawn
-    are written.  ``flag`` holds each cell's window
-    flag, -1 where some CDF value crosses the cell, and ``cells`` tallies
-    the cells drawn until :meth:`histogram` folds each clean cell's tally
-    into its count.
+    are written.  ``flag`` holds each cell's window flag, -1 where some
+    CDF value crosses the cell, and ``cells`` tallies the cells drawn
+    until :meth:`histogram` folds each clean cell's tally into its count.
     """
 
     def __init__(self, n: int, p: float, window: tuple[int, int]) -> None:
@@ -172,10 +171,9 @@ class _StateDraws:
         flags = self.flag.take(cells)
         del cells  # the scratch of the edge look-ups takes its place
         edge = flags < 0
-        if edge.any():
-            counts = np.searchsorted(self.cdf, (words[edge] >> 11) * 2.0**-53, "right")
-            np.add.at(self.support, counts, 1)
-            flags[edge] = (counts >= self.lo) & (counts <= self.hi)
+        counts = np.searchsorted(self.cdf, (words[edge] >> 11) * 2.0**-53, "right")
+        np.add.at(self.support, counts, 1)
+        flags[edge] = (counts >= self.lo) & (counts <= self.hi)
         return flags.view(bool)
 
     def histogram(self) -> np.ndarray:
