@@ -393,6 +393,40 @@ class TestInversionTable:
 
     @pytest.mark.parametrize("n", (1, 2, 25, 50, 61, 600, 10**6))
     @pytest.mark.parametrize("p", SAMPLER_PS)
+    def test_crossed_cells_are_those_holding_a_cdf_value(self, p, n):
+        # cell c is crossed where some C_k lies strictly inside
+        # [c, c + 1) / _CELLS; C_k * _CELLS is exact, so a C_k on a cell's
+        # edge (0 and 1 among them) crosses no cell
+        state = mcsim._StateDraws(n, p, (0, n))
+        scaled = state.cdf * mcsim._CELLS
+        crossed = np.zeros(mcsim._CELLS, dtype=bool)
+        crossed[np.floor(scaled[scaled % 1.0 != 0.0]).astype(np.intp)] = True
+        assert np.array_equal(state.flag < 0, crossed)
+        assert np.count_nonzero(crossed) < len(state.cdf)
+
+    @pytest.mark.parametrize("variant", (TWO, FOUR), ids=("two", "four"))
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: type(s).__name__)
+    def test_looking_up_every_draw_gives_the_same_reports(self, strategy, variant, monkeypatch):
+        # with every cell flagged crossed, each draw is looked up with
+        # searchsorted and nothing is folded, and the report is unchanged
+        cfg = config(variant=variant, strategy=strategy, trials=20_000, seed=13)
+        want = mcsim.run(cfg)
+        init = mcsim._StateDraws.__init__
+
+        def every_cell_crossed(self, *args):
+            init(self, *args)
+            self.flag.fill(-1)
+
+        monkeypatch.setattr(mcsim._StateDraws, "__init__", every_cell_crossed)
+        report = mcsim.run(cfg)
+        assert report.accept_rate == want.accept_rate
+        for s in variant.states:
+            assert np.array_equal(
+                report.per_state_count_histograms[s], want.per_state_count_histograms[s]
+            )
+
+    @pytest.mark.parametrize("n", (1, 2, 25, 50, 61, 600, 10**6))
+    @pytest.mark.parametrize("p", SAMPLER_PS)
     @pytest.mark.parametrize("seed, jump, size", ((0, 0, 1), (1, 3, 20_001), (2, 7, 131_072)))
     def test_blocks_equal_plain_inversion(self, p, n, seed, jump, size):
         # the blocks' window flags and the folded histogram are those of the
