@@ -24,28 +24,27 @@ make ``(w >> 11) * 2**-53``, and ``w >> 52`` is each uniform's cell among
 ``_CELLS`` equal cells of ``[0, 1)``.  A cell that no ``C_k`` crosses
 holds one count for all its uniforms, a guide table (Chen and Asau,
 AIIE Trans. 6, 163 (1974); Devroye, *Non-Uniform Random Variate
-Generation*, 1986, section III.2).  One int8 lookup per cell gives the
-block's window flags: 1 where the cell's count lies in the window, 0
-where it does not, and -1 where some ``C_k`` crosses the cell; only
-those uniforms are rebuilt, looked up with ``searchsorted`` on the same
-``C`` and tallied as counts.  Cells and counts compare the same floats,
-so a clean cell's count is the one ``searchsorted`` gives each of its
-uniforms, with no margin.  The cells drawn are tallied, and once per run
-each clean cell's tally is folded into its count.
+Generation*, 1986, section III.2).  The cells drawn are tallied; only
+the uniforms of crossed cells are rebuilt, looked up with
+``searchsorted`` on the same ``C`` and tallied as counts, and once per
+run each clean cell's tally is folded into its count.  Cells and counts
+compare the same floats, so a clean cell's count is the one
+``searchsorted`` gives each of its uniforms, with no margin.
 
-Chunk ``i`` of ``_CHUNK`` trials draws from its own counter-based
-stream, ``Philox(seed).jumped(i)``, one count per sent state in state
-order, each in blocks of ``_BLOCK`` draws; the chunks run in order on the
-calling thread.  A block's window flags go into the chunk's acceptance
-flags, and its tallies into the state's totals.  So a run holds its
-totals, a support-long CDF and a ``_CELLS``-entry flag table and cell
-tally per state, one flag per trial of a chunk and one block's scratch,
-whatever the chunk size.  Each chunk's numbers are fixed by its own
-stream, so a :class:`TrialConfig` always gives a bit-identical
-:class:`TrialReport`.  Since ``jumped(0)`` is ``Philox(seed)``, a run of
-at most ``_CHUNK`` (131,072) trials draws the counts
-``a + searchsorted(C, u, "right")`` of the uniforms ``u`` of one
-``Generator(Philox(seed)).random`` call per state.
+Each sent state in turn draws its ``trials`` counts from one
+``Philox(seed)`` stream, in blocks of ``_BLOCK``, so a run draws the
+counts ``a + searchsorted(C, u, "right")`` of the uniforms ``u`` of one
+``Generator(Philox(seed)).random`` call per state.  No trial's counts
+are kept: the accepted count follows from the histograms.  With ``A_s``
+the mass of state ``s``'s histogram inside its window, the trials that
+pass that window are a uniformly random ``A_s`` of the ``T`` trials,
+independently across states, because the trials are exchangeable.  So
+the number ``K`` that pass every window is ``A_1``, then
+``Hypergeometric(K, T - K, A_s)`` for each further state
+(:func:`_overlap`), drawn from the same stream after the counts.  A run
+holds each state's totals, a support-long CDF, a ``_CELLS``-entry cell
+table and tally, and one block's scratch, whatever ``trials``, and a
+:class:`TrialConfig` always gives a bit-identical :class:`TrialReport`.
 """
 
 from __future__ import annotations
@@ -60,12 +59,9 @@ from .attacks import FakedDistance
 from .protocol import Variant, build_test
 from .strategy import BeamSplitter, BreidbartFlips, Honest, IdealMultiPhoton
 
-#: Trials per chunk; each chunk has its own random stream.
-_CHUNK = 1 << 17
 #: Largest accepted ``TrialConfig.trials``, checked before any sampling.
 MAX_TRIALS = 10**9
-#: Draws of one sent state that a chunk samples, window-tests and
-#: tallies at a time.
+#: Draws of one sent state that a run samples and tallies at a time.
 _BLOCK = 1 << 14
 #: Equal cells of ``[0, 1)`` in a state's guide; ``u * _CELLS`` is exact
 #: for a power of two, so a uniform's cell is ``int(u * _CELLS)``, the top
@@ -139,94 +135,94 @@ def _binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
 
 
 class _StateDraws:
-    """One sent state's ``Binomial(n, p)`` draws in a run: the window flags
-    of each block, and the histogram of every count drawn (see the module
-    docstring).
+    """One sent state's ``Binomial(n, p)`` draws in a run, tallied into the
+    histogram of every count drawn (see the module docstring).
 
     Counts are kept as offsets into the support of ``cdf`` and tallied
     into ``support``, the view of ``totals`` on it; only the counts drawn
-    are written.  ``flag`` holds each cell's window flag, -1 where some
-    CDF value crosses the cell, and ``cells`` tallies the cells drawn
-    until :meth:`histogram` folds each clean cell's tally into its count.
+    are written.  ``first`` holds each cell's least count, ``crossed``
+    marks the cells that some CDF value crosses, and ``cells`` tallies the
+    cells drawn until :meth:`histogram` folds each clean cell's tally into
+    its count.
     """
 
-    def __init__(self, n: int, p: float, window: tuple[int, int]) -> None:
+    def __init__(self, n: int, p: float) -> None:
         start, self.cdf = _binomial_cdf(n, p)
-        self.lo, self.hi = window[0] - start, window[1] - start
         self.totals = np.zeros(n + 1, dtype=np.int64)
         self.support = self.totals[start:start + len(self.cdf)]
         # cell c holds the uniforms of [c, c + 1) / _CELLS
         bounds = np.arange(_CELLS + 1) / _CELLS
-        first = np.searchsorted(self.cdf, bounds[:-1], "right")
-        clean = first == np.searchsorted(self.cdf, bounds[1:], "left")
-        inside = (first >= self.lo) & (first <= self.hi)
-        self.flag = np.where(clean, inside, -1).astype(np.int8)
+        self.first = np.searchsorted(self.cdf, bounds[:-1], "right")
+        self.crossed = self.first != np.searchsorted(self.cdf, bounds[1:], "left")
         self.cells = np.zeros(_CELLS, dtype=np.int64)
 
-    def block(self, words: np.ndarray) -> np.ndarray:
-        """The window flags of the counts of the raw words ``words``, whose
-        counts are tallied."""
+    def block(self, words: np.ndarray) -> None:
+        """Tally the counts of the raw words ``words``."""
         cells = (words >> 52).view(np.int64)
         self.cells += np.bincount(cells, minlength=_CELLS)
-        flags = self.flag.take(cells)
+        edge = self.crossed.take(cells)
         del cells  # the scratch of the edge look-ups takes its place
-        edge = flags < 0
         counts = np.searchsorted(self.cdf, (words[edge] >> 11) * 2.0**-53, "right")
         np.add.at(self.support, counts, 1)
-        flags[edge] = (counts >= self.lo) & (counts <= self.hi)
-        return flags.view(bool)
 
     def histogram(self) -> np.ndarray:
         """The count histogram of every draw so far: the totals, into which
         the cell tallies are folded (and cleared)."""
-        clean = self.flag >= 0
-        first = np.searchsorted(self.cdf, np.arange(_CELLS) / _CELLS, "right")
-        np.add.at(self.support, first[clean], self.cells[clean])
+        clean = ~self.crossed
+        np.add.at(self.support, self.first[clean], self.cells[clean])
         self.cells.fill(0)
         return self.totals
+
+
+def _overlap(rng: np.random.Generator, a: int, b: int, t: int) -> int:
+    """How many of ``t`` trials lie in both of two independent, uniformly
+    random subsets of sizes ``a`` and ``b``: ``Hypergeometric(a, t - a, b)``.
+    An empty or a full subset gives ``a * b // t`` with no draw; only these
+    cases reach NumPy's bound of 10**9 on ``a`` and ``t - a`` at
+    ``t = MAX_TRIALS``.
+    """
+    if a in (0, t) or b in (0, t):
+        return a * b // t
+    return int(rng.hypergeometric(a, t - a, b))
 
 
 def run(config: TrialConfig) -> TrialReport:
     """Estimate the acceptance probability of ``config.strategy``.
 
-    Each trial draws every sent state's tallied count as
-    ``Binomial(n_per_state, p)``, ``p`` read once per run by
-    ``test.tallied`` from the party's table, and applies the verifier's
-    windows.  Counts are per successful measurement, which is exactly
-    the photon-source tables' at-least-one-photon conditioning.  Each
-    block of ``_BLOCK`` draws of a state reads one raw Philox word per
-    draw and gives the window flags of the words' inverse-CDF counts: from
-    the word's cell where no CDF value crosses it, and from ``searchsorted``
-    elsewhere.  The chunks run in order; a block's tallies go into the
-    state's totals at once, and each state's cell tally is folded into its
-    histogram at the end (see the module docstring).
+    Every sent state's tallied count is ``Binomial(n_per_state, p)``,
+    ``p`` read once per run by ``test.tallied`` from the party's table;
+    counts are per successful measurement, which is exactly the
+    photon-source tables' at-least-one-photon conditioning.  The states
+    draw their ``trials`` counts in turn from one ``Philox(seed)`` stream,
+    ``_BLOCK`` raw words at a time, into their histograms, and the same
+    stream then draws how many trials pass every verifier window, by the
+    hypergeometric chain over the histograms (see the module docstring).
     """
     test = build_test(
         config.variant, config.claimed, config.r, config.n_per_state, config.sigma_factor
     )
-    n = config.n_per_state
+    trials = config.trials
     states = config.variant.states
     tallied = test.tallied(config.strategy.table(config.variant, config.claimed, config.r))
-    draws = [_StateDraws(n, tallied[s], test.windows[s]) for s in states]
+    bits = np.random.Philox(config.seed)
+    histograms = {}
+    for s in states:
+        draws = _StateDraws(config.n_per_state, tallied[s])
+        for start in range(0, trials, _BLOCK):
+            draws.block(bits.random_raw(min(_BLOCK, trials - start)))
+        histograms[s] = draws.histogram()
 
-    def chunk(i: int) -> int:
-        size = min(_CHUNK, config.trials - i * _CHUNK)
-        bits = np.random.Philox(config.seed).jumped(i)
-        accept = np.ones(size, dtype=bool)
-        for state in draws:
-            for start in range(0, size, _BLOCK):
-                stop = min(start + _BLOCK, size)
-                accept[start:stop] &= state.block(bits.random_raw(stop - start))
-        return int(np.count_nonzero(accept))
+    rng = np.random.Generator(bits)
+    accepted = trials
+    for s in states:
+        lo, hi = test.windows[s]
+        accepted = _overlap(rng, accepted, int(histograms[s][lo:hi + 1].sum()), trials)
 
-    chunks = -(-config.trials // _CHUNK)
-    accepted = sum(map(chunk, range(chunks)))
-
-    rate = accepted / config.trials
-    se = math.sqrt(rate * (1.0 - rate) / config.trials)
+    rate = accepted / trials
+    se = math.sqrt(rate * (1.0 - rate) / trials)
     return TrialReport(
         accept_rate=rate,
         standard_error=se,
-        trials=config.trials,
-        per_state_count_histograms={s: d.histogram() for s, d in zip(states, draws)},
+        trials=trials,
+        per_state_count_histograms=histograms,
     )

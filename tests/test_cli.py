@@ -979,14 +979,14 @@ class TestDeterminism:
             (["honest", "--variant", "four", "--commit", "1"],
              "4e57c6e5e3bbaa27e8e2b45303def80a8b8389b6ec704bec1fc37e5f930c9e3b"),
             (["mc", "--strategy", "honest", "--r", "0.1"],
-             "e845fc52faf2dda5d9e1cadfb1a4355e147ac4cf9f9e50bc907259c6283f537e"),
+             "281a4d4e50b11750153ef4e2672524dd2e3bf0d66031b31ec8a113a1dcaeea8a"),
             (["mc", "--strategy", "breidbart", "--r", "0.1", "--p01", "0", "--p10", "0.49"],
-             "67d7a4ca0d073989fb2224a0c3c9655013adf77c6bbec2ced3af2f2027fafdbf"),
+             "0931161814c7e7437af515870ea67c4dd3d39eea87b94b8a06e8c18e19cdc1e0"),
             (["mc", "--strategy", "beam-splitter", "--r", "0.1", "--mu", "0.2"],
-             "4e6d48c1a8adf74de994f70178caa1b6204406cdb6706aec2a68d0541b0e7981"),
+             "9137f271cc38263a0a9526f2f5867e7c0cbb3c4891d980b22c475d598756e876"),
             (["mc", "--strategy", "ideal", "--r", "0.1", "--mu", "0.2",
               "--p01", "0", "--p10", "0.4926"],
-             "48c95a042cdd0c865670c376a3b9d95dc99cc860469ea533ad944d60fb9f2fee"),
+             "8a2f2e64fa7996162cf001b78c69abd4d5022c43a3f7aa7a97640d191fae87e1"),
             (["mc", "--strategy", "faked", "--r", "0.1", "--rn", "0",
               "--length-km", "17", "--alpha", "0.2"],
              "ee5989d0b3d3f3bcd42383a7cedce593f1878979698261512df5306c079cecf5"),

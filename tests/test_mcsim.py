@@ -96,10 +96,12 @@ class TestReports:
         p = report.accept_rate
         assert report.standard_error == math.sqrt(p * (1.0 - p) / report.trials)
 
-    def test_full_windows_always_accept(self):
-        report = mcsim.run(
-            config(strategy=mcsim.BreidbartFlips(FlipParams(0.0, 0.0)), sigma_factor=1e9)
-        )
+    @pytest.mark.parametrize("variant", (TWO, FOUR), ids=("two", "four"))
+    @pytest.mark.parametrize("sigma_factor", (1e9, 1e308))
+    def test_full_windows_always_accept(self, variant, sigma_factor):
+        # 1e308 sigma overflows to the full window 0..n
+        report = mcsim.run(config(variant=variant, sigma_factor=sigma_factor,
+                                  strategy=mcsim.BreidbartFlips(FlipParams(0.0, 0.0))))
         assert report.accept_rate == 1.0
 
     def test_trials_validated(self):
@@ -156,9 +158,10 @@ def tallied_probs(cfg: mcsim.TrialConfig, party=None) -> dict[str, float]:
 
 
 def single_stream(cfg: mcsim.TrialConfig, draw) -> mcsim.TrialReport:
-    """The report of ``cfg`` sampled from one ``Philox(seed)`` stream;
-    ``draw(rng, state, size)`` gives the tallied counts of one sent state,
-    and the states are drawn in order."""
+    """The report of ``cfg`` sampled trial by trial from one ``Philox(seed)``
+    stream; ``draw(rng, state, size)`` gives the tallied counts of one sent
+    state, the states are drawn in order, and a trial is accepted when
+    every count lies in its window."""
     test = build_test(cfg.variant, cfg.claimed, cfg.r, cfg.n_per_state, cfg.sigma_factor)
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     accept = np.ones(cfg.trials, dtype=bool)
@@ -173,16 +176,44 @@ def single_stream(cfg: mcsim.TrialConfig, draw) -> mcsim.TrialReport:
     return mcsim.TrialReport(rate, se, cfg.trials, histograms)
 
 
-def inversion_draw(cfg: mcsim.TrialConfig):
-    """One count per sent state by plain inversion of the module's CDF:
-    ``a + searchsorted(C, u, "right")`` of one uniform ``u`` per draw."""
+def binomial_draw(cfg: mcsim.TrialConfig):
+    """One ``Generator.binomial`` count per sent state and trial."""
     p = tallied_probs(cfg)
 
     def draw(rng, s, size):
-        a, cdf = mcsim._binomial_cdf(cfg.n_per_state, p[s])
-        return np.searchsorted(cdf, rng.random(size), "right") + a
+        return rng.binomial(cfg.n_per_state, p[s], size=size)
 
     return draw
+
+
+def inversion_report(cfg: mcsim.TrialConfig) -> mcsim.TrialReport:
+    """The report of ``cfg`` from one ``Philox(seed)`` stream: each sent
+    state's histogram of the plain inversions ``a + searchsorted(C, u,
+    "right")`` of one ``Generator.random`` call, the states in order, then
+    the accepted count by the hypergeometric chain over the window masses."""
+    test = build_test(cfg.variant, cfg.claimed, cfg.r, cfg.n_per_state, cfg.sigma_factor)
+    p = tallied_probs(cfg)
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    histograms = {}
+    for s in cfg.variant.states:
+        a, cdf = mcsim._binomial_cdf(cfg.n_per_state, p[s])
+        counts = np.searchsorted(cdf, rng.random(cfg.trials), "right") + a
+        histograms[s] = np.bincount(counts, minlength=cfg.n_per_state + 1)
+    accepted = cfg.trials
+    for s in cfg.variant.states:
+        lo, hi = test.windows[s]
+        accepted = mcsim._overlap(rng, accepted, int(histograms[s][lo:hi + 1].sum()), cfg.trials)
+    rate = accepted / cfg.trials
+    se = math.sqrt(rate * (1.0 - rate) / cfg.trials)
+    return mcsim.TrialReport(rate, se, cfg.trials, histograms)
+
+
+def assert_same_report(report: mcsim.TrialReport, want: mcsim.TrialReport) -> None:
+    assert report.accept_rate == want.accept_rate
+    assert report.standard_error == want.standard_error
+    assert list(report.per_state_count_histograms) == list(want.per_state_count_histograms)
+    for s, hist in want.per_state_count_histograms.items():
+        assert np.array_equal(report.per_state_count_histograms[s], hist), s
 
 
 def photon_number_draw(cfg: mcsim.TrialConfig):
@@ -213,108 +244,50 @@ def photon_number_draw(cfg: mcsim.TrialConfig):
     return draw_split
 
 
-class TestChunkedSampler:
+class TestSampler:
     @pytest.mark.parametrize("variant", (TWO, FOUR), ids=("two", "four"))
     @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: type(s).__name__)
-    def test_one_full_chunk_draws_one_binomial_per_state(self, strategy, variant):
-        assert mcsim._CHUNK == 131_072
-        cfg = config(variant=variant, strategy=strategy, trials=mcsim._CHUNK, seed=5)
-        report = mcsim.run(cfg)
-        want = single_stream(cfg, inversion_draw(cfg))
-        assert report.accept_rate == want.accept_rate
-        assert report.standard_error == want.standard_error
-        assert list(report.per_state_count_histograms) == list(variant.states)
-        for s in variant.states:
-            assert np.array_equal(
-                report.per_state_count_histograms[s], want.per_state_count_histograms[s]
-            )
-
-    @pytest.mark.parametrize(
-        "variant, n, strategy, accept_rate",
-        (
-            (TWO, 50, mcsim.BeamSplitter(0.2), 0.03995513916015625),
-            (FOUR, 25, mcsim.IdealMultiPhoton(0.2, FlipParams(0.047, 0.047)),
-             0.10843658447265625),
-        ),
-        ids=("two-beam-splitter", "four-ideal"),
-    )
-    def test_one_full_chunk_keeps_the_single_stream(self, variant, n, strategy, accept_rate):
-        # one inverse-CDF count per sent state from the table, drawn from Philox(3)
-        cfg = config(variant=variant, n_per_state=n, strategy=strategy,
-                     trials=mcsim._CHUNK, seed=3)
-        assert mcsim.run(cfg).accept_rate == accept_rate
-        assert single_stream(cfg, inversion_draw(cfg)).accept_rate == accept_rate
-        # both lie within 2 SE of the analytic value
-        test = build_test(variant, 0, 0.1, n, 3.0)
-        analytic = pass_probability(test, strategy.table(variant, 0, 0.1))
-        se = math.sqrt(analytic * (1.0 - analytic) / cfg.trials)
-        assert abs(accept_rate - analytic) <= 2.0 * se
-
-    @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: type(s).__name__)
-    def test_every_chunk_tallies_its_trials(self, strategy, monkeypatch):
-        # ten chunks, the last one short
-        monkeypatch.setattr(mcsim, "_CHUNK", 1024)
-        cfg = config(strategy=strategy, trials=10_001, seed=11)
-        for hist in mcsim.run(cfg).per_state_count_histograms.values():
-            assert hist.sum() == cfg.trials
+    def test_one_inversion_per_draw_on_one_stream(self, strategy, variant):
+        # 19 blocks per state, the last one 5,089 draws long
+        cfg = config(variant=variant, strategy=strategy, trials=300_001, seed=5)
+        assert_same_report(mcsim.run(cfg), inversion_report(cfg))
 
     def test_block_size_leaves_the_report_unchanged(self, monkeypatch):
-        # eleven blocks per state in each chunk, the last one short: the
-        # report is the one of one block per chunk
-        monkeypatch.setattr(mcsim, "_CHUNK", 1024)
+        # 401 blocks per state, the last one a single draw: the report is
+        # the one of three blocks per state
         cfg = config(trials=40_001, seed=11)
         want = mcsim.run(cfg)
         monkeypatch.setattr(mcsim, "_BLOCK", 100)
-        report = mcsim.run(cfg)
-        assert report.accept_rate == want.accept_rate
-        for s in TWO.states:
-            assert np.array_equal(
-                report.per_state_count_histograms[s], want.per_state_count_histograms[s]
-            )
-
-    def test_a_failing_chunk_stops_the_run(self, monkeypatch):
-        monkeypatch.setattr(mcsim, "_CHUNK", 1024)
-        started = []
-        philox = np.random.Philox
-
-        class FailingPhilox:
-            def __init__(self, seed):
-                self.bit_generator = philox(seed)
-
-            def jumped(self, i):
-                started.append(i)
-                if i == 2:
-                    raise RuntimeError("chunk 2 failed")
-                return self.bit_generator.jumped(i)
-
-        monkeypatch.setattr(np.random, "Philox", FailingPhilox)
-        with pytest.raises(RuntimeError, match="chunk 2 failed"):
-            mcsim.run(config(trials=200 * 1024))
-        assert started == [0, 1, 2]
+        assert_same_report(mcsim.run(cfg), want)
 
     @pytest.mark.parametrize("r", (0.1, 0.0), ids=("wide-supports", "one-point-mass"))
     def test_memory_is_bounded_by_the_totals(self, r):
         # each block of draws is tallied into its state's totals as it is
-        # drawn, so a run holds its n + 1 totals per state, a _CELLS-entry
-        # cell tally per state that NumPy inverts, and O(_BLOCK) scratch,
-        # never a chunk's counts or a histogram of length n + 1 per block;
-        # at r = 0 state "0" has p = 1, which NumPy inverts
-        cfg = config(r=r, n_per_state=10**6, trials=2 * mcsim._BLOCK + 1)
+        # drawn, and the accepted count is drawn from the histograms, so a
+        # run holds its n + 1 totals, a _CELLS-entry cell table and tally
+        # per state and one block's scratch, and nothing per trial: the
+        # peak does not grow with trials (one bool flag per trial of the
+        # longer run would be 320 KB); at r = 0 state "0" has p = 1, a
+        # support of one count
+        cfg = config(r=r, n_per_state=10**6)
         mcsim.run(dataclasses.replace(cfg, trials=1))  # fill the test's caches
-        tracemalloc.start()
-        try:
-            report = mcsim.run(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks = []
+        for trials in (2 * mcsim._BLOCK + 1, 20 * mcsim._BLOCK + 1):
+            tracemalloc.start()
+            try:
+                report = mcsim.run(dataclasses.replace(cfg, trials=trials))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            for hist in report.per_state_count_histograms.values():
+                assert hist.sum() == trials
         totals = len(TWO.states) * (cfg.n_per_state + 1) * 8
-        assert peak <= totals + 2 * 2**20, (peak, totals)
-        for hist in report.per_state_count_histograms.values():
-            assert hist.sum() == cfg.trials
+        assert peaks[0] <= totals + 2 * 2**20, (peaks, totals)
+        assert peaks[1] <= peaks[0] + 32 * 2**10, peaks
 
     def test_cli_mc_loads_no_executor(self):
-        # the chunks run in order on the calling thread, so mc imports no
-        # thread or process pool
+        # a run draws from one stream on the calling thread, so mc imports
+        # no thread or process pool
         src = os.path.dirname(os.path.dirname(os.path.abspath(mcsim.__file__)))
         code = (
             "import sys, qbcsim.cli\n"
@@ -379,17 +352,15 @@ class TestInversionTable:
     @pytest.mark.parametrize("n", (1, 2, 25, 50, 61, 600, 10**6))
     @pytest.mark.parametrize("p", SAMPLER_PS)
     def test_clean_cells_hold_the_count_of_every_uniform(self, p, n):
-        # a cell is flagged clean where its least and its greatest uniform,
-        # and so every uniform between, have one count, and -1 elsewhere;
-        # the flag of a clean cell is whether that count is in the window
-        lo = n // 3
-        state = mcsim._StateDraws(n, p, (lo, n))
+        # a cell is clean where its least and its greatest uniform, and so
+        # every uniform between, have one count, its first, and crossed
+        # elsewhere
+        state = mcsim._StateDraws(n, p)
         cell = np.arange(mcsim._CELLS)
-        start = mcsim._binomial_cdf(n, p)[0]
-        least = np.searchsorted(state.cdf, cell / mcsim._CELLS, "right") + start
+        least = np.searchsorted(state.cdf, cell / mcsim._CELLS, "right")
         greatest = np.searchsorted(state.cdf, (cell + 1) / mcsim._CELLS - 2.0**-53, "right")
-        clean = least == greatest + start
-        assert np.array_equal(state.flag, np.where(clean, least >= lo, -1))
+        assert np.array_equal(state.crossed, least != greatest)
+        assert np.array_equal(state.first, least)
 
     @pytest.mark.parametrize("n", (1, 2, 25, 50, 61, 600, 10**6))
     @pytest.mark.parametrize("p", SAMPLER_PS)
@@ -397,17 +368,17 @@ class TestInversionTable:
         # cell c is crossed where some C_k lies strictly inside
         # [c, c + 1) / _CELLS; C_k * _CELLS is exact, so a C_k on a cell's
         # edge (0 and 1 among them) crosses no cell
-        state = mcsim._StateDraws(n, p, (0, n))
+        state = mcsim._StateDraws(n, p)
         scaled = state.cdf * mcsim._CELLS
         crossed = np.zeros(mcsim._CELLS, dtype=bool)
         crossed[np.floor(scaled[scaled % 1.0 != 0.0]).astype(np.intp)] = True
-        assert np.array_equal(state.flag < 0, crossed)
+        assert np.array_equal(state.crossed, crossed)
         assert np.count_nonzero(crossed) < len(state.cdf)
 
     @pytest.mark.parametrize("variant", (TWO, FOUR), ids=("two", "four"))
     @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: type(s).__name__)
     def test_looking_up_every_draw_gives_the_same_reports(self, strategy, variant, monkeypatch):
-        # with every cell flagged crossed, each draw is looked up with
+        # with every cell marked crossed, each draw is looked up with
         # searchsorted and nothing is folded, and the report is unchanged
         cfg = config(variant=variant, strategy=strategy, trials=20_000, seed=13)
         want = mcsim.run(cfg)
@@ -415,34 +386,25 @@ class TestInversionTable:
 
         def every_cell_crossed(self, *args):
             init(self, *args)
-            self.flag.fill(-1)
+            self.crossed.fill(True)
 
         monkeypatch.setattr(mcsim._StateDraws, "__init__", every_cell_crossed)
-        report = mcsim.run(cfg)
-        assert report.accept_rate == want.accept_rate
-        for s in variant.states:
-            assert np.array_equal(
-                report.per_state_count_histograms[s], want.per_state_count_histograms[s]
-            )
+        assert_same_report(mcsim.run(cfg), want)
 
     @pytest.mark.parametrize("n", (1, 2, 25, 50, 61, 600, 10**6))
     @pytest.mark.parametrize("p", SAMPLER_PS)
     @pytest.mark.parametrize("seed, jump, size", ((0, 0, 1), (1, 3, 20_001), (2, 7, 131_072)))
     def test_blocks_equal_plain_inversion(self, p, n, seed, jump, size):
-        # the blocks' window flags and the folded histogram are those of the
-        # inverse-CDF counts of Generator.random's uniforms on a twin stream,
-        # for a window about the mean, and both streams move as far
+        # the blocks' folded histogram is that of the inverse-CDF counts of
+        # Generator.random's uniforms on a twin stream, and both streams
+        # move as far
         bits = np.random.Philox(seed).jumped(jump)
         reference = np.random.Generator(np.random.Philox(seed).jumped(jump))
-        half = math.sqrt(n * p * (1.0 - p)) / 2.0
-        lo, hi = math.floor(n * p - half), math.floor(n * p + half)
-        state = mcsim._StateDraws(n, p, (lo, hi))
-        flags = np.concatenate([state.block(bits.random_raw(min(mcsim._BLOCK, size - start)))
-                                for start in range(0, size, mcsim._BLOCK)])
+        state = mcsim._StateDraws(n, p)
+        for start in range(0, size, mcsim._BLOCK):
+            state.block(bits.random_raw(min(mcsim._BLOCK, size - start)))
         a, cdf = mcsim._binomial_cdf(n, p)
         want = np.searchsorted(cdf, reference.random(size), "right") + a
-        assert flags.dtype == bool
-        assert np.array_equal(flags, (want >= lo) & (want <= hi))
         assert np.array_equal(state.histogram(), np.bincount(want, minlength=n + 1))
         assert bits.random_raw() == reference.bit_generator.random_raw()
 
@@ -474,17 +436,73 @@ class TestInversionTable:
     def test_sweep_keeps_the_single_stream(
         self, variant, claimed, r, n, strategy, seed, trials
     ):
-        # the cell flags, the edge look-ups and the fold give the report of
-        # one plain inversion per state on one stream
+        # the cell tallies, the edge look-ups, the fold and the accepted
+        # count give the report of one plain inversion per state on one
+        # stream
         cfg = config(variant=variant, claimed=claimed, r=r, n_per_state=n,
                      strategy=strategy, trials=trials, seed=seed)
+        assert_same_report(mcsim.run(cfg), inversion_report(cfg))
+
+
+class TestAcceptedCount:
+    #: False-alarm rate of each two-sample test, fixed with the cases and
+    #: the seeds before the first run.
+    ALPHA = 1e-6
+
+    @pytest.mark.parametrize("t", (1, 2, 300, mcsim.MAX_TRIALS))
+    def test_an_empty_or_full_subset_makes_no_draw(self, t):
+        # no generator is passed, so a draw would raise
+        for a in (0, 1, t // 2, t - 1, t):
+            assert mcsim._overlap(None, a, 0, t) == mcsim._overlap(None, 0, a, t) == 0
+            assert mcsim._overlap(None, a, t, t) == mcsim._overlap(None, t, a, t) == a
+
+    @pytest.mark.parametrize(
+        "a, b",
+        ((1, 1), (1, mcsim.MAX_TRIALS - 1), (mcsim.MAX_TRIALS - 1, mcsim.MAX_TRIALS - 1),
+         (mcsim.MAX_TRIALS // 2, mcsim.MAX_TRIALS // 3)),
+    )
+    def test_partial_subsets_draw_at_the_trial_cap(self, a, b):
+        # at t = MAX_TRIALS = 10**9 both sizes of the draw, a and t - a, stay
+        # below NumPy's hypergeometric bound of 10**9
+        t = mcsim.MAX_TRIALS
+        rng = np.random.Generator(np.random.Philox(3))
+        k = mcsim._overlap(rng, a, b, t)
+        assert max(0, a + b - t) <= k <= min(a, b)
+        assert repr(rng.bit_generator.state) != repr(np.random.Philox(3).state)
+
+    @pytest.mark.parametrize("variant", (TWO, FOUR), ids=("two", "four"))
+    def test_an_empty_window_accepts_none(self, variant):
+        # p01 = 1 puts every |0> count at 0, outside its window
+        cfg = config(variant=variant, strategy=mcsim.BreidbartFlips(FlipParams(1.0, 0.0)),
+                     n_per_state=50 // variant.state_count)
         report = mcsim.run(cfg)
-        want = single_stream(cfg, inversion_draw(cfg))
-        assert report.accept_rate == want.accept_rate
-        for s in variant.states:
-            assert np.array_equal(
-                report.per_state_count_histograms[s], want.per_state_count_histograms[s]
-            )
+        assert build_test(variant, 0, 0.1, cfg.n_per_state, 3.0).windows["0"][0] > 0
+        assert report.per_state_count_histograms["0"][0] == cfg.trials
+        assert report.accept_rate == 0.0
+
+    @pytest.mark.parametrize(
+        "variant, n, strategy",
+        (
+            (TWO, 50, mcsim.BreidbartFlips(FlipParams(0.0, 0.4897))),
+            (TWO, 50, mcsim.BeamSplitter(0.2)),
+            (FOUR, 25, mcsim.BreidbartFlips(FlipParams(0.0659, 0.0659))),
+            (FOUR, 25, mcsim.IdealMultiPhoton(0.2, FlipParams(0.047, 0.047))),
+        ),
+        ids=("two-flips", "two-beam-splitter", "four-flips", "four-ideal"),
+    )
+    def test_accepted_count_matches_per_trial_windows(self, variant, n, strategy):
+        # the accept rates of 1,000 runs of 300 trials against those of a
+        # per-trial sampler (Generator.binomial per state, then the windows)
+        # on other seeds, by a two-sample KS test; the rates tie, which
+        # makes its p-value conservative, so false alarms stay below ALPHA
+        stats = pytest.importorskip("scipy.stats")
+        cfg = config(variant=variant, n_per_state=n, strategy=strategy, trials=300)
+        draw = binomial_draw(cfg)
+        seeds = range(1000)
+        rates = [mcsim.run(dataclasses.replace(cfg, seed=s)).accept_rate for s in seeds]
+        per_trial = [single_stream(dataclasses.replace(cfg, seed=10**6 + s), draw).accept_rate
+                     for s in seeds]
+        assert stats.ks_2samp(rates, per_trial).pvalue >= self.ALPHA
 
 
 class TestOracleAgreement:
@@ -574,7 +592,7 @@ class TestDistribution:
         self, variant, claimed, r, n, strategy, trials, seed
     ):
         # each state's histogram against trials * Binomial(n, p) pmf from
-        # SciPy, over three chunks; no count lands where the pmf is 0
+        # SciPy, over 19 blocks; no count lands where the pmf is 0
         stats = pytest.importorskip("scipy.stats")
         cfg = config(variant=variant, claimed=claimed, r=r, n_per_state=n,
                      strategy=strategy, trials=trials, seed=seed)
@@ -591,14 +609,14 @@ class TestDistribution:
 @pytest.mark.parametrize(
     "variant, digest",
     (
-        (TWO, "a061cad12122109524ba8bdc66ab8254dc0d94514d25297fcaa653374826ef98"),
-        (FOUR, "77e06f3ea647ea6bda3613e65c5911655942cb67d303973fb906c66f2bbcaa8b"),
+        (TWO, "5f614b8f620e6a483d56f236c70fc428c0f4bcaeae7b26762d1e99aedfd4d6c3"),
+        (FOUR, "590e61cef31cc1a0a127c6a37d62ce4525693a6ed51259c1c0d57252b4b136b8"),
     ),
     ids=("two", "four"),
 )
 def test_report_grid_is_pinned(variant, digest):
-    # every party at n in {5, 50, 400} and 1, one full chunk and 300,001
-    # trials (three chunks, the last one trial long), bit for bit
+    # every party at n in {5, 50, 400} and 1, 131,072 and 300,001 trials
+    # (8 and 19 blocks per state), bit for bit
     sha = hashlib.sha256()
     for strategy in STRATEGIES:
         for n in (5, 50, 400):
