@@ -539,7 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--m", type=int, default=100)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the NumPy SFC64 stream the run draws from (default 0)")
     p.add_argument("--p01", type=float, default=None)
     p.add_argument("--p10", type=float, default=None)
     p.add_argument("--mu", type=float, default=None)

@@ -19,7 +19,7 @@ only on a support ``[a, b]`` around ``n * p`` that leaves out less than
 2**-53 of the mass, and is divided by its last entry, so ``C_b`` is 1
 and every uniform has a count: none needs a second uniform or another
 sampler.  A block never builds its counts (:class:`_StateDraws`).  It
-reads raw Philox words ``w``, whose uniforms ``Generator.random`` would
+reads raw SFC64 words ``w``, whose uniforms ``Generator.random`` would
 make ``(w >> 11) * 2**-53``, and ``w >> 52`` is each uniform's cell among
 ``_CELLS`` equal cells of ``[0, 1)``.  A cell that no ``C_k`` crosses
 holds one count for all its uniforms, a guide table (Chen and Asau,
@@ -32,15 +32,17 @@ compare the same floats, so a clean cell's count is the one
 ``searchsorted`` gives each of its uniforms, with no margin.
 
 Each sent state in turn draws its ``trials`` counts from one
-``Philox(seed)`` stream, in blocks of ``_BLOCK``, so a run draws the
+``SFC64(seed)`` stream, in blocks of ``_BLOCK``, so a run draws the
 counts ``a + searchsorted(C, u, "right")`` of the uniforms ``u`` of one
-``Generator(Philox(seed)).random`` call per state.  No trial's counts
-are kept: the accepted count follows from the histograms.  With ``A_s``
-the mass of state ``s``'s histogram inside its window, the trials that
-pass that window are a uniformly random ``A_s`` of the ``T`` trials,
-independently across states, because the trials are exchangeable.  So
-the number ``K`` that pass every window is ``A_1``, then
-``Hypergeometric(K, T - K, A_s)`` for each further state
+``Generator(SFC64(seed)).random`` call per state.  The draw order is
+fixed and nothing is drawn in parallel, so the run needs neither a
+counter-based nor a jumpable generator; SFC64 is used for its cheap raw
+words.  No trial's counts are kept: the accepted count follows from the
+histograms.  With ``A_s`` the mass of state ``s``'s histogram inside its
+window, the trials that pass that window are a uniformly random ``A_s``
+of the ``T`` trials, independently across states, because the trials are
+exchangeable.  So the number ``K`` that pass every window is ``A_1``,
+then ``Hypergeometric(K, T - K, A_s)`` for each further state
 (:func:`_overlap`), drawn from the same stream after the counts.  A run
 holds each state's totals, a support-long CDF, a ``_CELLS``-entry cell
 table and tally, and one block's scratch, whatever ``trials``, and a
@@ -193,10 +195,12 @@ def run(config: TrialConfig) -> TrialReport:
     ``p`` read once per run by ``test.tallied`` from the party's table;
     counts are per successful measurement, which is exactly the
     photon-source tables' at-least-one-photon conditioning.  The states
-    draw their ``trials`` counts in turn from one ``Philox(seed)`` stream,
+    draw their ``trials`` counts in turn from one ``SFC64(seed)`` stream,
     ``_BLOCK`` raw words at a time, into their histograms, and the same
     stream then draws how many trials pass every verifier window, by the
     hypergeometric chain over the histograms (see the module docstring).
+    One stream read in a fixed order needs no counter-based or jumpable
+    generator, and a seed always gives a bit-identical report.
     """
     test = build_test(
         config.variant, config.claimed, config.r, config.n_per_state, config.sigma_factor
@@ -204,7 +208,7 @@ def run(config: TrialConfig) -> TrialReport:
     trials = config.trials
     states = config.variant.states
     tallied = test.tallied(config.strategy.table(config.variant, config.claimed, config.r))
-    bits = np.random.Philox(config.seed)
+    bits = np.random.SFC64(config.seed)
     histograms = {}
     for s in states:
         draws = _StateDraws(config.n_per_state, tallied[s])

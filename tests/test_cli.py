@@ -979,17 +979,17 @@ class TestDeterminism:
             (["honest", "--variant", "four", "--commit", "1"],
              "4e57c6e5e3bbaa27e8e2b45303def80a8b8389b6ec704bec1fc37e5f930c9e3b"),
             (["mc", "--strategy", "honest", "--r", "0.1"],
-             "281a4d4e50b11750153ef4e2672524dd2e3bf0d66031b31ec8a113a1dcaeea8a"),
+             "0c034c80ebc983eb923f05ccf951caecc3e74780e75e6ed4e34d483e1e05e5b3"),
             (["mc", "--strategy", "breidbart", "--r", "0.1", "--p01", "0", "--p10", "0.49"],
-             "0931161814c7e7437af515870ea67c4dd3d39eea87b94b8a06e8c18e19cdc1e0"),
+             "f60da4e25dec590660d54501110a3e9c6c439d71cf3a4538614cae723acb86bc"),
             (["mc", "--strategy", "beam-splitter", "--r", "0.1", "--mu", "0.2"],
-             "9137f271cc38263a0a9526f2f5867e7c0cbb3c4891d980b22c475d598756e876"),
+             "d527031e96b84dba0f65d60045508950354321a6b0b10b0d92b038407ccae6e3"),
             (["mc", "--strategy", "ideal", "--r", "0.1", "--mu", "0.2",
               "--p01", "0", "--p10", "0.4926"],
-             "8a2f2e64fa7996162cf001b78c69abd4d5022c43a3f7aa7a97640d191fae87e1"),
+             "a90bb10361d2ef31565934b7b478ac3e5b3e38b03eef086d773cda4bbf021b44"),
             (["mc", "--strategy", "faked", "--r", "0.1", "--rn", "0",
               "--length-km", "17", "--alpha", "0.2"],
-             "ee5989d0b3d3f3bcd42383a7cedce593f1878979698261512df5306c079cecf5"),
+             "ef8a5bdaa74b27d03e5e3de99ba5f922398275eef89acf0b3357f15837e0fd4b"),
         ),
         ids=("honest-two-0", "honest-two-1", "honest-four-0", "honest-four-1",
              "mc-honest", "mc-breidbart", "mc-beam-splitter", "mc-ideal", "mc-faked"),

@@ -161,7 +161,8 @@ def single_stream(cfg: mcsim.TrialConfig, draw) -> mcsim.TrialReport:
     """The report of ``cfg`` sampled trial by trial from one ``Philox(seed)``
     stream; ``draw(rng, state, size)`` gives the tallied counts of one sent
     state, the states are drawn in order, and a trial is accepted when
-    every count lies in its window."""
+    every count lies in its window.  Philox is not the generator of
+    ``mcsim.run``, so this reference draws from an independent stream."""
     test = build_test(cfg.variant, cfg.claimed, cfg.r, cfg.n_per_state, cfg.sigma_factor)
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     accept = np.ones(cfg.trials, dtype=bool)
@@ -187,13 +188,13 @@ def binomial_draw(cfg: mcsim.TrialConfig):
 
 
 def inversion_report(cfg: mcsim.TrialConfig) -> mcsim.TrialReport:
-    """The report of ``cfg`` from one ``Philox(seed)`` stream: each sent
+    """The report of ``cfg`` from one ``SFC64(seed)`` stream: each sent
     state's histogram of the plain inversions ``a + searchsorted(C, u,
     "right")`` of one ``Generator.random`` call, the states in order, then
     the accepted count by the hypergeometric chain over the window masses."""
     test = build_test(cfg.variant, cfg.claimed, cfg.r, cfg.n_per_state, cfg.sigma_factor)
     p = tallied_probs(cfg)
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    rng = np.random.Generator(np.random.SFC64(cfg.seed))
     histograms = {}
     for s in cfg.variant.states:
         a, cdf = mcsim._binomial_cdf(cfg.n_per_state, p[s])
@@ -393,13 +394,13 @@ class TestInversionTable:
 
     @pytest.mark.parametrize("n", (1, 2, 25, 50, 61, 600, 10**6))
     @pytest.mark.parametrize("p", SAMPLER_PS)
-    @pytest.mark.parametrize("seed, jump, size", ((0, 0, 1), (1, 3, 20_001), (2, 7, 131_072)))
-    def test_blocks_equal_plain_inversion(self, p, n, seed, jump, size):
+    @pytest.mark.parametrize("seed, size", ((0, 1), (3, 20_001), (7, 131_072)))
+    def test_blocks_equal_plain_inversion(self, p, n, seed, size):
         # the blocks' folded histogram is that of the inverse-CDF counts of
         # Generator.random's uniforms on a twin stream, and both streams
         # move as far
-        bits = np.random.Philox(seed).jumped(jump)
-        reference = np.random.Generator(np.random.Philox(seed).jumped(jump))
+        bits = np.random.SFC64(seed)
+        reference = np.random.Generator(np.random.SFC64(seed))
         state = mcsim._StateDraws(n, p)
         for start in range(0, size, mcsim._BLOCK):
             state.block(bits.random_raw(min(mcsim._BLOCK, size - start)))
@@ -408,14 +409,13 @@ class TestInversionTable:
         assert np.array_equal(state.histogram(), np.bincount(want, minlength=n + 1))
         assert bits.random_raw() == reference.bit_generator.random_raw()
 
-    @pytest.mark.parametrize("seed, jump", ((0, 0), (1, 3), (2, 7), (2**63, 1)))
-    def test_raw_words_give_the_uniforms_and_their_cells(self, seed, jump):
+    @pytest.mark.parametrize("seed", (0, 3, 7, 2**63, 2**64 - 1))
+    def test_raw_words_give_the_uniforms_and_their_cells(self, seed):
         # the NumPy contract the blocks rest on: Generator.random turns each
-        # raw Philox word w into (w >> 11) * 2**-53 and moves the stream as far,
-        # and the top 12 bits of w are the uniform's cell int(u * _CELLS); the
-        # sizes start the draws at every place in Philox's buffer of 4 words
-        words = np.random.Generator(np.random.Philox(seed).jumped(jump))
-        uniforms = np.random.Generator(np.random.Philox(seed).jumped(jump))
+        # raw SFC64 word w into (w >> 11) * 2**-53 and moves the stream as far,
+        # and the top 12 bits of w are the uniform's cell int(u * _CELLS)
+        words = np.random.Generator(np.random.SFC64(seed))
+        uniforms = np.random.Generator(np.random.SFC64(seed))
         for size in (1, 2, 3, 1000, 16_384, 5):
             w = words.bit_generator.random_raw(size)
             u = uniforms.random(size)
@@ -609,8 +609,8 @@ class TestDistribution:
 @pytest.mark.parametrize(
     "variant, digest",
     (
-        (TWO, "5f614b8f620e6a483d56f236c70fc428c0f4bcaeae7b26762d1e99aedfd4d6c3"),
-        (FOUR, "590e61cef31cc1a0a127c6a37d62ce4525693a6ed51259c1c0d57252b4b136b8"),
+        (TWO, "17c2dc1cdf1e4c150a20fadc206359debde3a5de1b599f38e780240d9285342c"),
+        (FOUR, "4a6b86be7e819c9d27d820d26daf180e945c3ddb4fda90b6812983f67ea5ebd1"),
     ),
     ids=("two", "four"),
 )

@@ -86,7 +86,7 @@ README_DIGESTS = {
     "tables": "597c6d5fd7d8b82351c82488c0350baa570e53da9194fea20adc64048111691a",
     "distance": "82067e5944666da9a0a13922bd3a546e25196dc8aac89f09643ac67e103c2f67",
     "multiphoton": "33c63f927abdda6c2c0fab861b57a73fe905bb91f6030468c99af1a6150b789e",
-    "mc": "8a2f2e64fa7996162cf001b78c69abd4d5022c43a3f7aa7a97640d191fae87e1",
+    "mc": "a90bb10361d2ef31565934b7b478ac3e5b3e38b03eef086d773cda4bbf021b44",
 }
 
 
