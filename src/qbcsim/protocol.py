@@ -7,8 +7,7 @@ inside a ``mu +/- k*sigma`` window of the honest binomial distribution,
 and accepts only if every window test passes.  Every window probability
 is the exp of :func:`log_binomial_window`, the one window sum, taken for
 all of a test's states in one stacked call; :func:`log_pass_probabilities`
-stacks the windows of many (test, table) pairs of one ``n`` the same way,
-and a single pair is its batch of one.
+sends the windows of many (test, table) pairs of one ``n`` in one call too.
 
 Two protocol variants are supported: the two-state one (verifier sends
 ``|0>`` or ``|+>``) and the four-state one (``|0>``, ``|1>``, ``|+>``,
@@ -19,11 +18,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -104,8 +104,11 @@ class ConditionalTable:
                 raise ValueError(f"probability out of range for state {s!r}: {p!r}")
 
     def prob(self, state: str, outcome: int) -> float:
-        p0 = self.p_zero[state]
-        return {0: p0, 1: 1.0 - p0}[outcome]
+        if state not in self.p_zero:
+            raise ValueError(f"table has no row for state {state!r}")
+        if outcome not in (0, 1):
+            raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
+        return self.p_zero[state] if outcome == 0 else 1.0 - self.p_zero[state]
 
 
 def honest_table(variant: Variant, claimed: int, r: float) -> ConditionalTable:
@@ -232,10 +235,9 @@ def build_test(
     return AcceptanceTest(n_per_state, windows, counted)
 
 
-#: Elements of the (points x terms) block that one step of
-#: :func:`log_binomial_window` works on, so its scratch memory stays fixed
-#: whatever the window width; a stacked call past one block sums each
-#: window alone.
+#: Elements of the (points x terms) block that :func:`log_binomial_window`
+#: sums at a time; a call's windows are summed in runs that fit in one, so
+#: no run's table outgrows it unless the run is one wider window.
 _BLOCK = 1 << 14
 
 
@@ -253,26 +255,36 @@ def log_binomial_window(n: int, p: np.ndarray, lo, hi) -> np.ndarray:
 
     ``lo`` and ``hi`` are integers, or integer arrays that broadcast to one
     window per entry of ``p``'s last axis, so every sent state's window is
-    summed in one call.  While the terms, padded to the widest window, fit
-    in one ``_BLOCK`` (points x windows x widest window) they are summed
-    together, as a block's fixed cost outweighs the padding; past one block
-    each window is summed alone at its own width, where padding would only
-    add ``exp`` terms.  The terms ``log C(n, k) + k log p + (n - k)
-    log(1 - p)``, with log-gamma coefficients, are combined by a
-    log-sum-exp shifted by the largest term in the window (the binomial
-    mode ``floor((n + 1) p)`` clipped into it), so the result stays finite
-    where the probability itself underflows.  ``p`` of exactly 0 or 1 puts
-    all mass on ``k = 0`` or ``k = n`` and is handled without forming
-    ``0 * log(0)``.
+    summed in one call.  Consecutive windows are summed as one run, with its
+    own window table, while their terms padded to the widest fit in one
+    ``_BLOCK`` (points x windows x widest window), as a block's fixed cost
+    outweighs the padding; a window that alone passes the block is a run of
+    its own, where padding would only add ``exp`` terms.  The terms
+    ``log C(n, k) + k log p + (n - k) log(1 - p)``, with log-gamma
+    coefficients, are combined by a log-sum-exp shifted by the largest term
+    in the window (the binomial mode ``floor((n + 1) p)`` clipped into it),
+    so the result stays finite where the probability itself underflows.
+    ``p`` of exactly 0 or 1 puts all mass on ``k = 0`` or ``k = n`` and is
+    handled without forming ``0 * log(0)``.
     """
-    shape, p, w, ends = _stacked(n, p, lo, hi)
-    if w.filled.size > 1 and p.size * w.logc.shape[1] > _BLOCK:
-        log_f = np.empty_like(p)
-        for s, (a, b) in enumerate(zip(*(e.ravel().tolist() for e in ends))):
-            log_f[:, s] = log_binomial_window(n, p[:, s], a, b)
-        return log_f.reshape(shape)
-    inner, *_, log_f = _log_window_interior(n, p, w)
-    return np.where(inner, log_f, np.where(p == 0.0, *w.limits[:, 0])).reshape(shape)
+    n, shape, p, lo, hi = _checked(n, p, lo, hi)
+    runs = [(p, lo, hi)]
+    # clamping into 0..n only narrows a window: a call that fits unclamped is one run
+    if p.shape[0] * len(lo) * (max(max(map(operator.sub, hi, lo)), 0) + 1) > _BLOCK:
+        starts, widest = [0], 0
+        for s, (a, b) in enumerate(zip(lo, hi)):
+            width = max(min(b, n) - max(a, 0), 0) + 1
+            widest = max(widest, width)
+            if s > starts[-1] and p.shape[0] * (s + 1 - starts[-1]) * widest > _BLOCK:
+                starts.append(s)
+                widest = width
+        runs = [(p[:, a:b], lo[a:b], hi[a:b]) for a, b in zip(starts, starts[1:] + [None])]
+    log_f = []
+    for q, run_lo, run_hi in runs:
+        w = _windows(n, tuple(run_lo), tuple(run_hi))
+        inner, *_, run = _log_window_interior(n, q, w)
+        log_f.append(np.where(inner, run, np.where(q == 0.0, *w.limits[:, 0])))
+    return (np.concatenate(log_f, axis=1) if len(log_f) > 1 else log_f[0]).reshape(shape)
 
 
 class _Windows(NamedTuple):
@@ -341,27 +353,34 @@ def _windows(n: int, lo: tuple[int, ...], hi: tuple[int, ...]) -> _Windows:
     return table
 
 
-def _stacked(n: int, p, lo, hi) -> tuple[tuple[int, ...], np.ndarray, _Windows, tuple]:
-    """The shape of ``p``, ``p`` as a (points, windows) array, the
-    windows' constants, and ``lo`` and ``hi`` broadcast together; the
-    arguments are checked before anything is sized by them."""
+def _checked(n: int, p, lo, hi) -> tuple[int, tuple[int, ...], np.ndarray, list, list]:
+    """``n`` as an ``int`` (not a NumPy integer, which makes window limits
+    NumPy bools), the shape of ``p``, ``p`` as a (points, windows) array,
+    and ``lo`` and ``hi`` as lists, checked before anything is sized."""
     if not (isinstance(n, numbers.Integral) and 0 <= n <= MAX_N_PER_STATE):
         raise ValueError(f"n must be an integer in [0, {MAX_N_PER_STATE}], got {n!r}")
     try:
         ends = np.broadcast_arrays(lo, hi)
     except ValueError:
         raise ValueError(f"lo and hi must broadcast, got shapes {np.shape(lo)}, {np.shape(hi)}")
+    if not ends[0].size:
+        raise ValueError("a window sum needs at least one window")
     for name, e in zip(("lo", "hi"), ends):
         if e.dtype.kind not in "iu":
             raise ValueError(f"{name} must be an integer or integer array, got {e.dtype}")
     p = np.asarray(p, dtype=np.float64)
     if not ((p >= 0.0) & (p <= 1.0)).all():
         raise ValueError("probabilities must lie in [0, 1]")
-    # an int, as a NumPy integer would make the window limits NumPy bools
-    w = _windows(int(n), *(tuple(e.ravel().tolist()) for e in ends))
-    if ends[0].ndim and p.shape[-1:] != w.filled.shape:
+    if ends[0].ndim and p.shape[-1:] != (ends[0].size,):
         raise ValueError(f"p needs one entry per window on its last axis, has shape {p.shape}")
-    return p.shape, p.reshape(-1, w.filled.size), w, ends
+    lo, hi = (e.ravel().tolist() for e in ends)
+    return int(n), p.shape, p.reshape(-1, len(lo)), lo, hi
+
+
+def _stacked(n: int, p, lo, hi) -> tuple[tuple[int, ...], np.ndarray, _Windows]:
+    """:func:`_checked`'s shape and ``p``, with one table of all the windows."""
+    n, shape, p, lo, hi = _checked(n, p, lo, hi)
+    return shape, p, _windows(n, tuple(lo), tuple(hi))
 
 
 def _log_window_interior(n: int, p: np.ndarray, w: _Windows):
@@ -417,7 +436,7 @@ def log_binomial_window_derivatives(
     its limit: ``+-inf`` for ``d1``, and ``-inf`` for ``d2`` as ``log F``
     is concave.
     """
-    shape, p, w, _ = _stacked(n, p, lo, hi)
+    shape, p, w = _stacked(n, p, lo, hi)
     return tuple(_log_window_derivatives(n, p, w).reshape((3, *shape)))
 
 
@@ -447,41 +466,20 @@ def _log_window_derivatives(n: int, p: np.ndarray, w: _Windows) -> np.ndarray:
 
 def _log_pass_factors(
     pairs: Iterable[tuple[AcceptanceTest, ConditionalTable]],
-) -> Iterator[np.ndarray]:
-    """Each (test, table) pair's log window probabilities, in window order,
-    when the revealed outcomes are distributed per its table.
-
-    The pairs share one ``n_per_state``.  Their windows are stacked into
-    :func:`log_binomial_window` calls, each taking as many pairs in order
-    as fit in one ``_BLOCK`` of padded terms, and at least one; so a batch
-    of one pair is the one call of its own windows, and the pairs are read
-    one batch at a time."""
-    batch: list = []
-    count = width = n = 0
-    for test, table in pairs:
-        n = n or test.n_per_state
-        if test.n_per_state != n:
-            raise ValueError(
-                f"stacked tests must share n_per_state, got {n} and {test.n_per_state}"
-            )
-        w = max(b - a for a, b in test.windows.values()) + 1
-        if batch and (count + len(test.windows)) * max(width, w) > _BLOCK:
-            yield from _log_batch_factors(batch)
-            batch, count, width = [], 0, 0
-        batch.append((test, table))
-        count, width = count + len(test.windows), max(width, w)
-    if batch:
-        yield from _log_batch_factors(batch)
-
-
-def _log_batch_factors(
-    batch: list[tuple[AcceptanceTest, ConditionalTable]],
 ) -> list[np.ndarray]:
-    """:func:`_log_pass_factors` of one batch, from one kernel call."""
-    p = [q for test, table in batch for q in test.tallied(table).values()]
-    lo, hi = np.array([w for test, _ in batch for w in test.windows.values()]).T
-    log_f = log_binomial_window(batch[0][0].n_per_state, np.array(p), lo, hi)
-    ends = list(accumulate(len(test.windows) for test, _ in batch))
+    """Each (test, table) pair's log window probabilities, in window order,
+    when the revealed outcomes are distributed per its table, from one
+    :func:`log_binomial_window` call of the windows of pairs of one ``n``."""
+    pairs = list(pairs)
+    ns = sorted({test.n_per_state for test, _ in pairs})
+    if len(ns) > 1:
+        raise ValueError(f"stacked tests must share n_per_state, got {ns[0]} and {ns[1]}")
+    if not pairs:
+        return []
+    p = [q for test, table in pairs for q in test.tallied(table).values()]
+    lo, hi = np.array([w for test, _ in pairs for w in test.windows.values()]).T
+    log_f = log_binomial_window(ns[0], np.array(p), lo, hi)
+    ends = list(accumulate(len(test.windows) for test, _ in pairs))
     return [log_f[a:b] for a, b in zip([0] + ends, ends)]
 
 
@@ -509,9 +507,10 @@ def log_pass_probabilities(
     """Natural log of :func:`pass_probability` of each (test, table) pair:
     the sum of every state's log window probability, which stays finite
     where the product underflows to 0.  The pairs share one
-    ``n_per_state``, and the windows of many pairs are summed in one
-    stacked kernel call.  A stacked value can differ from the one-pair
-    value in its last bits; a batch of one pair gives it exactly."""
+    ``n_per_state``, and the windows of all of them are summed in one
+    kernel call.  A stacked value can differ from the one-pair value in its
+    last bits, as the kernel may sum its windows in one run with other
+    pairs' windows; one pair alone gives it exactly."""
     return [float(log_f.sum()) for log_f in _log_pass_factors(pairs)]
 
 

@@ -2,8 +2,10 @@
 package declares no linter: each module of ``qbcsim`` other than
 ``__init__`` uses every name it imports, every module-level private name
 is read somewhere in the package, every public one is read by another
-module or listed in :data:`KEPT`, and every name in ``qbcsim.__all__``
-resolves, on first use, to what its defining module binds."""
+module or listed in :data:`KEPT`, the private names one module reads from
+another are those in :data:`PRIVATE_IMPORTS`, and every name in
+``qbcsim.__all__`` resolves, on first use, to what its defining module
+binds."""
 
 import ast
 import os
@@ -41,6 +43,15 @@ KEPT = {
     "strategy.MultiPhotonIdeal": ("perfbench/workloads.py", "tests/test_acceptance.py"),
     "strategy.SinglePhoton": ("perfbench/workloads.py",),
     "strategy.cheat_success": ("perfbench/run.py", "tests/test_acceptance.py"),
+}
+
+
+#: Private names that a module of the package reads from another, by
+#: importing module and then defining module.  The map may shrink but not
+#: grow: what one module decides, such as how ``protocol``'s window kernel
+#: splits its work, stays behind that module's public functions.
+PRIVATE_IMPORTS = {
+    "strategy": {"protocol": ("_basis_table", "_log_window_derivatives", "_stacked")},
 }
 
 
@@ -128,6 +139,53 @@ def test_checker_flags_an_orphaned_private_helper():
 def test_package_reads_every_private_name_it_defines():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert orphaned_private_names(sources) == []
+
+
+def private_imports(sources: dict[str, str]) -> dict[str, dict[str, tuple[str, ...]]]:
+    """For each module that reads private names of other modules of the
+    package, those names by module: imported by ``from .module import
+    _name``, or read as ``module._name`` after ``from . import module``
+    (or the same imports from ``qbcsim``)."""
+    found = {}
+    for importer, source in sources.items():
+        tree = ast.parse(source)
+        names: dict[str, set[str]] = {}
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "qbcsim"
+            ):
+                module = None if node.module in (None, "qbcsim") else node.module.rpartition(".")[2]
+                for a in node.names:
+                    if module is None:
+                        modules[a.asname or a.name] = a.name
+                    elif a.name.startswith("_"):
+                        names.setdefault(module, set()).add(a.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and node.attr.startswith("_")):
+                names.setdefault(modules[node.value.id], set()).add(node.attr)
+        if names:
+            found[importer] = {m: tuple(sorted(v)) for m, v in sorted(names.items())}
+    return found
+
+
+def test_checker_finds_private_imports():
+    sources = {
+        "a": "_LIMIT = 3\ndef _helper(): pass\ndef public(): pass\n",
+        "b": "from .a import _LIMIT, public\nfrom . import a as mod\nmod._helper()\nmod.public()\n",
+        "c": "from . import a\nfrom .a import public\n_OWN = a.public()\n",
+        "d": "from __future__ import annotations\nfrom qbcsim.a import _LIMIT\n"
+        "from qbcsim import a\na._helper()\n",
+    }
+    assert private_imports(sources) == {
+        "b": {"a": ("_LIMIT", "_helper")}, "d": {"a": ("_LIMIT", "_helper")},
+    }
+
+
+def test_private_imports_are_the_pinned_ones():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert private_imports(sources) == PRIVATE_IMPORTS
 
 
 def unread_public_names(sources: dict[str, str]) -> list[str]:

@@ -421,20 +421,36 @@ def test_stacked_windows_match_one_call_per_window(case):
     assert_close(log_binomial_window(n, p, lo, hi), log_f, atol=1e-12)
 
 
+def window_runs(points: int, lo: np.ndarray, hi: np.ndarray, block: int) -> list[slice]:
+    """The runs the kernel sums a stacked call in, for windows inside
+    ``0..n``: each window joins the run before it while the run's points
+    x windows x widest window stay within ``block``, and else starts one."""
+    runs = [[0]]
+    for s in range(1, lo.size):
+        joined = runs[-1] + [s]
+        if points * len(joined) * max(int(hi[i] - lo[i]) + 1 for i in joined) <= block:
+            runs[-1] = joined
+        else:
+            runs.append([s])
+    return [slice(run[0], run[-1] + 1) for run in runs]
+
+
 @SETTINGS
 @given(stacked_windows())
-def test_windows_past_one_block_are_summed_one_at_a_time(case):
-    # padded terms that fit in one block are summed together, as with the
-    # default block; past it the stacked call is one call per window
+def test_a_stacked_call_is_one_call_per_run(case):
+    # padded terms that fit in one block are one run, as with the default
+    # block; past it, down to a block of 1, the call is one call per run
     n, lo, hi, p = case
     padded = p.size * int((hi - lo).max() + 1)
     whole = log_binomial_window(n, p, lo, hi)
-    with mock.patch.object(protocol, "_BLOCK", padded):
-        assert np.array_equal(log_binomial_window(n, p, lo, hi), whole)
-    with mock.patch.object(protocol, "_BLOCK", padded - 1):
-        got = log_binomial_window(n, p, lo, hi)
-        single = [log_binomial_window(n, p[:, s], int(lo[s]), int(hi[s])) for s in range(lo.size)]
-    assert np.array_equal(got, np.stack(single, axis=-1))
+    for block in (padded, padded - 1, 1):
+        with mock.patch.object(protocol, "_BLOCK", block):
+            got = log_binomial_window(n, p, lo, hi)
+            runs = window_runs(p.shape[0], lo, hi, block)
+            want = [log_binomial_window(n, p[:, run], lo[run], hi[run]) for run in runs]
+        assert np.array_equal(got, np.concatenate(want, axis=-1))
+        if block == padded:
+            assert np.array_equal(got, whole)
 
 
 @SETTINGS

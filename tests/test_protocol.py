@@ -1,6 +1,7 @@
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qbcsim.protocol import (
     build_test,
     log_binomial_window,
     log_binomial_window_derivatives,
+    log_pass_probabilities,
     commit_observable,
     counted_outcomes,
     honest_table,
@@ -115,8 +117,12 @@ class TestConditionalTable:
         assert (t.prob("0", 0), t.prob("0", 1), t.prob("+", 0), t.prob("+", 1)) == (
             0.25, 0.75, 1.0, 0.0
         )
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="^outcome must be 0 or 1, got 2$"):
             t.prob("0", 2)
+
+    def test_prob_names_an_unknown_state(self):
+        with pytest.raises(ValueError, match="^table has no row for state 'x'$"):
+            ConditionalTable(("0",), {"0": 0.25}).prob("x", 0)
 
 
 class TestCountedOutcomes:
@@ -345,6 +351,51 @@ class TestLogBinomialWindow:
         p = np.random.default_rng(53).uniform(lo / 5000, hi / 5000, (121, 2))
         single = [log_binomial_window(5000, p[:, s], int(lo[s]), int(hi[s])) for s in range(2)]
         assert np.array_equal(log_binomial_window(5000, p, lo, hi), np.stack(single, axis=-1))
+
+    def test_two_narrow_windows_share_a_run_beside_a_wide_one(self):
+        # 4 points x 3 windows x 2,001 counts of padded terms pass one block;
+        # the narrow windows' 4 x 2 x 26 fit in one, and the wide one alone
+        from qbcsim import protocol
+
+        lo, hi = np.array([0, 20, 100]), np.array([10, 45, 2100])
+        p = np.random.default_rng(59).uniform(lo / 5000, hi / 5000, (4, 3))
+        with mock.patch.object(protocol, "_windows", wraps=protocol._windows) as resolve:
+            got = log_binomial_window(5000, p, lo, hi)
+        keys = [c.args for c in resolve.call_args_list]
+        assert keys == [(5000, (0, 20), (10, 45)), (5000, (100,), (2100,))]
+        narrow = log_binomial_window(5000, p[:, :2], lo[:2], hi[:2])
+        wide = log_binomial_window(5000, p[:, 2], 100, 2100)
+        assert np.array_equal(got, np.column_stack([narrow, wide]))
+
+    def test_a_long_sweep_resolves_no_table_past_one_block(self):
+        # every pair's windows go to one kernel call; its runs keep each
+        # table within one block of padded terms, but for a window that
+        # alone passes the block: here [0, n], from a huge sigma_factor
+        from qbcsim import protocol
+
+        n, resolved = 100_000, []
+        pairs = [(build_test(FOUR, 0, r / 100, n), honest_table(FOUR, 1, r / 100))
+                 for r in range(101)]
+        pairs.insert(50, (build_test(FOUR, 0, 0.5, n, 1e308), honest_table(FOUR, 1, 0.5)))
+        windows = protocol._windows
+
+        def resolve(*key):
+            resolved.append(windows(*key))
+            return resolved[-1]
+
+        with mock.patch.object(protocol, "_windows", resolve):
+            log_pass_probabilities(pairs)
+        wide = [w for w in resolved if w.logc.size > protocol._BLOCK]
+        assert wide and all(w.filled.size == 1 for w in wide)
+        # each window is resolved once, and some runs hold several
+        assert sum(w.filled.size for w in resolved) == 4 * len(pairs)
+        assert max(w.filled.size for w in resolved) > 1
+
+    def test_rejects_an_empty_window_list_by_name(self):
+        for kernel in (log_binomial_window, log_binomial_window_derivatives):
+            for ends in ([], np.array([], dtype=np.int64)):
+                with pytest.raises(ValueError, match="^a window sum needs at least one window$"):
+                    kernel(10, np.full((2, 0), 0.5), ends, ends)
 
     def test_a_scalar_end_gives_one_window_per_entry_of_the_other(self):
         p, hi = np.full((2, 2), 0.5), np.array([5, 9])
